@@ -1,15 +1,25 @@
 """R1CS -> QAP transformation: Lagrange interpolation of constraint columns,
 vanishing polynomial, and quotient computation.
 
-Two interchangeable evaluation paths exist:
+Two evaluation paths exist:
 
 * a generic path for arbitrary distinct-point domains (schoolbook Lagrange
   interpolation and exact long division), and
-* an NTT path for radix-2 multiplicative-subgroup domains, used by the
-  prover at scale.
+* an NTT path for radix-2 multiplicative-subgroup domains H of size n, used
+  by the prover at scale.
 
-Both produce bit-identical results on the same domain; the quotient H(x) is
-unique given the domain, so the fast path is a pure optimization.
+The NTT path computes the quotient H(x) = (A(x)B(x) - C(x)) / t(x) on one
+coset gH of the size-n domain (the witness map of libsnark's reduction):
+t(x) = x^n - 1 is the nonzero constant g^n - 1 on gH, so the division is a
+single scalar.  n points determine only a polynomial of degree < n, which
+is enough because `compute_quotient` first checks A(w^i)B(w^i) = C(w^i) on
+every row: t then divides AB - C, whose degree is at most 2n - 2, so
+deg H <= n - 2.  The interpolated coefficient n - 1 must therefore be zero,
+and a nonzero one is rejected.  Both paths give the same H, which is unique
+given the domain, so the fast path is a pure optimization.
+
+Each radix-2 domain builds its transform tables (bit-reversal permutation,
+per-stage twiddles for w and w^-1, coset scales) once, on first use.
 """
 
 from __future__ import annotations
@@ -124,6 +134,7 @@ class EvaluationDomain:
         self.points = points
         self.field = field
         self.omega = None  # set for radix-2 subgroup domains
+        self._tables = None  # NTT tables, built on first use
 
     def __len__(self):
         return len(self.points)
@@ -189,11 +200,12 @@ class EvaluationDomain:
         """Unique polynomial of degree < n through (r_i, values_i)."""
         if len(values) != len(self.points):
             raise ValueError("value count must match domain size")
-        if self.omega is not None:
-            coeffs = _intt(list(values), self.omega, self.field.p)
-            return Polynomial(coeffs, self.field)
-        # Newton-free schoolbook: sum of v_i * w_i * t(x)/(x - r_i)
         p = self.field.p
+        if self.omega is not None:
+            ninv = pow(len(self.points), -1, p)
+            return Polynomial(
+                [v * ninv % p for v in self._ntt(values, inverse=True)], self.field)
+        # Newton-free schoolbook: sum of v_i * w_i * t(x)/(x - r_i)
         t = vanishing_poly(self)
         weights = self.barycentric_weights()
         acc = [0] * len(self.points)
@@ -205,41 +217,77 @@ class EvaluationDomain:
                     acc[idx] = (acc[idx] + k * c) % p
         return Polynomial(acc, self.field)
 
+    # -- NTT (radix-2 domains only) ------------------------------------------
 
-def _ntt(values, omega, p):
-    """In-place iterative radix-2 NTT; returns the (bit-reverse ordered fixed) list."""
-    n = len(values)
-    # bit-reversal permutation
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            values[i], values[j] = values[j], values[i]
-    length = 2
-    while length <= n:
-        w_len = pow(omega, n // length, p)
-        half = length >> 1
-        for start in range(0, n, length):
-            w = 1
-            for k in range(start, start + half):
-                u = values[k]
-                v = values[k + half] * w % p
-                values[k] = (u + v) % p
-                values[k + half] = (u - v) % p
-                w = w * w_len % p
-        length <<= 1
-    return values
+    def _ntt_tables(self):
+        """(bit-reversal permutation, per-stage twiddles for w, for w^-1,
+        coset scale, coset unscale); built on first use, once per domain.
+
+        The stage of half-length h uses the h powers of w^(n/2h).  The coset
+        scale g^j / n turns unnormalised iNTT output into the coefficients
+        of P(gx); the unscale g^-j / (n (g^n - 1)) undoes the shift, the
+        iNTT's factor n and the division by t on gH.
+        """
+        if self._tables is None:
+            if self.omega is None:
+                raise ValueError("NTT needs a radix-2 subgroup domain")
+            p = self.field.p
+            n = len(self.points)
+            bits = n.bit_length() - 1
+            rev = [int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
+                   for i in range(n)]
+            fwd = self.points[:n // 2]
+            inv = [self.points[-k] for k in range(n // 2)]  # w^-k = w^(n-k)
+            strides = [n >> (s + 1) for s in range(bits)]
+            g = self.field._generator  # coset representative off the subgroup
+            ninv = pow(n, -1, p)
+            t_inv = pow(pow(g, n, p) - 1, -1, p)
+            self._tables = (rev, [fwd[::k] for k in strides],
+                            [inv[::k] for k in strides],
+                            _powers(ninv, g, n, p),
+                            _powers(ninv * t_inv % p, pow(g, -1, p), n, p))
+        return self._tables
+
+    def _ntt(self, values, inverse: bool = False) -> list:
+        """Unnormalised DFT over the subgroup: out_i = sum_j values_j w^(ij),
+        with w^-1 in place of w when `inverse` is set.
+
+        Iterative radix-2 Cooley-Tukey on a bit-reversed copy.  A stage whose
+        half-length is at least its block count butterflies one block per
+        slice pair; an earlier stage butterflies one twiddle across every
+        block per strided slice pair.  Only products are reduced mod p, so a
+        value grows by less than p per stage and one pass at the end
+        reduces them all.
+        """
+        rev, fwd, inv, _, _ = self._ntt_tables()
+        p = self.field.p
+        n = len(rev)
+        a = [values[r] for r in rev]
+        h = 1
+        for tw in (inv if inverse else fwd):
+            step = 2 * h
+            if h >= n // step:
+                for s in range(0, n, step):
+                    lo = a[s:s + h]
+                    hi = [x * w % p for x, w in zip(a[s + h:s + step], tw)]
+                    a[s:s + h] = [u + v for u, v in zip(lo, hi)]
+                    a[s + h:s + step] = [u - v for u, v in zip(lo, hi)]
+            else:
+                for k, w in enumerate(tw):
+                    lo = a[k::step]
+                    hi = [x * w % p for x in a[k + h::step]]
+                    a[k::step] = [u + v for u, v in zip(lo, hi)]
+                    a[k + h::step] = [u - v for u, v in zip(lo, hi)]
+            h = step
+        return [v % p for v in a]
 
 
-def _intt(values, omega, p):
-    n = len(values)
-    out = _ntt(values, pow(omega, -1, p), p)
-    ninv = pow(n, -1, p)
-    return [v * ninv % p for v in out]
+def _powers(first, ratio, count, p):
+    """[first, first*ratio, ..., first*ratio^(count-1)] mod p."""
+    out = [first % p] * count
+    for j in range(1, count):
+        out[j] = out[j - 1] * ratio % p
+    return out
 
 
 def vanishing_poly(domain: EvaluationDomain) -> Polynomial:
@@ -380,46 +428,30 @@ def compute_quotient(qap: QapInstance, witness) -> Polynomial:
 
 
 def _quotient_ntt(qap: QapInstance, aw, bw, cw) -> Polynomial:
-    """Coset-NTT quotient: identical output to the schoolbook path."""
-    field = qap.field
-    p = field.p
-    n = len(qap.domain)
-    omega = qap.domain.omega
-    a_coeff = _intt(list(aw), omega, p)
-    b_coeff = _intt(list(bw), omega, p)
-    c_coeff = _intt(list(cw), omega, p)
-    size = 2 * n
-    omega2 = field.root_of_unity(size)
-    shift = field._generator  # coset representative off the subgroup
-    # evaluate on the coset shift * <omega2>
-    def coset_eval(coeffs):
-        scaled = [0] * size
-        g = 1
-        for i, c in enumerate(coeffs):
-            scaled[i] = c * g % p
-            g = g * shift % p
-        return _ntt(scaled, omega2, p)
+    """Quotient on the coset gH of the size-n domain H; same H as schoolbook.
 
-    av = coset_eval(a_coeff)
-    bv = coset_eval(b_coeff)
-    cv = coset_eval(c_coeff)
-    # t on the coset: (shift * omega2^i)^n - 1 = shift^n * (-1)^i - 1
-    sn = pow(shift, n, p)
-    t0_inv = pow(sn - 1, -1, p)
-    t1_inv = pow(-sn - 1, -1, p)
-    hv = [0] * size
-    for i in range(size):
-        tinv = t0_inv if i % 2 == 0 else t1_inv
-        hv[i] = (av[i] * bv[i] - cv[i]) % p * tinv % p
-    h_scaled = _intt(hv, omega2, p)
-    ginv = pow(shift, -1, p)
-    g = 1
-    coeffs = [0] * size
-    for i in range(size):
-        coeffs[i] = h_scaled[i] * g % p
-        g = g * ginv % p
-    # degree bound: satisfied witnesses always give deg(H) <= n - 2
-    for i in range(n - 1, size):
-        if coeffs[i]:
-            raise InvalidWitnessError("quotient degree bound exceeded")
-    return Polynomial(coeffs[:n - 1], field)
+    A, B, C go to coefficients (iNTT) and onto gH (coset scale, NTT).  On gH
+    t(x) = x^n - 1 is the one constant g^n - 1, so dividing the pointwise
+    A*B - C by t is a scalar, folded with the iNTT's 1/n and the undoing of
+    the shift into the domain's unscale table.  Interpolating H from n
+    points is exact because the caller's row check makes t divide
+    AB - C (degree <= 2n - 2), so deg H <= n - 2; coefficient n - 1 must
+    then be zero, and a nonzero one is rejected.  Seven size-n transforms
+    in all, on tables cached per domain.
+    """
+    domain = qap.domain
+    p = qap.field.p
+    n = len(domain)
+    *_, scale, unscale = domain._ntt_tables()
+    ntt = domain._ntt
+
+    def on_coset(values):
+        coeffs = ntt(values, inverse=True)
+        return ntt([c * s % p for c, s in zip(coeffs, scale)])
+
+    av, bv, cv = on_coset(aw), on_coset(bw), on_coset(cw)
+    hv = ntt([(a * b - c) % p for a, b, c in zip(av, bv, cv)], inverse=True)
+    coeffs = [h * s % p for h, s in zip(hv, unscale)]
+    if coeffs[n - 1]:
+        raise InvalidWitnessError("quotient degree bound exceeded")
+    return Polynomial(coeffs[:n - 1], qap.field)

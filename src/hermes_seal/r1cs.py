@@ -124,6 +124,7 @@ class ConstraintSystem:
         self._solvers = solvers     # [(target provisional idxs, fn)]
         self._input_wires = input_wires  # [Wire] (provisional handles)
         self.row_labels = row_labels
+        self._digest = None         # SHA-256 of to_bytes(), on first use
 
     @property
     def n_constraints(self) -> int:
@@ -241,7 +242,10 @@ class ConstraintSystem:
                    list(range(n_wires)), [], [], [None] * n)
 
     def digest(self) -> bytes:
-        return hashlib.sha256(self.to_bytes()).digest()
+        """SHA-256 of `to_bytes()`, hashed once: the system is immutable."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.to_bytes()).digest()
+        return self._digest
 
 
 def pad_to_power_of_two(cs: ConstraintSystem) -> ConstraintSystem:

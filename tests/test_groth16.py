@@ -1,6 +1,7 @@
 """Trusted setup, proving, verification: completeness, soundness smoke
 checks, key/proof serialization, and ceremony determinism."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,8 +12,18 @@ from hermes_seal.groth16 import (Groth16Error, Proof, ProvingKey,
 from hermes_seal.pairing import toy_group
 from hermes_seal.qap import EvaluationDomain, r1cs_to_qap
 from hermes_seal.r1cs import CircuitBuilder, pad_to_power_of_two
+from hermes_seal.rss_circuit import RssScenario, make_rss_inputs
 
 P = TEST_FIELD.p
+
+# SHA-256 of Proof.to_bytes() under a fixed ceremony seed and proof seed:
+# a prover change that alters any proof byte fails these.
+GOLDEN_CUBIC_PROOF = \
+    "5e5293d47da06af8a207f0babe994dd4d5636f52364d3a9cf91cdff4b0fc364e"
+GOLDEN_CUBIC_PK = \
+    "dbe1ae4d65ebf2a0178d0c54514c67d75521128c0ae99dc0746ce12ec2904baf"
+GOLDEN_SMALL_RSS_PROOF = \
+    "111a4ea3de8771996cadd13e7edc2fc3e2e31e1e86d198d2c677edcab9fe3d59"
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +151,21 @@ def test_toxic_waste_zeroized(cubic):
     toxic.zeroize()
     assert toxic.tau == toxic.alpha == toxic.beta == 0
     assert toxic.gamma == toxic.delta == 0
+
+
+def test_golden_proof_cubic(cubic):
+    cs, qap, pk, vk, x, y = cubic
+    w = cs.generate_witness({x: 30, y: 3})
+    proof = prove(pk, qap, w, seed=11)
+    assert hashlib.sha256(pk.to_bytes()).hexdigest() == GOLDEN_CUBIC_PK
+    assert hashlib.sha256(proof.to_bytes()).hexdigest() == GOLDEN_CUBIC_PROOF
+
+
+def test_golden_proof_small_rss(small_rss_artifacts):
+    art = small_rss_artifacts
+    publics, witness, _ = make_rss_inputs(RssScenario(), nonce=bytes(16),
+                                          s_sec=1, circuit=art.circuit)
+    w = art.circuit.generate_witness(publics, witness)
+    proof = prove(art.pk, art.qap, w, seed=11)
+    assert hashlib.sha256(proof.to_bytes()).hexdigest() == \
+        GOLDEN_SMALL_RSS_PROOF

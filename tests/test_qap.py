@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from hermes_seal.field import TEST_FIELD
 from hermes_seal.qap import (EvaluationDomain, InvalidWitnessError, Polynomial,
-                             compute_quotient, r1cs_to_qap, vanishing_poly)
-from hermes_seal.r1cs import CircuitBuilder
+                             _quotient_ntt, compute_quotient, r1cs_to_qap,
+                             vanishing_poly)
+from hermes_seal.r1cs import CircuitBuilder, pad_to_power_of_two
 
 P = TEST_FIELD.p
 coeff_lists = st.lists(st.integers(min_value=0, max_value=P - 1),
@@ -80,6 +81,22 @@ def test_interpolation_ntt_vs_schoolbook():
     assert sub.interpolate(values).coeffs == generic.interpolate(values).coeffs
 
 
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32, 64, 128, 256])
+def test_ntt_matches_naive_dft(size):
+    # oracle: out_i = sum_j v_j w^(+-ij), straight from the definition
+    rng = random.Random(size)
+    dom = EvaluationDomain.radix2(size, TEST_FIELD)
+    pts = dom.points
+    values = [rng.randrange(P) for _ in range(size)]
+    fwd = [sum(v * pts[i * j % size] for j, v in enumerate(values)) % P
+           for i in range(size)]
+    inv = [sum(v * pts[-i * j % size] for j, v in enumerate(values)) % P
+           for i in range(size)]
+    assert dom._ntt(values) == fwd
+    assert dom._ntt(values, inverse=True) == inv
+    assert dom._ntt(fwd, inverse=True) == [v * size % P for v in values]
+
+
 def test_lagrange_at():
     dom = EvaluationDomain.radix2(8, TEST_FIELD)
     x = 424242
@@ -144,6 +161,64 @@ def test_quotient_ntt_matches_generic():
     h_fast = compute_quotient(r1cs_to_qap(cs, sub), w)
     h_slow = compute_quotient(r1cs_to_qap(cs, generic), w)
     assert h_fast.coeffs == h_slow.coeffs
+
+
+def _chain_circuit(rng, n):
+    """A random satisfiable chain of products over x (public) and y
+    (private), with between n/2 + 1 and n rows, padded to n rows."""
+    bld = CircuitBuilder()
+    x = bld.alloc_public("x")
+    y = bld.alloc_private("y")
+    wires = [x, y]
+    for i in range(rng.randint(n // 2 + 1, n)):
+        u, v, w = (rng.choice(wires) for _ in range(3))
+        left = bld.lc((u, rng.randrange(P)), (v, rng.randrange(P)),
+                      rng.randrange(P))
+        right = bld.lc((w, rng.randrange(P)), rng.randrange(P))
+        wires.append(bld.gadget_mul(left, right, f"m{i}"))
+    cs = pad_to_power_of_two(bld.finalize())
+    assert cs.n_constraints == n
+    w = cs.generate_witness({x: rng.randrange(P), y: rng.randrange(P)})
+    return cs, w, wires[2:]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_coset_quotient_matches_schoolbook(n):
+    rng = random.Random(n)
+    sub = EvaluationDomain.radix2(n, TEST_FIELD)
+    generic = EvaluationDomain(list(sub.points), TEST_FIELD)
+    for _ in range(3):
+        cs, w, _ = _chain_circuit(rng, n)
+        h_fast = compute_quotient(r1cs_to_qap(cs, sub), w)
+        h_slow = compute_quotient(r1cs_to_qap(cs, generic), w)
+        assert h_fast.coeffs == h_slow.coeffs
+        assert h_fast.degree <= n - 2
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_unsatisfying_chain_witness_names_row(n):
+    rng = random.Random(100 + n)
+    cs, w, products = _chain_circuit(rng, n)
+    row = rng.randrange(len(products))   # product i is row i's output wire
+    bad = list(w.values)
+    bad[cs.wire_index(products[row])] += 1
+    sub = EvaluationDomain.radix2(n, TEST_FIELD)
+    for dom in (sub, EvaluationDomain(list(sub.points), TEST_FIELD)):
+        with pytest.raises(InvalidWitnessError,
+                           match=rf"violates constraint {row}$"):
+            compute_quotient(r1cs_to_qap(cs, dom), bad)
+
+
+def test_coset_quotient_rejects_top_coefficient():
+    # rows that break a*b = c leave A*B - C indivisible by t; past the row
+    # check, the interpolated coefficient n - 1 is what gives it away
+    rng = random.Random(3)
+    cs, w, _ = _chain_circuit(rng, 8)
+    qap = r1cs_to_qap(cs, EvaluationDomain.radix2(8, TEST_FIELD))
+    aw, bw, cw = qap.constraint_evaluations(w)
+    cw[0] = (cw[0] + 1) % P
+    with pytest.raises(InvalidWitnessError, match="degree bound"):
+        _quotient_ntt(qap, aw, bw, cw)
 
 
 def test_constraint_evaluations_match_rows(small_rss_artifacts):
