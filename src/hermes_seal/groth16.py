@@ -17,7 +17,8 @@ import hashlib
 import random
 import struct
 
-from .pairing import BilinearGroup, G1Element, G2Element, TOY_CURVE_PROFILE, toy_group
+from .pairing import (BilinearGroup, G1Element, G2Element, TOY_CURVE_PROFILE,
+                      _FixedBaseTable, toy_group)
 from .qap import QapInstance, compute_quotient
 
 __all__ = [
@@ -55,70 +56,6 @@ class ToxicWaste:
 
     def zeroize(self):
         self.tau = self.alpha = self.beta = self.gamma = self.delta = 0
-
-
-class _FixedBaseTable:
-    """Windowed fixed-base exponentiation with batched affine conversion.
-
-    Precomputes [k * 2^(w*t)] * P for every window t and digit k, so each
-    exponentiation is ~ceil(bits/w) mixed additions and zero doublings.
-    """
-
-    def __init__(self, curve, base_point, bits: int, window: int = 8):
-        self.curve = curve
-        self.window = window
-        self.windows = (bits + window - 1) // window
-        size = 1 << window
-        tables = []
-        block = base_point
-        for _ in range(self.windows):
-            row = [None] * size
-            acc = None
-            for k in range(1, size):
-                acc = block if acc is None else curve.add(acc, block)
-                row[k] = acc
-            tables.append(row)
-            block = curve.add(row[size - 1], block)  # 2^w * previous block
-        self.tables = tables
-        self.mask = size - 1
-
-    def exp_many(self, scalars):
-        """[s * P for s in scalars] as affine points, one batched inversion."""
-        curve = self.curve
-        p = curve.p
-        jadd_mixed = curve._jadd_mixed
-        jacobians = []
-        for s in scalars:
-            acc = (1, 1, 0)
-            for t in range(self.windows):
-                digit = (s >> (t * self.window)) & self.mask
-                if digit:
-                    acc = jadd_mixed(acc, self.tables[t][digit])
-            jacobians.append(acc)
-        # Montgomery batch inversion of the nonzero Z coordinates
-        zs = [j[2] for j in jacobians if j[2] != 0]
-        prefix = [1]
-        for z in zs:
-            prefix.append(prefix[-1] * z % p)
-        inv_all = pow(prefix[-1], -1, p) if zs else 1
-        invs = [0] * len(zs)
-        for i in range(len(zs) - 1, -1, -1):
-            invs[i] = inv_all * prefix[i] % p
-            inv_all = inv_all * zs[i] % p
-        out = []
-        k = 0
-        for X, Y, Z in jacobians:
-            if Z == 0:
-                out.append(None)
-            else:
-                zi = invs[k]
-                k += 1
-                z2 = zi * zi % p
-                out.append((X * z2 % p, Y * z2 % p * zi % p))
-        return out
-
-    def exp(self, scalar):
-        return self.exp_many([scalar])[0]
 
 
 class ProvingKey:
@@ -335,7 +272,7 @@ def setup(qap: QapInstance, seed=None, group: BilinearGroup = None,
     g1_scalars = ([alpha, beta, delta] + a_tau + b_tau + priv_scalars
                   + h_scalars + ic_scalars)
     g1_points = t1.exp_many(g1_scalars)
-    g2_points = t2.exp_many([beta, delta] + b_tau)
+    g2_points = t2.exp_many([beta, delta, gamma] + b_tau)
 
     def wrap1(pts):
         return [G1Element(pt, group) for pt in pts]
@@ -350,9 +287,8 @@ def setup(qap: QapInstance, seed=None, group: BilinearGroup = None,
     k_g1 = wrap1(g1_points[off:off + len(priv_scalars)]); off += len(priv_scalars)
     h_g1 = wrap1(g1_points[off:off + len(h_scalars)]); off += len(h_scalars)
     ic = wrap1(g1_points[off:off + l + 1])
-    beta_g2, delta_g2 = wrap2(g2_points[0:2])
-    b_g2 = wrap2(g2_points[2:])
-    gamma_g2 = G2Element(t2.exp(gamma), group)
+    beta_g2, delta_g2, gamma_g2 = wrap2(g2_points[0:3])
+    b_g2 = wrap2(g2_points[3:])
 
     digest = qap.cs.digest()
     pk = ProvingKey(group, digest, l, alpha_g1, beta_g1, delta_g1, beta_g2,

@@ -222,16 +222,29 @@ class EnrollmentAuthority:
 # -- signed payload ----------------------------------------------------------
 
 
+def _artifact_hashes(r1cs_bytes: bytes, vk_bytes: bytes):
+    """The (R1CS, VK) hashes that the signed payload carries."""
+    return (byte_hash(encode(r1cs_bytes, DTypeTag.R1CS)),
+            byte_hash(encode(vk_bytes, DTypeTag.VK)))
+
+
 def assemble_payload(sign_domain: DomainSeparator, r1cs_bytes: bytes,
                      vk_bytes: bytes, cert_bytes: bytes, proof_bytes: bytes,
                      commitment_value: FieldElement, timestamp: int,
-                     nonce: bytes) -> bytes:
+                     nonce: bytes, artifact_hashes=None) -> bytes:
     """The message under the vehicle's signature: context, artifact hashes,
-    commitment, timestamp, nonce -- in this fixed order."""
+    commitment, timestamp, nonce -- in this fixed order.
+
+    A caller that already holds the (R1CS, VK) hash pair of the circuit
+    passes it as `artifact_hashes`; `r1cs_bytes` and `vk_bytes` are then
+    not read.
+    """
+    r1cs_hash, vk_hash = artifact_hashes or _artifact_hashes(r1cs_bytes,
+                                                             vk_bytes)
     return b"".join([
         encode(sign_domain.value, DTypeTag.CTX),
-        byte_hash(encode(r1cs_bytes, DTypeTag.R1CS)),
-        byte_hash(encode(vk_bytes, DTypeTag.VK)),
+        r1cs_hash,
+        vk_hash,
         byte_hash(encode(cert_bytes, DTypeTag.CERT)),
         byte_hash(encode(proof_bytes, DTypeTag.PROOF)),
         encode(commitment_value, DTypeTag.COMMIT),
@@ -356,12 +369,14 @@ class VerifierState:
         self.group = group or toy_group()
         self.ea_root_pk_bytes = ea_root_pk_bytes
         self.freshness_window = freshness_window
-        self.registry = {}       # r1cs_hash -> (VerifyingKey, vk_bytes, r1cs_bytes)
+        self.registry = {}       # r1cs_hash -> (VerifyingKey, artifact hashes)
         self._nonces = {}        # nonce -> timestamp seen
 
     def register_circuit(self, r1cs_bytes: bytes, vk: VerifyingKey):
+        """Accept packages for this circuit; its payload hashes are computed
+        here once, not per package."""
         self.registry[hashlib.sha256(r1cs_bytes).digest()] = \
-            (vk, vk.to_bytes(), r1cs_bytes)
+            (vk, _artifact_hashes(r1cs_bytes, vk.to_bytes()))
 
     def _prune_nonces(self, now: int):
         horizon = 2 * self.freshness_window
@@ -381,11 +396,11 @@ class VerifierState:
         entry = self.registry.get(package.r1cs_hash)
         if entry is None:
             return False, "unknown_circuit"
-        vk, vk_bytes, r1cs_bytes = entry
+        vk, hashes = entry
         message = assemble_payload(
-            package.sign_domain, r1cs_bytes, vk_bytes, package.cert_bytes,
+            package.sign_domain, None, None, package.cert_bytes,
             package.proof_bytes, package.commitment, package.timestamp,
-            package.nonce)
+            package.nonce, artifact_hashes=hashes)
         if not schnorr_verify(package.vk_sig_bytes, message,
                               package.signature, self.group):
             return False, "signature"

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermes_seal.pairing import G1Element, G2Element, toy_group
+from hermes_seal.pairing import G1Element, G2Element, _Curve, toy_group
 
 G = toy_group()
 Q = G.q
@@ -75,6 +75,139 @@ def test_msm_g2_and_errors():
         G.multi_scalar_mul([1], [])
     with pytest.raises(ValueError):
         G.multi_scalar_mul([1, 2], [G.g1, G.g2])
+
+
+# -- MSM edge cases: each against the naive sum of scalar products ---------
+
+MUL = {"G1": G.scalar_mul_g1, "G2": G.scalar_mul_g2}
+BASE = {"G1": G.g1, "G2": G.g2}
+
+
+def _naive_msm(group, scalars_, points):
+    acc = MUL[group](0, BASE[group])
+    for s, pt in zip(scalars_, points):
+        acc = acc + MUL[group](s % Q, pt)
+    return acc
+
+
+def _distinct_points(group, n, seed):
+    """n distinct points k*B, (k+d)*B, ... built by repeated addition."""
+    rng = random.Random(seed)
+    step = MUL[group](rng.randrange(1, Q), BASE[group])
+    pt = MUL[group](rng.randrange(1, Q), BASE[group])
+    out = []
+    for _ in range(n):
+        out.append(pt)
+        pt = pt + step
+    return out
+
+
+def _check(group, scalars_, points):
+    fast = G.multi_scalar_mul(scalars_, points)
+    assert type(fast) is type(BASE[group])
+    assert fast.point == _naive_msm(group, scalars_, points).point
+
+
+@pytest.fixture
+def inf_results(monkeypatch):
+    """The operand pairs of `_Curve.add` calls that returned infinity."""
+    seen = []
+    real = _Curve.add
+
+    def spy(self, a, b):
+        out = real(self, a, b)
+        if out is None and a is not None and b is not None:
+            seen.append((a, b))
+        return out
+    monkeypatch.setattr(_Curve, "add", spy)
+    return seen
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+def test_msm_repeated_point_doubles_in_bucket(group):
+    p1, p2 = _distinct_points(group, 2, seed=1)
+    # equal scalars put every copy in the same bucket of every window
+    s = random.Random(2).randrange(Q)
+    _check(group, [s] * 5, [p1, p1, p2, p1, p1])
+    _check(group, [s, s, 7], [p1, p1, p2])
+    _check(group, [s] * 40 + [3], [p1] * 40 + [p2])
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+def test_msm_opposite_points_cancel(group, inf_results):
+    p, r = _distinct_points(group, 2, seed=3)
+    filler = _distinct_points(group, 36, seed=4)
+    rng = random.Random(5)
+    # In window 0 only the first four terms have nonzero digits: bucket 5
+    # holds R and -R (infinity mid-tree), buckets 3 and 2 hold P and -P, so
+    # the running sum over buckets 3 and 2 is infinity.
+    scalars_ = [3, 2, 5, 5] + [8 * rng.randrange(Q // 8) for _ in filler]
+    points = [p, -p, r, -r] + filler
+    _check(group, scalars_, points)
+    assert len(inf_results) >= 2
+    # everything cancels
+    _check(group, [9, 9, 9, 9], [p, -p, r, -r])
+    _check(group, [9] * 40, [p, -p] * 20)
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+def test_msm_identity_zero_and_unreduced_scalars(group):
+    pts = _distinct_points(group, 40, seed=6)
+    ident = MUL[group](0, BASE[group])
+    rng = random.Random(7)
+    scalars_ = [rng.randrange(Q) for _ in pts]
+    for i in range(0, 40, 5):
+        pts[i] = ident
+    for i in range(1, 40, 6):
+        scalars_[i] = 0
+    for i in range(2, 40, 4):
+        scalars_[i] += rng.randrange(1, 5) * Q
+    scalars_[3] = Q
+    _check(group, scalars_, pts)
+    assert G.multi_scalar_mul([0, 5, Q], [pts[1], ident, pts[2]]).point is None
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+def test_msm_single_nonzero_pair(group):
+    pts = _distinct_points(group, 6, seed=8)
+    ident = MUL[group](0, BASE[group])
+    _check(group, [0, 0, 0, 123456789, 0, Q], pts)
+    _check(group, [5, 7, Q - 1], [ident, ident, pts[0]])
+    _check(group, [Q - 1], [pts[1]])
+
+
+# the window is n.bit_length() - 4 bits, at least 3, for n nonzero terms:
+# it grows at n = 128, 256, ..., 4096
+WINDOW_EDGES = [2, 3, 16, 17, 63, 64, 127, 128, 255, 256, 511, 512, 1023,
+                1024, 2047, 2048, 4095, 4096]
+
+
+@pytest.mark.parametrize("n", WINDOW_EDGES)
+def test_msm_sizes_around_window_changes(n):
+    rng = random.Random(n)
+    pts = _distinct_points("G1", n, seed=n)
+    _check("G1", [rng.randrange(Q) for _ in range(n)], pts)
+
+
+@pytest.mark.parametrize("n", [2, 17, 127, 128])
+def test_msm_sizes_around_window_changes_g2(n):
+    rng = random.Random(n)
+    pts = _distinct_points("G2", n, seed=n)
+    _check("G2", [rng.randrange(Q) for _ in range(n)], pts)
+
+
+def test_msm_verifier_shape():
+    # [1] + 16 public inputs over the 17 IC points: small inputs, some
+    # zeros, one full-width value
+    ic = _distinct_points("G1", 17, seed=9)
+    rng = random.Random(10)
+    small = [rng.randrange(1 << rng.randrange(1, 32)) for _ in range(16)]
+    small[13] = small[14] = 0
+    _check("G1", [1] + small, ic)
+    for full in (Q - 1, rng.randrange(Q >> 1, Q)):
+        inputs = list(small)
+        inputs[10] = full
+        _check("G1", [1] + inputs, ic)
 
 
 def test_point_serialization_roundtrip():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from hermes_seal import protocol
 from hermes_seal.field import FieldElement, TEST_FIELD
 from hermes_seal.protocol import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN,
                                   Certificate, DomainSeparator,
@@ -151,6 +152,20 @@ def test_verify_accepts_and_records_nonce(small_rss_artifacts, identity):
     # immediate replay
     ok, reason = state.verify_package(pkg, now=102)
     assert (ok, reason) == (False, "replay")
+
+
+def test_verify_hashes_no_circuit_artifact(small_rss_artifacts, identity,
+                                           monkeypatch):
+    # the R1CS and VK hashes of the signed payload come from the registry
+    art = small_rss_artifacts
+    pkg, _, _ = _fresh_package(art, identity)
+    state = _fresh_state(art, identity)
+    hashed = []
+    real = protocol.byte_hash
+    monkeypatch.setattr(protocol, "byte_hash",
+                        lambda data: hashed.append(len(data)) or real(data))
+    assert state.verify_package(pkg, now=101) == (True, "ok")
+    assert hashed and max(hashed) < len(art.vk_bytes) < len(art.r1cs_bytes)
 
 
 def test_verify_rejects_stale_timestamp(small_rss_artifacts, identity):
