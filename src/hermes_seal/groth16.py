@@ -6,9 +6,14 @@ polynomials), and commits everything to the curve with fixed-base window
 tables plus Montgomery batch inversion.  Proofs are three group elements;
 their byte encoding is constant-length regardless of circuit size.
 
-The verifier runs subgroup checks on all three proof elements before the
-single pairing equation
-    e(A, B) = e(alpha, beta) * e(IC(x), gamma) * e(C, delta).
+The verifier takes public inputs only in canonical form (each in [0, q)),
+runs subgroup checks on all three proof elements, and then checks the
+Groth16 equation
+    e(A, B) = e(alpha, beta) * e(IC(x), gamma) * e(C, delta)
+as one pairing product with one final exponentiation,
+    e(A, B) * e(-IC(x), gamma) * e(-C, delta) = e(alpha, beta),
+where e(alpha, beta) and the Miller-loop lines of gamma and delta are
+precomputed in the verifying key (a prepared verifying key).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import random
 import struct
 
 from .pairing import (BilinearGroup, G1Element, G2Element, TOY_CURVE_PROFILE,
-                      _FixedBaseTable, toy_group)
+                      toy_group)
 from .qap import QapInstance, compute_quotient
 
 __all__ = [
@@ -133,7 +138,9 @@ class ProvingKey:
 
 
 class VerifyingKey:
-    """Verifier material: four constants plus the public-input commitments."""
+    """Verifier material: four constants plus the public-input commitments,
+    prepared for `verify` with e(alpha, beta) and the lines of gamma and
+    delta."""
 
     def __init__(self, group, circuit_digest, alpha_g1, beta_g2, gamma_g2,
                  delta_g2, ic):
@@ -145,6 +152,8 @@ class VerifyingKey:
         self.delta_g2 = delta_g2
         self.ic = ic  # [g1 * (beta A_j + alpha B_j + C_j)/gamma], j = 0..l
         self.alpha_beta = group.pair(alpha_g1, beta_g2)
+        self.gamma_lines = group.lines(gamma_g2)
+        self.delta_lines = group.lines(delta_g2)
 
     @property
     def n_public(self) -> int:
@@ -265,14 +274,11 @@ def setup(qap: QapInstance, seed=None, group: BilinearGroup = None,
         h_scalars.append(acc)
         acc = acc * tau % q
 
-    bits = q.bit_length()
-    t1 = _FixedBaseTable(group.curve, group.g1.point, bits)
-    t2 = _FixedBaseTable(group.curve, group.g2.point, bits)
-
     g1_scalars = ([alpha, beta, delta] + a_tau + b_tau + priv_scalars
                   + h_scalars + ic_scalars)
-    g1_points = t1.exp_many(g1_scalars)
-    g2_points = t2.exp_many([beta, delta, gamma] + b_tau)
+    g1_points = group.generator_table(group.g1).exp_many(g1_scalars)
+    g2_points = group.generator_table(group.g2).exp_many([beta, delta, gamma]
+                                                         + b_tau)
 
     def wrap1(pts):
         return [G1Element(pt, group) for pt in pts]
@@ -331,20 +337,22 @@ def prove(pk: ProvingKey, qap: QapInstance, witness, seed=None) -> Proof:
 
 
 def verify(vk: VerifyingKey, proof: Proof, public_inputs) -> bool:
-    """Subgroup checks, then the single Groth16 pairing equation."""
+    """Canonical inputs and subgroup checks, then the Groth16 equation as
+    one pairing product against the key's e(alpha, beta)."""
     group = vk.group
-    inputs = [x.value if hasattr(x, "value") else int(x) % group.q
+    inputs = [x.value if hasattr(x, "value") else int(x)
               for x in public_inputs]
     if len(inputs) != vk.n_public:
         return False
+    if not all(0 <= x < group.q for x in inputs):
+        return False  # an input >= q would alias x mod q
     if proof.circuit_digest != vk.circuit_digest:
         return False
     if not (group.in_subgroup_g1(proof.a) and group.in_subgroup_g2(proof.b)
             and group.in_subgroup_g1(proof.c)):
         return False
     ic = group.multi_scalar_mul([1] + inputs, vk.ic)
-    lhs = group.pair(proof.a, proof.b)
-    rhs = (vk.alpha_beta
-           * group.pair(ic, vk.gamma_g2)
-           * group.pair(proof.c, vk.delta_g2))
-    return lhs == rhs
+    product = group.pairing_product([(proof.a, group.lines(proof.b)),
+                                     (-ic, vk.gamma_lines),
+                                     (-proof.c, vk.delta_lines)])
+    return product == vk.alpha_beta

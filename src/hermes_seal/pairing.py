@@ -7,7 +7,16 @@ E(F_p) has order p + 1 = 36*q, so the order-q subgroup exists with cofactor
 G2 is the image of the order-q subgroup under the distortion map
 phi(x, y) = (-x, i*y); G2 elements store the preimage point over F_p and the
 map is applied inside the pairing.  The modified Tate pairing
-e(P, Q) = f_{q,P}(phi(Q))^((p^2-1)/q) is bilinear and non-degenerate here.
+e(P, Q) = f_{q,Q}(phi(P))^((p^2-1)/q) is bilinear and non-degenerate here,
+and symmetric, since G1 and G2 are one cyclic subgroup of E(F_p).
+
+The Miller loop comes in two parts: `lines(Q)` walks the loop over Q and
+records each step's line, and `pairing_product` evaluates the lines of
+several terms at their phi(P) into one accumulator, squaring once per bit,
+before one final exponentiation.  `pair` is its one-term case; a verifying
+key keeps the lines of its fixed G2 points.  The final exponentiation uses
+(p^2-1)/q = 36*(p-1) and the Frobenius f^p = conj(f), so it costs one F_p
+inversion and a 36th power.
 
 This instantiation is NOT cryptographically secure (64-bit discrete logs,
 embedding degree 2); every serialized artifact carries the toy profile byte.
@@ -16,8 +25,10 @@ Internally points are affine int pairs; scalar multiplication runs in
 Jacobian coordinates.  MSM is Pippenger's bucket method with a window of
 max(3, n.bit_length() - 4) bits for n nonzero terms and the buckets summed
 in affine form, each round of independent additions sharing one modular
-inversion (Montgomery's trick); the setup's fixed-base tables use the same
-batched addition.
+inversion (Montgomery's trick); the fixed-base tables use the same
+batched addition.  Each generator has one such table per group, built on
+first use, which serves the setup and every multiple of g1 or g2 (Schnorr
+keys, nonces and checks).
 """
 
 from __future__ import annotations
@@ -440,9 +451,9 @@ class BilinearGroup:
         self.curve = _Curve(self.p)
         self.fp2 = _Fp2(self.p)
         self.coord_bytes = (self.p.bit_length() + 7) // 8
+        self._tables = {}  # generator point -> _FixedBaseTable
         self.g1 = G1Element(self._find_generator(start_x=1), self)
         self.g2 = G2Element(self._find_generator(start_x=self.g1.point[0] + 1), self)
-        self._final_exp = (self.p * self.p - 1) // self.q
         self.gt_generator = self.pair(self.g1, self.g2)
         if self.gt_generator.is_identity():
             raise ValueError("degenerate pairing on generators")
@@ -466,11 +477,28 @@ class BilinearGroup:
             return s.value
         return s % self.q
 
+    def generator_table(self, gen) -> _FixedBaseTable:
+        """The fixed-base table of the generator `gen` (g1 or g2), built on
+        first use and kept for the life of the group."""
+        table = self._tables.get(gen.point)
+        if table is None:
+            table = _FixedBaseTable(self.curve, gen.point, self.q.bit_length())
+            self._tables[gen.point] = table
+        return table
+
+    def _mul(self, s, point):
+        """s * point: a generator's table lookup, else double-and-add."""
+        k = self._scalar_int(s)
+        for gen in (self.g1, self.g2):
+            if point == gen.point:
+                return self.generator_table(gen).exp_many([k % self.q])[0]
+        return self.curve.scalar_mul(k, point)
+
     def scalar_mul_g1(self, s, P: G1Element) -> G1Element:
-        return G1Element(self.curve.scalar_mul(self._scalar_int(s), P.point), self)
+        return G1Element(self._mul(s, P.point), self)
 
     def scalar_mul_g2(self, s, Q: G2Element) -> G2Element:
-        return G2Element(self.curve.scalar_mul(self._scalar_int(s), Q.point), self)
+        return G2Element(self._mul(s, Q.point), self)
 
     def identity_g1(self) -> G1Element:
         return G1Element(_INF, self)
@@ -504,51 +532,90 @@ class BilinearGroup:
 
     # -- pairing ------------------------------------------------------------
 
-    def pair(self, P: G1Element, Q: G2Element) -> GtElement:
-        """Modified Tate pairing e(P, phi(Q)) with denominator elimination.
+    def lines(self, Q: G2Element):
+        """The lines of the Miller loop f_{q,Q}, for evaluation at phi(P).
 
-        Vertical-line denominators are pure F_p values, killed by the final
-        exponentiation (p^2-1)/q = 36*(p-1), so they are dropped from the
-        Miller loop.
+        One entry per bit of q after the leading one: the line of that
+        bit's doubling step and, for a set bit, of its addition step, each
+        as (lam, c) for the line y = lam*x - c through the running point T
+        (c = lam*x_T - y_T).  Vertical lines are F_p factors that the final
+        exponentiation removes, so they are left out.  None for the identity.
         """
-        if P.point is _INF or Q.point is _INF:
-            return self.identity_gt()
+        if Q.point is _INF:
+            return None
         p = self.p
-        xq, yq = Q.point
-        # phi(Q) = (-xq, i*yq): lines through F_p points evaluate there to
-        # (lam*(xq + x_T) - y_T) + i*yq.
-        f = (1, 0)
-        fsq = self.fp2.square
-        T = P.point
-        xp, yp = P.point
+        base = Q.point
+        xq, yq = base
+        T = base
+        out = []
         for bit in bin(self.q)[3:]:
-            xt, yt = T
-            f = fsq(f)
-            if yt == 0:
-                # tangent is vertical: contributes an F_p factor, eliminated
-                T = _INF
-            else:
-                lam = (3 * xt * xt + 1) * pow(2 * yt, -1, p) % p
-                a0 = (lam * (xq + xt) - yt) % p
-                f = ((f[0] * a0 - f[1] * yq) % p, (f[0] * yq + f[1] * a0) % p)
-                x3 = (lam * lam - 2 * xt) % p
-                T = (x3, (lam * (xt - x3) - yt) % p)
+            step = []
+            if T is not _INF:
+                xt, yt = T
+                if yt == 0:
+                    T = _INF  # vertical tangent
+                else:
+                    lam = (3 * xt * xt + 1) * pow(2 * yt, -1, p) % p
+                    step.append((lam, (lam * xt - yt) % p))
+                    x3 = (lam * lam - 2 * xt) % p
+                    T = (x3, (lam * (xt - x3) - yt) % p)
             if bit == "1":
                 if T is _INF:
-                    T = P.point
+                    T = base
+                elif T[0] == xq:
+                    T = self.curve.add(T, base)  # T = -Q: vertical line
                 else:
                     xt, yt = T
-                    if xt == xp:
-                        # T = -P (or P with doubling handled above): vertical
-                        T = self.curve.add(T, P.point)
-                    else:
-                        lam = (yp - yt) * pow(xp - xt, -1, p) % p
-                        a0 = (lam * (xq + xt) - yt) % p
-                        f = ((f[0] * a0 - f[1] * yq) % p,
-                             (f[0] * yq + f[1] * a0) % p)
-                        x3 = (lam * lam - xt - xp) % p
-                        T = (x3, (lam * (xt - x3) - yt) % p)
-        return GtElement(self.fp2.pow(f, self._final_exp), self)
+                    lam = (yq - yt) * pow(xq - xt, -1, p) % p
+                    step.append((lam, (lam * xt - yt) % p))
+                    x3 = (lam * lam - xt - xq) % p
+                    T = (x3, (lam * (xt - x3) - yt) % p)
+            out.append(step)
+        return out
+
+    def pairing_product(self, terms) -> GtElement:
+        """prod e(P, Q) over `terms` of (P, lines(Q)): one Miller loop that
+        squares the accumulator once per bit and multiplies in every term's
+        lines evaluated at phi(P) = (-x_P, i*y_P), then one final
+        exponentiation.  A term whose P or Q is the identity contributes 1.
+
+        A line y = lam*x - c evaluates at phi(P) to (lam*x_P + c) + i*y_P.
+        """
+        p = self.p
+        live = [(P.point, ls) for P, ls in terms
+                if ls is not None and P.point is not _INF]
+        points = [pt for pt, _ in live]
+        f0, f1 = 1, 0
+        for steps in zip(*[ls for _, ls in live]):
+            f0, f1 = (f0 + f1) * (f0 - f1) % p, 2 * f0 * f1 % p
+            for (xp, yp), step in zip(points, steps):
+                for lam, c in step:
+                    a0 = (lam * xp + c) % p
+                    f0, f1 = (f0 * a0 - f1 * yp) % p, (f0 * yp + f1 * a0) % p
+        return GtElement(self._final_exp((f0, f1)), self)
+
+    def pair(self, P: G1Element, Q: G2Element) -> GtElement:
+        """Modified Tate pairing e(P, Q) = f_{q,Q}(phi(P))^((p^2-1)/q).
+
+        G1 and G2 are the same order-q subgroup of E(F_p), so the pairing
+        is symmetric and the loop runs over Q, as for a verifying key's
+        precomputed lines.  Vertical-line denominators are F_p values
+        removed by the final exponentiation, so the loop drops them.
+        """
+        return self.pairing_product([(P, self.lines(Q))])
+
+    def _final_exp(self, f):
+        """f^((p^2-1)/q) in F_{p^2}.  The exponent is cofactor * (p-1), and
+        f^p = conj(f), so f^(p-1) = conj(f)^2 / N(f) with N(f) in F_p: one
+        F_p inversion and a short power.  f = 0 maps to 0."""
+        p = self.p
+        f0, f1 = f
+        norm = (f0 * f0 + f1 * f1) % p
+        if norm == 0:
+            return (0, 0)
+        ninv = pow(norm, -1, p)
+        g = ((f0 * f0 - f1 * f1) * ninv % p, -2 * f0 * f1 * ninv % p)
+        return self.fp2.pow(g, self.cofactor)
 
     # -- serialization ------------------------------------------------------
 

@@ -21,7 +21,8 @@ import secrets
 import struct
 
 from .commitment import byte_hash
-from .field import DTypeTag, FieldElement, NONCE_BYTES, TEST_FIELD, encode
+from .field import (DTypeTag, EncodingError, FieldElement, NONCE_BYTES,
+                    TEST_FIELD, decode, encode)
 from .groth16 import Proof, VerifyingKey, prove, verify
 from .pairing import BilinearGroup, G1Element, toy_group
 
@@ -181,15 +182,17 @@ class Certificate:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Certificate":
-        (vid,) = struct.unpack_from("<I", data, 0)
-        (klen,) = struct.unpack_from("<H", data, 4)
-        vk = data[6:6 + klen]
-        valid_from, valid_to = struct.unpack_from("<QQ", data, 6 + klen)
-        off = 22 + klen
-        (slen,) = struct.unpack_from("<H", data, off)
+        try:
+            vid, klen = struct.unpack_from("<IH", data, 0)
+            vk = data[6:6 + klen]
+            valid_from, valid_to = struct.unpack_from("<QQ", data, 6 + klen)
+            off = 22 + klen
+            (slen,) = struct.unpack_from("<H", data, off)
+        except struct.error as exc:
+            raise ProtocolError("truncated certificate encoding") from exc
         sig = data[off + 2:off + 2 + slen]
         if off + 2 + slen != len(data):
-            raise ProtocolError("trailing bytes in certificate encoding")
+            raise ProtocolError("certificate encoding length mismatch")
         return cls(vid, vk, valid_from, valid_to, sig)
 
 
@@ -311,33 +314,45 @@ class ProofPackage:
 
     @classmethod
     def from_bytes(cls, data: bytes, field=TEST_FIELD) -> "ProofPackage":
+        """Decode a package; any malformed encoding raises ProtocolError."""
         if data[:4] != PACKAGE_MAGIC:
             raise ProtocolError("bad package magic")
-        if data[4] != PACKAGE_VERSION:
-            raise ProtocolError(f"unsupported package version {data[4]}")
+        if data[4:5] != bytes([PACKAGE_VERSION]):
+            raise ProtocolError(f"unsupported package version {data[4:5].hex()}")
         off = 5
         raw = {}
         for name in _SECTION_ORDER:
+            if off + 4 > len(data):
+                raise ProtocolError(f"package truncated before section {name}")
             (length,) = struct.unpack_from("<I", data, off)
             off += 4
+            if off + length > len(data):
+                raise ProtocolError(f"package truncated in section {name}")
             raw[name] = data[off:off + length]
             off += length
         if off != len(data):
             raise ProtocolError("trailing bytes in package encoding")
-        (n_pub,) = struct.unpack_from("<I", raw["publics"], 0)
+        publics = raw["publics"]
         w = field.byte_width
-        pubs = [int.from_bytes(raw["publics"][4 + i * w:4 + (i + 1) * w],
-                               "little") for i in range(n_pub)]
-        from .field import decode
-        ctx_value = decode(raw["ctx"], DTypeTag.CTX)
+        n_pub = int.from_bytes(publics[:4], "little")
+        if len(publics) < 4 or len(publics) != 4 + n_pub * w:
+            raise ProtocolError("public-input section length does not match "
+                                "its count")
+        pubs = [int.from_bytes(publics[4 + i * w:4 + (i + 1) * w], "little")
+                for i in range(n_pub)]
+        try:
+            ctx_value = decode(raw["ctx"], DTypeTag.CTX)
+            commitment = decode(raw["commit"], DTypeTag.COMMIT, field)
+            timestamp = decode(raw["ts"], DTypeTag.TS)
+            nonce = decode(raw["nonce"], DTypeTag.NONCE)
+        except EncodingError as exc:
+            raise ProtocolError(f"malformed package section: {exc}") from exc
         sign_domain = DomainSeparator((ctx_value >> 24) & 0xFF,
                                       (ctx_value >> 16) & 0xFF,
                                       ctx_value & 0xFFFF)
-        return cls(raw["proof"], pubs,
-                   decode(raw["commit"], DTypeTag.COMMIT, field),
-                   raw["sig"], raw["vk_sig"], raw["cert"], raw["r1cs_hash"],
-                   decode(raw["ts"], DTypeTag.TS),
-                   decode(raw["nonce"], DTypeTag.NONCE), sign_domain)
+        return cls(raw["proof"], pubs, commitment, raw["sig"], raw["vk_sig"],
+                   raw["cert"], raw["r1cs_hash"], timestamp, nonce,
+                   sign_domain)
 
 
 def create_package(pk, qap, witness, commitment_value: FieldElement,
@@ -361,7 +376,16 @@ def create_package(pk, qap, witness, commitment_value: FieldElement,
 
 
 class VerifierState:
-    """Roadside verifier: root key, circuit registry, replay cache."""
+    """Roadside verifier: root key, circuit registry, replay cache, and a
+    memo of the certificates that verified under the root key.
+
+    The memo is keyed by the exact certificate bytes and holds only
+    certificates whose root signature checked out, so a repeated
+    certificate skips decoding and the root-key Schnorr check; every
+    package still has its certificate's validity window and key binding
+    checked.  Nonces and memo entries not seen for longer than twice the
+    freshness window are pruned together.
+    """
 
     def __init__(self, ea_root_pk_bytes: bytes,
                  freshness_window: int = DEFAULT_FRESHNESS_WINDOW,
@@ -371,6 +395,7 @@ class VerifierState:
         self.freshness_window = freshness_window
         self.registry = {}       # r1cs_hash -> (VerifyingKey, artifact hashes)
         self._nonces = {}        # nonce -> timestamp seen
+        self._certs = {}         # cert bytes -> [Certificate, time last seen]
 
     def register_circuit(self, r1cs_bytes: bytes, vk: VerifyingKey):
         """Accept packages for this circuit; its payload hashes are computed
@@ -378,20 +403,37 @@ class VerifierState:
         self.registry[hashlib.sha256(r1cs_bytes).digest()] = \
             (vk, _artifact_hashes(r1cs_bytes, vk.to_bytes()))
 
-    def _prune_nonces(self, now: int):
+    def _prune(self, now: int):
         horizon = 2 * self.freshness_window
-        stale = [n for n, ts in self._nonces.items() if now - ts > horizon]
-        for n in stale:
+        for n in [n for n, ts in self._nonces.items() if now - ts > horizon]:
             del self._nonces[n]
+        for c in [c for c, (_, seen) in self._certs.items()
+                  if now - seen > horizon]:
+            del self._certs[c]
+
+    def _certificate_ok(self, package: ProofPackage, now: int) -> bool:
+        """The package's certificate is valid at `now`, chains to the root
+        key, and certifies the package's signature key."""
+        entry = self._certs.get(package.cert_bytes)
+        if entry is None:
+            try:
+                cert = Certificate.from_bytes(package.cert_bytes)
+            except ProtocolError:
+                return False
+            if not EnrollmentAuthority.verify_certificate(
+                    cert, self.ea_root_pk_bytes, now, self.group):
+                return False
+            entry = self._certs[package.cert_bytes] = [cert, now]
+        cert = entry[0]
+        if not cert.valid_from <= now <= cert.valid_to:
+            return False
+        entry[1] = now
+        return cert.vk_sig_bytes == package.vk_sig_bytes
 
     def verify_package(self, package: ProofPackage, now: int):
         """(accepted, reason).  Reason is 'ok' on acceptance, else the name
         of the first failed check."""
-        cert = Certificate.from_bytes(package.cert_bytes)
-        if not EnrollmentAuthority.verify_certificate(
-                cert, self.ea_root_pk_bytes, now, self.group):
-            return False, "certificate"
-        if cert.vk_sig_bytes != package.vk_sig_bytes:
+        if not self._certificate_ok(package, now):
             return False, "certificate"
         entry = self.registry.get(package.r1cs_hash)
         if entry is None:
@@ -406,7 +448,7 @@ class VerifierState:
             return False, "signature"
         if abs(now - package.timestamp) > self.freshness_window:
             return False, "freshness"
-        self._prune_nonces(now)
+        self._prune(now)
         if package.nonce in self._nonces:
             return False, "replay"
         try:

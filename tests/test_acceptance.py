@@ -36,7 +36,16 @@ from hermes_seal.v2x_sim import TEMPLATES, default_artifacts, make_scenario, \
 
 REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "acceptance_report.txt"
-REPORT_PATH.write_text("")
+
+
+@pytest.fixture(scope="session")
+def _fresh_report():
+    """Empty the report once, when the first criterion test runs; merely
+    collecting this module leaves the file alone."""
+    REPORT_PATH.write_text("")
+
+
+pytestmark = pytest.mark.usefixtures("_fresh_report")
 
 
 def _report(number, name, ok, detail):

@@ -12,7 +12,7 @@ from hermes_seal.groth16 import (Groth16Error, Proof, ProvingKey,
 from hermes_seal.pairing import toy_group
 from hermes_seal.qap import EvaluationDomain, r1cs_to_qap
 from hermes_seal.r1cs import CircuitBuilder, pad_to_power_of_two
-from hermes_seal.rss_circuit import RssScenario, make_rss_inputs
+from hermes_seal.rss_circuit import PUBLIC_ORDER, RssScenario, make_rss_inputs
 
 P = TEST_FIELD.p
 
@@ -169,3 +169,57 @@ def test_golden_proof_small_rss(small_rss_artifacts):
     proof = prove(art.pk, art.qap, w, seed=11)
     assert hashlib.sha256(proof.to_bytes()).hexdigest() == \
         GOLDEN_SMALL_RSS_PROOF
+
+
+def test_verify_rejects_identity_and_rearranged_elements(cubic):
+    cs, qap, pk, vk, x, y = cubic
+    group = toy_group()
+    w = cs.generate_witness({x: 30, y: 3})
+    proof = prove(pk, qap, w, seed=12)
+    publics = cs.public_inputs(w)
+    assert verify(vk, proof, publics)
+    d = proof.circuit_digest
+    for bad in (Proof(group.identity_g1(), proof.b, proof.c, d),
+                Proof(proof.a, group.identity_g2(), proof.c, d),
+                Proof(proof.a, proof.b, group.identity_g1(), d),
+                Proof(proof.c, proof.b, proof.a, d),      # A and C swapped
+                Proof(proof.a, proof.b, -proof.c, d)):
+        assert not verify(vk, bad, publics)
+    # e(-A, -B) = e(A, B): negating both is another valid proof
+    assert verify(vk, Proof(-proof.a, -proof.b, proof.c, d), publics)
+
+
+def test_verify_product_matches_pairing_equation(cubic):
+    # the one-product check against e(A,B) = e(alpha,beta) e(IC,gamma) e(C,delta)
+    cs, qap, pk, vk, x, y = cubic
+    group = toy_group()
+    w = cs.generate_witness({x: 30, y: 3})
+    proof = prove(pk, qap, w, seed=13)
+    for publics in ([30], [31]):
+        ic = group.multi_scalar_mul([1] + publics, vk.ic)
+        equation = group.pair(proof.a, proof.b) == (
+            vk.alpha_beta * group.pair(ic, vk.gamma_g2)
+            * group.pair(proof.c, vk.delta_g2))
+        assert verify(vk, proof, publics) is equation is (publics == [30])
+
+
+def test_verify_requires_canonical_inputs(cubic, small_rss_artifacts):
+    cs, qap, pk, vk, x, y = cubic
+    q = toy_group().q
+    w = cs.generate_witness({x: 30, y: 3})
+    proof = prove(pk, qap, w, seed=14)
+    assert verify(vk, proof, [30])
+    assert not verify(vk, proof, [30 + q])
+    assert not verify(vk, proof, [30 - q])
+    # the SAFE claim of an RSS proof: its alias SAFE + q is refused
+    art = small_rss_artifacts
+    publics, witness, _ = make_rss_inputs(RssScenario(), nonce=bytes(16),
+                                          s_sec=1, circuit=art.circuit)
+    full = art.circuit.generate_witness(publics, witness)
+    rss_proof = prove(art.pk, art.qap, full, seed=15)
+    inputs = art.cs.public_inputs(full)
+    assert verify(art.vk, rss_proof, inputs)
+    safe = PUBLIC_ORDER.index("SAFE")
+    aliased = list(inputs)
+    aliased[safe] += q
+    assert not verify(art.vk, rss_proof, aliased)

@@ -246,3 +246,116 @@ def test_identity_roundtrip():
 
 def test_scalar_wraps_mod_q():
     assert G.scalar_mul_g1(Q + 5, G.g1).point == G.scalar_mul_g1(5, G.g1).point
+
+
+# -- Miller loop, pairing product, final exponentiation ---------------------
+
+
+def _reference_pair(P, Qe):
+    """The single-pairing Miller loop run over P and evaluated at phi(Q),
+    with the generic final power f^((p^2-1)/q): the oracle for `pair`,
+    `lines`, `pairing_product` and `_final_exp`."""
+    if P.point is None or Qe.point is None:
+        return (1, 0)
+    p = G.p
+    xq, yq = Qe.point
+    f = (1, 0)
+    T = P.point
+    xp, yp = P.point
+    for bit in bin(Q)[3:]:
+        xt, yt = T
+        f = G.fp2.square(f)
+        if yt == 0:
+            T = None
+        else:
+            lam = (3 * xt * xt + 1) * pow(2 * yt, -1, p) % p
+            f = G.fp2.mul(f, ((lam * (xq + xt) - yt) % p, yq))
+            x3 = (lam * lam - 2 * xt) % p
+            T = (x3, (lam * (xt - x3) - yt) % p)
+        if bit == "1":
+            if T is None:
+                T = P.point
+            elif T[0] == xp:
+                T = G.curve.add(T, P.point)
+            else:
+                xt, yt = T
+                lam = (yp - yt) * pow(xp - xt, -1, p) % p
+                f = G.fp2.mul(f, ((lam * (xq + xt) - yt) % p, yq))
+                x3 = (lam * lam - xt - xp) % p
+                T = (x3, (lam * (xt - x3) - yt) % p)
+    return G.fp2.pow(f, (p * p - 1) // Q)
+
+
+@given(scalars, scalars)
+@settings(max_examples=25, deadline=None)
+def test_pair_matches_reference_and_is_symmetric(a, b):
+    P = G.scalar_mul_g1(a, G.g1)
+    Qe = G.scalar_mul_g2(b, G.g2)
+    value = G.pair(P, Qe).value
+    assert value == _reference_pair(P, Qe)
+    # G1 and G2 are one subgroup of E(F_p): e(P, Q) = e(Q, P)
+    assert G.pair(G1Element(Qe.point, G), G2Element(P.point, G)).value == value
+
+
+def test_pairing_product_matches_product_of_pairs():
+    rng = random.Random(11)
+    for n in (0, 1, 2, 3, 5):
+        Ps = [G.scalar_mul_g1(rng.randrange(1, Q), G.g1) for _ in range(n)]
+        Qs = [G.scalar_mul_g2(rng.randrange(1, Q), G.g2) for _ in range(n)]
+        if n >= 3:
+            Ps[1] = G.identity_g1()    # an identity contributes 1
+            Qs[2] = G.identity_g2()
+        expect = G.identity_gt()
+        for P, Qe in zip(Ps, Qs):
+            expect = expect * G.pair(P, Qe)
+        got = G.pairing_product([(P, G.lines(Qe)) for P, Qe in zip(Ps, Qs)])
+        assert got.value == expect.value
+
+
+def test_pairing_product_cancels_to_one():
+    # e(aP, Q) * e(-P, aQ) = 1, the shape of a verification equation
+    a = 987654321
+    P = G.scalar_mul_g1(a, G.g1)
+    got = G.pairing_product([(P, G.lines(G.g2)),
+                             (-G.g1, G.lines(G.scalar_mul_g2(a, G.g2)))])
+    assert got.is_identity()
+
+
+def test_lines_of_identity_and_generator():
+    assert G.lines(G.identity_g2()) is None
+    ls = G.lines(G.g2)
+    assert len(ls) == Q.bit_length() - 1
+    # a doubling line per bit, an addition line per set bit, except the
+    # last addition, T = -Q, whose line is vertical
+    assert sum(len(step) for step in ls) == \
+        (Q.bit_length() - 1) + (bin(Q).count("1") - 1) - 1
+
+
+def test_final_exp_matches_generic_power():
+    e = (G.p * G.p - 1) // Q
+    rng = random.Random(12)
+    cases = [(0, 0), (1, 0), (0, 1), (G.p - 1, 0), (0, G.p - 1), (5, 7)]
+    cases += [(rng.randrange(G.p), rng.randrange(G.p)) for _ in range(500)]
+    for f in cases:
+        assert G._final_exp(f) == G.fp2.pow(f, e), f
+
+
+# -- generator tables ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+def test_generator_table_matches_double_and_add(group):
+    base = BASE[group]
+    rng = random.Random(13)
+    ks = [0, 1, 2, 255, 256, Q - 1, Q, Q + 7, 3 * Q + 1]
+    ks += [rng.randrange(Q) for _ in range(50)]
+    for k in ks:
+        assert MUL[group](k, base).point == G.curve.scalar_mul(k % Q, base.point)
+    assert G.generator_table(base) is G.generator_table(base)
+
+
+def test_scalar_mul_field_element_on_generator():
+    from hermes_seal.field import FieldElement, TEST_FIELD
+    k = FieldElement(123456789, TEST_FIELD)
+    assert G.scalar_mul_g1(k, G.g1).point == \
+        G.curve.scalar_mul(123456789, G.g1.point)

@@ -2,8 +2,10 @@
 verification pipeline with all its rejection paths."""
 
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermes_seal import protocol
 from hermes_seal.field import FieldElement, TEST_FIELD
@@ -98,6 +100,14 @@ def test_certificate_tamper_detected(identity):
     tampered = Certificate.from_bytes(bytes(raw))
     assert not EnrollmentAuthority.verify_certificate(
         tampered, ea.root_pk_bytes, 100)
+
+
+def test_certificate_truncations_raise_protocol_error(identity):
+    _, _, cert = identity
+    raw = cert.to_bytes()
+    for cut in range(len(raw)):
+        with pytest.raises(ProtocolError):
+            Certificate.from_bytes(raw[:cut])
 
 
 def test_certificate_validation():
@@ -263,3 +273,174 @@ def test_audit_open_roundtrip(rss_artifacts, identity):
     # package whose public input disagrees with its commitment field
     pkg.public_inputs[c_index] = (pkg.public_inputs[c_index] + 1) % TEST_FIELD.p
     assert not audit_open(pkg, opening, c_index)
+
+
+# -- malformed bytes ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def package_bytes(small_rss_artifacts, identity):
+    pkg, _, _ = _fresh_package(small_rss_artifacts, identity)
+    return pkg.to_bytes()
+
+
+def test_package_truncations_raise_protocol_error(package_bytes):
+    for cut in range(len(package_bytes)):
+        with pytest.raises(ProtocolError):
+            ProofPackage.from_bytes(package_bytes[:cut])
+
+
+def test_malformed_sections_raise_protocol_error(small_rss_artifacts,
+                                                identity):
+    pkg, _, _ = _fresh_package(small_rss_artifacts, identity)
+    good = pkg._sections(TEST_FIELD)
+    w = TEST_FIELD.byte_width
+    bad_sections = {
+        "publics": [good["publics"][:-w],                    # count > values
+                    good["publics"] + bytes(w),              # count < values
+                    good["publics"][:2]],                    # no count
+        "commit": [TEST_FIELD.p.to_bytes(w, "little")],      # value >= p
+        "ctx": [good["ctx"][:-1]],
+        "ts": [good["ts"] + b"\x00"],
+        "nonce": [good["nonce"][:-1]],
+    }
+    for name, values in bad_sections.items():
+        for value in values:
+            sections = dict(good, **{name: value})
+            raw = [protocol.PACKAGE_MAGIC, bytes([protocol.PACKAGE_VERSION])]
+            for key in protocol._SECTION_ORDER:
+                raw += [struct.pack("<I", len(sections[key])), sections[key]]
+            with pytest.raises(ProtocolError):
+                ProofPackage.from_bytes(b"".join(raw))
+
+
+def test_short_certificate_is_a_certificate_reject(small_rss_artifacts,
+                                                   identity):
+    state = _fresh_state(small_rss_artifacts, identity)
+    for cut in (0, 2, 10):
+        pkg, _, _ = _fresh_package(small_rss_artifacts, identity)
+        pkg.cert_bytes = pkg.cert_bytes[:cut]
+        back = ProofPackage.from_bytes(pkg.to_bytes())
+        assert state.verify_package(back, now=101) == (False, "certificate")
+
+
+@given(cut=st.none() | st.integers(min_value=0),
+       flips=st.lists(st.integers(min_value=0), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_package_bytes(small_rss_artifacts, identity, package_bytes,
+                              cut, flips):
+    # truncated and bit-flipped bytes: decoding raises only ProtocolError,
+    # and whatever decodes gets a (bool, stage) verdict
+    raw = bytearray(package_bytes)
+    for bit in flips:
+        bit %= 8 * len(raw)
+        raw[bit // 8] ^= 1 << (bit % 8)
+    if cut is not None:
+        raw = raw[:cut % len(raw)]
+    try:
+        pkg = ProofPackage.from_bytes(bytes(raw))
+    except ProtocolError:
+        return
+    state = _fresh_state(small_rss_artifacts, identity)
+    ok, reason = state.verify_package(pkg, now=101)
+    assert type(ok) is bool and isinstance(reason, str)
+    assert not ok or reason == "ok"
+
+
+# -- certificate memo ---------------------------------------------------------
+
+
+@pytest.fixture
+def schnorr_calls(monkeypatch):
+    """The public keys that `schnorr_verify` was called with, in order."""
+    calls = []
+    real = protocol.schnorr_verify
+
+    def spy(pk_bytes, *args, **kwargs):
+        calls.append(pk_bytes)
+        return real(pk_bytes, *args, **kwargs)
+    monkeypatch.setattr(protocol, "schnorr_verify", spy)
+    return calls
+
+
+def _vehicle(ea, vid, seed, valid_from=0, valid_to=1 << 40):
+    keypair = schnorr_keygen(random.Random(seed))
+    return ea, keypair, ea.issue(vid, keypair.pk_bytes(), valid_from,
+                                 valid_to)
+
+
+def test_certificate_memo_skips_root_check(small_rss_artifacts, identity,
+                                           schnorr_calls):
+    ea, keypair, cert = identity
+    state = _fresh_state(small_rss_artifacts, identity)
+    first, _, _ = _fresh_package(small_rss_artifacts, identity, seed=0)
+    second, _, _ = _fresh_package(small_rss_artifacts, identity, seed=1)
+    assert state.verify_package(first, now=101) == (True, "ok")
+    assert schnorr_calls == [ea.root_pk_bytes, keypair.pk_bytes()]
+    assert first.cert_bytes in state._certs
+    del schnorr_calls[:]
+    assert state.verify_package(second, now=102) == (True, "ok")
+    assert schnorr_calls == [keypair.pk_bytes()]
+
+
+def test_memoized_certificate_still_checks_window_and_key(
+        small_rss_artifacts, identity, schnorr_calls):
+    ea = identity[0]
+    vehicle = _vehicle(ea, 8, seed=21, valid_from=90, valid_to=150)
+    state = _fresh_state(small_rss_artifacts, identity, window=100)
+    pkg, _, _ = _fresh_package(small_rss_artifacts, vehicle, timestamp=100)
+    assert state.verify_package(pkg, now=101) == (True, "ok")
+    assert pkg.cert_bytes in state._certs
+    del schnorr_calls[:]
+    # a memo hit outside the validity window
+    late, _, _ = _fresh_package(small_rss_artifacts, vehicle, timestamp=160,
+                                seed=1)
+    assert state.verify_package(late, now=161) == (False, "certificate")
+    early, _, _ = _fresh_package(small_rss_artifacts, vehicle, timestamp=80,
+                                 seed=2)
+    assert state.verify_package(early, now=80) == (False, "certificate")
+    # a memo hit whose package names another signature key
+    other, _, _ = _fresh_package(small_rss_artifacts, vehicle, seed=3)
+    other.vk_sig_bytes = identity[1].pk_bytes()
+    assert state.verify_package(other, now=101) == (False, "certificate")
+    assert schnorr_calls == []
+
+
+def test_failed_certificate_is_not_memoized(small_rss_artifacts, identity):
+    state = _fresh_state(small_rss_artifacts, identity)
+    pkg, _, _ = _fresh_package(small_rss_artifacts, identity)
+    # a certificate from another authority
+    foreign = _vehicle(EnrollmentAuthority(random.Random(5)), 7, seed=22)
+    bad, _, _ = _fresh_package(small_rss_artifacts, foreign)
+    assert state.verify_package(bad, now=101) == (False, "certificate")
+    # a tampered certificate, then the same bytes again
+    raw = bytearray(pkg.cert_bytes)
+    raw[0] ^= 1
+    pkg.cert_bytes = bytes(raw)
+    for _ in range(2):
+        assert state.verify_package(pkg, now=101) == (False, "certificate")
+    # a certificate checked outside its validity window
+    short = _vehicle(identity[0], 9, seed=23, valid_from=500, valid_to=600)
+    early, _, _ = _fresh_package(small_rss_artifacts, short)
+    assert state.verify_package(early, now=101) == (False, "certificate")
+    assert state._certs == {}
+
+
+def test_certificate_memo_pruned_after_horizon(small_rss_artifacts, identity):
+    state = _fresh_state(small_rss_artifacts, identity, window=5)
+    other = _vehicle(identity[0], 10, seed=24)
+    pkg, _, _ = _fresh_package(small_rss_artifacts, identity, timestamp=100)
+    assert state.verify_package(pkg, now=101)[0]
+    # seen again at 108: the entry's last-seen time moves forward
+    again, _, _ = _fresh_package(small_rss_artifacts, identity,
+                                 timestamp=107, seed=1)
+    assert state.verify_package(again, now=108)[0]
+    mid, _, _ = _fresh_package(small_rss_artifacts, other, timestamp=117,
+                               seed=2)
+    assert state.verify_package(mid, now=118)[0]     # 118 - 108 <= 10
+    assert pkg.cert_bytes in state._certs
+    late, _, _ = _fresh_package(small_rss_artifacts, other, timestamp=130,
+                                seed=3)
+    assert state.verify_package(late, now=131)[0]    # 131 - 108 > 10
+    assert pkg.cert_bytes not in state._certs
+    assert mid.cert_bytes in state._certs
