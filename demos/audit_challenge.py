@@ -9,9 +9,8 @@ import time
 from hermes_seal.audit_circuit import (AuditThresholds, build_audit_circuit,
                                        fixture_challenge, fixture_detections,
                                        make_audit_inputs)
-from hermes_seal.field import TEST_FIELD
 from hermes_seal.groth16 import prove, setup, verify
-from hermes_seal.qap import EvaluationDomain, r1cs_to_qap
+from hermes_seal.qap import r1cs_to_qap
 
 
 def main():
@@ -29,8 +28,7 @@ def main():
     print("\n== circuit + ceremony ==")
     t0 = time.perf_counter()
     circuit = build_audit_circuit(challenge, thresholds)
-    qap = r1cs_to_qap(circuit.cs, EvaluationDomain.for_size(
-        circuit.cs.n_constraints, TEST_FIELD))
+    qap = r1cs_to_qap(circuit.cs)
     pk, vk = setup(qap, seed=7)
     print(f"{circuit.cs.n_constraints} constraints "
           f"({time.perf_counter() - t0:.1f} s)")

@@ -13,7 +13,7 @@ from hermes_seal.groth16 import setup
 from hermes_seal.protocol import (EnrollmentAuthority, ProofPackage,
                                   RSS_SIGN_DOMAIN, VerifierState,
                                   create_package, schnorr_keygen)
-from hermes_seal.qap import EvaluationDomain, r1cs_to_qap
+from hermes_seal.qap import r1cs_to_qap
 from hermes_seal.rss_circuit import (RssScenario, build_rss_circuit,
                                      make_rss_inputs)
 
@@ -24,8 +24,7 @@ def main():
     print("== one-time ceremony ==")
     t0 = time.perf_counter()
     circuit = build_rss_circuit()
-    qap = r1cs_to_qap(circuit.cs, EvaluationDomain.for_size(
-        circuit.cs.n_constraints, TEST_FIELD))
+    qap = r1cs_to_qap(circuit.cs)
     pk, vk = setup(qap, seed=2024)
     print(f"circuit: {circuit.cs.n_constraints} constraints, "
           f"{circuit.cs.n_public} public inputs "

@@ -6,7 +6,7 @@ Layering (each module depends only on those before it):
     field       prime fields, fixed-point scaling, wire encodings
     pairing     toy supersingular pairing group, MSM
     r1cs        constraint systems, circuit builder, gadgets
-    qap         polynomial arithmetic, NTT, R1CS -> QAP reduction
+    qap         radix-2 evaluation domain, NTT, R1CS -> QAP reduction
     groth16     trusted setup, prover, verifier
     commitment  algebraic sponge hash, commitments, security games
     protocol    signatures, certificates, proof packages, verifier state

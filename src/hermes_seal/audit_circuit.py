@@ -380,9 +380,6 @@ class AuditPublicInputs:
     c: int = 0
     PASS: int = 0
 
-    def as_list(self):
-        return [getattr(self, name) for name in AUDIT_PUBLIC_ORDER]
-
 
 @dataclasses.dataclass
 class AuditWitness:

@@ -43,7 +43,7 @@ from .protocol import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN, Certificate,
                        EnrollmentAuthority, ProofPackage, RSS_COMMIT_DOMAIN,
                        RSS_SIGN_DOMAIN, SignatureKeypair, VerifierState,
                        audit_open, create_package, schnorr_keygen, toy_group)
-from .qap import EvaluationDomain, r1cs_to_qap
+from .qap import r1cs_to_qap
 from .r1cs import R1csError, UnsatisfiableError
 from .rss_circuit import (PUBLIC_ORDER, RssScenario, build_rss_circuit,
                           format_scenario, make_rss_inputs, parse_scenario)
@@ -148,8 +148,7 @@ def cmd_setup(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     cs = circuit.cs
     r1cs_bytes = cs.to_bytes()
-    domain = EvaluationDomain.for_size(cs.n_constraints, cs.field)
-    qap = r1cs_to_qap(cs, domain)
+    qap = r1cs_to_qap(cs)
     pk, vk = setup(qap, seed=args.seed)
 
     base = os.path.join(args.out_dir, args.circuit)
@@ -246,8 +245,7 @@ def cmd_prove(args) -> int:
     vk_bytes = _read(os.path.join(args.circuit_dir, f"{args.circuit}.vk"))
     keypair, cert = _load_identity(args.identity_dir)
 
-    domain = EvaluationDomain.for_size(circuit.cs.n_constraints, field)
-    qap = r1cs_to_qap(circuit.cs, domain)
+    qap = r1cs_to_qap(circuit.cs)
     package = create_package(
         pk, qap, full_witness, FieldElement(publics.c, field), keypair, cert,
         vk_bytes, r1cs_bytes, args.now, sign_domain, nonce=nonce,
@@ -353,8 +351,7 @@ def cmd_bench(args) -> int:
     rng = random.Random(args.seed if args.seed is not None else 0)
     circuit = build_rss_circuit()
     field = circuit.field
-    domain = EvaluationDomain.for_size(circuit.cs.n_constraints, field)
-    qap = r1cs_to_qap(circuit.cs, domain)
+    qap = r1cs_to_qap(circuit.cs)
     pk, vk = setup(qap, seed=rng.getrandbits(64))
     scenario = RssScenario()
     totals = dict.fromkeys(BENCH_STAGES, 0.0)

@@ -112,25 +112,22 @@ class ProvingKey:
         off = 54
         pb = group.point_bytes
 
-        def g1():
-            nonlocal off
-            el = group.g1_from_bytes(data[off:off + pb])
-            off += pb
-            return el
+        g1, g2 = group.g1_from_bytes, group.g2_from_bytes
 
-        def g2():
+        def points(decode, count):
             nonlocal off
-            el = group.g2_from_bytes(data[off:off + pb])
-            off += pb
-            return el
+            out = [decode(data[off + i * pb:off + (i + 1) * pb])
+                   for i in range(count)]
+            off += count * pb
+            return out
 
-        alpha_g1, beta_g1, delta_g1 = g1(), g1(), g1()
-        beta_g2, delta_g2 = g2(), g2()
-        a_g1 = [g1() for _ in range(m1)]
-        b_g1 = [g1() for _ in range(m1)]
-        b_g2 = [g2() for _ in range(m1)]
-        k_g1 = [g1() for _ in range(nk)]
-        h_g1 = [g1() for _ in range(nh)]
+        alpha_g1, beta_g1, delta_g1 = points(g1, 3)
+        beta_g2, delta_g2 = points(g2, 2)
+        a_g1 = points(g1, m1)
+        b_g1 = points(g1, m1)
+        b_g2 = points(g2, m1)
+        k_g1 = points(g1, nk)
+        h_g1 = points(g1, nh)
         if off != len(data):
             raise Groth16Error("trailing bytes in proving-key encoding")
         return cls(group, digest, n_public, alpha_g1, beta_g1, delta_g1,
@@ -245,10 +242,9 @@ def setup(qap: QapInstance, seed=None, group: BilinearGroup = None,
     group = group or toy_group()
     q = group.q
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
-    domain_points = set(qap.domain.points)
     while True:
         tau = rng.randrange(1, q)
-        if tau not in domain_points:
+        if qap.domain.eval_vanishing(tau):  # tau off the domain
             break
     alpha = rng.randrange(1, q)
     beta = rng.randrange(1, q)
@@ -280,21 +276,23 @@ def setup(qap: QapInstance, seed=None, group: BilinearGroup = None,
     g2_points = group.generator_table(group.g2).exp_many([beta, delta, gamma]
                                                          + b_tau)
 
-    def wrap1(pts):
-        return [G1Element(pt, group) for pt in pts]
+    g1_points = [G1Element(pt, group) for pt in g1_points]
+    g2_points = [G2Element(pt, group) for pt in g2_points]
 
-    def wrap2(pts):
-        return [G2Element(pt, group) for pt in pts]
+    def take(count):
+        nonlocal off
+        off += count
+        return g1_points[off - count:off]
 
     off = 0
-    alpha_g1, beta_g1, delta_g1 = wrap1(g1_points[0:3]); off = 3
-    a_g1 = wrap1(g1_points[off:off + m1]); off += m1
-    b_g1 = wrap1(g1_points[off:off + m1]); off += m1
-    k_g1 = wrap1(g1_points[off:off + len(priv_scalars)]); off += len(priv_scalars)
-    h_g1 = wrap1(g1_points[off:off + len(h_scalars)]); off += len(h_scalars)
-    ic = wrap1(g1_points[off:off + l + 1])
-    beta_g2, delta_g2, gamma_g2 = wrap2(g2_points[0:3])
-    b_g2 = wrap2(g2_points[3:])
+    alpha_g1, beta_g1, delta_g1 = take(3)
+    a_g1 = take(m1)
+    b_g1 = take(m1)
+    k_g1 = take(len(priv_scalars))
+    h_g1 = take(len(h_scalars))
+    ic = take(l + 1)
+    beta_g2, delta_g2, gamma_g2 = g2_points[:3]
+    b_g2 = g2_points[3:]
 
     digest = qap.cs.digest()
     pk = ProvingKey(group, digest, l, alpha_g1, beta_g1, delta_g1, beta_g2,

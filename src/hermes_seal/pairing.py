@@ -21,6 +21,11 @@ inversion and a 36th power.
 This instantiation is NOT cryptographically secure (64-bit discrete logs,
 embedding degree 2); every serialized artifact carries the toy profile byte.
 
+G1Element and G2Element are one point class, `_Point`, tagged with the
+group's name; they differ in type only, so a G1 point never adds to or
+equals a G2 point.  Each g1/g2 pair of group methods that takes a point
+is one body, and a point it returns has its argument's class.
+
 Internally points are affine int pairs; scalar multiplication runs in
 Jacobian coordinates.  MSM is Pippenger's bucket method with a window of
 max(3, n.bit_length() - 4) bits for n nonzero terms and the buckets summed
@@ -338,70 +343,51 @@ class _Fp2:
         return (a0 * ninv % p, (-a1) * ninv % p)
 
 
-class G1Element:
-    """Point in the order-q subgroup of the toy curve (or the identity)."""
+class _Point:
+    """Point in the order-q subgroup of the toy curve (or the identity), as
+    an affine int pair.  A subclass names the group by its `tag`; points of
+    different groups neither add nor compare equal."""
 
     __slots__ = ("point", "group")
+    tag = None
 
     def __init__(self, point, group: "BilinearGroup"):
         self.point = point
         self.group = group
 
     def __add__(self, other):
-        if not isinstance(other, G1Element):
+        if type(other) is not type(self):
             return NotImplemented
-        return G1Element(self.group.curve.add(self.point, other.point), self.group)
+        return type(self)(self.group.curve.add(self.point, other.point),
+                          self.group)
 
     def __neg__(self):
-        return G1Element(self.group.curve.neg(self.point), self.group)
+        return type(self)(self.group.curve.neg(self.point), self.group)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __eq__(self, other):
-        return isinstance(other, G1Element) and self.point == other.point
+        return type(other) is type(self) and self.point == other.point
 
     def __hash__(self):
-        return hash(("G1", self.point))
+        return hash((self.tag, self.point))
 
     def is_identity(self) -> bool:
         return self.point is _INF
 
     def __repr__(self):
-        return f"G1({self.point})"
+        return f"{self.tag}({self.point})"
 
 
-class G2Element:
-    """Order-q point represented by its preimage under the distortion map."""
+class G1Element(_Point):
+    __slots__ = ()
+    tag = "G1"
 
-    __slots__ = ("point", "group")
 
-    def __init__(self, point, group: "BilinearGroup"):
-        self.point = point
-        self.group = group
-
-    def __add__(self, other):
-        if not isinstance(other, G2Element):
-            return NotImplemented
-        return G2Element(self.group.curve.add(self.point, other.point), self.group)
-
-    def __neg__(self):
-        return G2Element(self.group.curve.neg(self.point), self.group)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return isinstance(other, G2Element) and self.point == other.point
-
-    def __hash__(self):
-        return hash(("G2", self.point))
-
-    def is_identity(self) -> bool:
-        return self.point is _INF
-
-    def __repr__(self):
-        return f"G2({self.point})"
+class G2Element(_Point):
+    __slots__ = ()
+    tag = "G2"
 
 
 class GtElement:
@@ -494,11 +480,11 @@ class BilinearGroup:
                 return self.generator_table(gen).exp_many([k % self.q])[0]
         return self.curve.scalar_mul(k, point)
 
-    def scalar_mul_g1(self, s, P: G1Element) -> G1Element:
-        return G1Element(self._mul(s, P.point), self)
+    def scalar_mul_g1(self, s, P: _Point) -> _Point:
+        """s * P, in P's group."""
+        return type(P)(self._mul(s, P.point), self)
 
-    def scalar_mul_g2(self, s, Q: G2Element) -> G2Element:
-        return G2Element(self._mul(s, Q.point), self)
+    scalar_mul_g2 = scalar_mul_g1
 
     def identity_g1(self) -> G1Element:
         return G1Element(_INF, self)
@@ -522,13 +508,11 @@ class BilinearGroup:
                              [pt.point for pt in points])
         return cls(raw, self)
 
-    def in_subgroup_g1(self, P: G1Element) -> bool:
+    def in_subgroup_g1(self, P: _Point) -> bool:
         return self.curve.on_curve(P.point) and \
             self.curve.scalar_mul(self.q, P.point) is _INF
 
-    def in_subgroup_g2(self, Q: G2Element) -> bool:
-        return self.curve.on_curve(Q.point) and \
-            self.curve.scalar_mul(self.q, Q.point) is _INF
+    in_subgroup_g2 = in_subgroup_g1
 
     # -- pairing ------------------------------------------------------------
 
@@ -619,12 +603,14 @@ class BilinearGroup:
 
     # -- serialization ------------------------------------------------------
 
-    def _point_to_bytes(self, point) -> bytes:
+    def g1_to_bytes(self, P: _Point) -> bytes:
         w = self.coord_bytes
-        if point is _INF:
+        if P.point is _INF:
             return b"\x00" + b"\x00" * (2 * w)
-        x, y = point
+        x, y = P.point
         return b"\x01" + x.to_bytes(w, "little") + y.to_bytes(w, "little")
+
+    g2_to_bytes = g1_to_bytes
 
     def _point_from_bytes(self, data: bytes):
         w = self.coord_bytes
@@ -650,14 +636,8 @@ class BilinearGroup:
     def point_bytes(self) -> int:
         return 1 + 2 * self.coord_bytes
 
-    def g1_to_bytes(self, P: G1Element) -> bytes:
-        return self._point_to_bytes(P.point)
-
     def g1_from_bytes(self, data: bytes) -> G1Element:
         return G1Element(self._point_from_bytes(data), self)
-
-    def g2_to_bytes(self, Q: G2Element) -> bytes:
-        return self._point_to_bytes(Q.point)
 
     def g2_from_bytes(self, data: bytes) -> G2Element:
         return G2Element(self._point_from_bytes(data), self)

@@ -16,6 +16,7 @@ Verification order (cheapest/most-diagnostic first):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import secrets
 import struct
@@ -225,9 +226,14 @@ class EnrollmentAuthority:
 # -- signed payload ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def _artifact_hashes(r1cs_bytes: bytes, vk_bytes: bytes):
-    """The (R1CS, VK) hashes that the signed payload carries."""
-    return (byte_hash(encode(r1cs_bytes, DTypeTag.R1CS)),
+    """(R1CS digest, R1CS hash, VK hash) of one circuit: the SHA-256 that
+    names the circuit in a package and in the verifier's registry, then the
+    two hashes the signed payload carries.  Memoized on the bytes, since a
+    prover or verifier keeps using the same few circuits."""
+    return (hashlib.sha256(r1cs_bytes).digest(),
+            byte_hash(encode(r1cs_bytes, DTypeTag.R1CS)),
             byte_hash(encode(vk_bytes, DTypeTag.VK)))
 
 
@@ -238,12 +244,12 @@ def assemble_payload(sign_domain: DomainSeparator, r1cs_bytes: bytes,
     """The message under the vehicle's signature: context, artifact hashes,
     commitment, timestamp, nonce -- in this fixed order.
 
-    A caller that already holds the (R1CS, VK) hash pair of the circuit
-    passes it as `artifact_hashes`; `r1cs_bytes` and `vk_bytes` are then
-    not read.
+    A caller that already holds the circuit's `_artifact_hashes` passes
+    them as `artifact_hashes`; `r1cs_bytes` and `vk_bytes` are then not
+    read.
     """
-    r1cs_hash, vk_hash = artifact_hashes or _artifact_hashes(r1cs_bytes,
-                                                             vk_bytes)
+    _, r1cs_hash, vk_hash = artifact_hashes or _artifact_hashes(r1cs_bytes,
+                                                                vk_bytes)
     return b"".join([
         encode(sign_domain.value, DTypeTag.CTX),
         r1cs_hash,
@@ -365,14 +371,15 @@ def create_package(pk, qap, witness, commitment_value: FieldElement,
     proof = prove(pk, qap, witness, seed=proof_seed)
     proof_bytes = proof.to_bytes()
     cert_bytes = cert.to_bytes()
+    hashes = _artifact_hashes(r1cs_bytes, vk_bytes)
     message = assemble_payload(sign_domain, r1cs_bytes, vk_bytes, cert_bytes,
-                               proof_bytes, commitment_value, timestamp, nonce)
+                               proof_bytes, commitment_value, timestamp, nonce,
+                               artifact_hashes=hashes)
     signature = schnorr_sign(keypair, message)
     publics = qap.cs.public_inputs(witness)
     return ProofPackage(proof_bytes, publics, commitment_value, signature,
-                        keypair.pk_bytes(), cert_bytes,
-                        hashlib.sha256(r1cs_bytes).digest(), timestamp, nonce,
-                        sign_domain)
+                        keypair.pk_bytes(), cert_bytes, hashes[0], timestamp,
+                        nonce, sign_domain)
 
 
 class VerifierState:
@@ -400,8 +407,8 @@ class VerifierState:
     def register_circuit(self, r1cs_bytes: bytes, vk: VerifyingKey):
         """Accept packages for this circuit; its payload hashes are computed
         here once, not per package."""
-        self.registry[hashlib.sha256(r1cs_bytes).digest()] = \
-            (vk, _artifact_hashes(r1cs_bytes, vk.to_bytes()))
+        hashes = _artifact_hashes(r1cs_bytes, vk.to_bytes())
+        self.registry[hashes[0]] = (vk, hashes)
 
     def _prune(self, now: int):
         horizon = 2 * self.freshness_window

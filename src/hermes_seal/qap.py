@@ -1,24 +1,24 @@
-"""R1CS -> QAP transformation: Lagrange interpolation of constraint columns,
-vanishing polynomial, and quotient computation.
+"""R1CS -> QAP reduction over a radix-2 evaluation domain.
 
-Two evaluation paths exist:
+The domain H = {1, w, ..., w^(n-1)} is the multiplicative subgroup of
+power-of-two order n, and constraint row i sits at the point w^i.  Its
+vanishing polynomial is t(x) = x^n - 1, interpolation and evaluation on H
+are NTTs, and the Lagrange values at a point x off H have the closed form
+L_i(x) = t(x) w^i / (n (x - w^i)).  The wire polynomials A_j, B_j, C_j are
+never formed: the setup needs them only at one point tau, which
+`QapInstance.wire_evals_at` sums over the sparse rows, and the prover only
+their witness-weighted sums on H, which are the rows' inner products.
 
-* a generic path for arbitrary distinct-point domains (schoolbook Lagrange
-  interpolation and exact long division), and
-* an NTT path for radix-2 multiplicative-subgroup domains H of size n, used
-  by the prover at scale.
+The prover's quotient H(x) = (A(x)B(x) - C(x)) / t(x) is computed on one
+coset gH of H (the witness map of libsnark's reduction): t(x) is the
+nonzero constant g^n - 1 on gH, so the division is a single scalar.  n
+points determine only a polynomial of degree < n, which is enough because
+`compute_quotient` first checks A(w^i)B(w^i) = C(w^i) on every row: t then
+divides AB - C, whose degree is at most 2n - 2, so deg H <= n - 2.  The
+interpolated coefficient n - 1 must therefore be zero, and a nonzero one
+is rejected.
 
-The NTT path computes the quotient H(x) = (A(x)B(x) - C(x)) / t(x) on one
-coset gH of the size-n domain (the witness map of libsnark's reduction):
-t(x) = x^n - 1 is the nonzero constant g^n - 1 on gH, so the division is a
-single scalar.  n points determine only a polynomial of degree < n, which
-is enough because `compute_quotient` first checks A(w^i)B(w^i) = C(w^i) on
-every row: t then divides AB - C, whose degree is at most 2n - 2, so
-deg H <= n - 2.  The interpolated coefficient n - 1 must therefore be zero,
-and a nonzero one is rejected.  Both paths give the same H, which is unique
-given the domain, so the fast path is a pure optimization.
-
-Each radix-2 domain builds its transform tables (bit-reversal permutation,
+Each domain builds its transform tables (bit-reversal permutation,
 per-stage twiddles for w and w^-1, coset scales) once, on first use.
 """
 
@@ -31,7 +31,6 @@ __all__ = [
     "EvaluationDomain",
     "QapInstance",
     "r1cs_to_qap",
-    "vanishing_poly",
     "compute_quotient",
     "InvalidWitnessError",
 ]
@@ -66,54 +65,6 @@ class Polynomial:
         return (isinstance(other, Polynomial) and self.coeffs == other.coeffs
                 and self.field.p == other.field.p)
 
-    def __repr__(self):
-        return f"Polynomial({self.coeffs})"
-
-    def __add__(self, other: "Polynomial"):
-        p = self.field.p
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = (out[i] + v) % p
-        return Polynomial(out, self.field)
-
-    def __sub__(self, other: "Polynomial"):
-        return self + other.scaled(-1)
-
-    def scaled(self, k: int):
-        p = self.field.p
-        return Polynomial([c * k % p for c in self.coeffs], self.field)
-
-    def __mul__(self, other: "Polynomial"):
-        if self.is_zero() or other.is_zero():
-            return Polynomial([], self.field)
-        p = self.field.p
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial([v % p for v in out], self.field)
-
-    def divmod(self, divisor: "Polynomial"):
-        """Exact long division: (quotient, remainder), deg(rem) < deg(divisor)."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.field.p
-        rem = list(self.coeffs)
-        dlen = len(divisor.coeffs)
-        lead_inv = pow(divisor.coeffs[-1], -1, p)
-        quot = [0] * max(len(rem) - dlen + 1, 0)
-        for i in range(len(rem) - dlen, -1, -1):
-            factor = rem[i + dlen - 1] * lead_inv % p
-            if factor:
-                quot[i] = factor
-                for j, d in enumerate(divisor.coeffs):
-                    rem[i + j] = (rem[i + j] - factor * d) % p
-        return Polynomial(quot, self.field), Polynomial(rem[:dlen - 1], self.field)
-
     def eval(self, x: int) -> int:
         p = self.field.p
         acc = 0
@@ -123,101 +74,48 @@ class Polynomial:
 
 
 class EvaluationDomain:
-    """Distinct interpolation points r_1..r_n; optionally a radix-2 subgroup."""
+    """The multiplicative subgroup {1, w, ..., w^(size-1)} of F_p^*, for a
+    power-of-two size."""
 
-    def __init__(self, points, field: PrimeModulus):
-        points = [x % field.p for x in points]
-        if len(set(points)) != len(points):
-            raise ValueError("evaluation domain points must be pairwise distinct")
-        if not points:
-            raise ValueError("empty evaluation domain")
-        self.points = points
+    def __init__(self, size: int, field: PrimeModulus = TEST_FIELD):
         self.field = field
-        self.omega = None  # set for radix-2 subgroup domains
+        self.points = _powers(1, field.root_of_unity(size), size, field.p)
         self._tables = None  # NTT tables, built on first use
 
     def __len__(self):
         return len(self.points)
 
     @classmethod
-    def radix2(cls, size: int, field: PrimeModulus = TEST_FIELD):
-        """Multiplicative subgroup {1, w, ..., w^(size-1)} of power-of-two size."""
-        omega = field.root_of_unity(size)
-        p = field.p
-        points = [1] * size
-        for i in range(1, size):
-            points[i] = points[i - 1] * omega % p
-        dom = cls(points, field)
-        dom.omega = omega
-        return dom
-
-    @classmethod
     def for_size(cls, n: int, field: PrimeModulus = TEST_FIELD):
-        """Smallest radix-2 subgroup domain holding n constraints."""
-        size = 1 << max(1, (n - 1).bit_length())
-        return cls.radix2(size, field)
-
-    # -- Lagrange machinery --------------------------------------------------
-
-    def barycentric_weights(self):
-        """w_i = 1 / prod_{j != i} (r_i - r_j); O(n) for subgroup domains."""
-        p = self.field.p
-        n = len(self.points)
-        if self.omega is not None:
-            # t(x) = x^n - 1, t'(w^i) = n * w^(-i); weight = w^i / n
-            ninv = pow(n, -1, p)
-            return [pt * ninv % p for pt in self.points]
-        weights = []
-        for i, ri in enumerate(self.points):
-            prod = 1
-            for j, rj in enumerate(self.points):
-                if i != j:
-                    prod = prod * (ri - rj) % p
-            weights.append(pow(prod, -1, p))
-        return weights
-
-    def lagrange_at(self, x: int):
-        """[L_1(x), ..., L_n(x)] for a point x off the domain."""
-        p = self.field.p
-        x %= p
-        if x in set(self.points):
-            return [1 if pt == x else 0 for pt in self.points]
-        t_x = self.eval_vanishing(x)
-        weights = self.barycentric_weights()
-        return [t_x * w % p * pow(x - pt, -1, p) % p
-                for w, pt in zip(weights, self.points)]
+        """Smallest domain holding n constraints."""
+        return cls(1 << max(1, (n - 1).bit_length()), field)
 
     def eval_vanishing(self, x: int) -> int:
+        """t(x) = x^n - 1."""
         p = self.field.p
-        if self.omega is not None:
-            return (pow(x, len(self.points), p) - 1) % p
-        acc = 1
-        for pt in self.points:
-            acc = acc * (x - pt) % p
-        return acc
+        return (pow(x, len(self.points), p) - 1) % p
+
+    def lagrange_at(self, x: int):
+        """[L_1(x), ..., L_n(x)]: L_i(x) = t(x) w^i / (n (x - w^i)) off the
+        domain, the indicator of x on it."""
+        p = self.field.p
+        x %= p
+        t_x = self.eval_vanishing(x)
+        if t_x == 0:
+            return [1 if pt == x else 0 for pt in self.points]
+        k = t_x * pow(len(self.points), -1, p) % p
+        return [k * pt % p * pow(x - pt, -1, p) % p for pt in self.points]
 
     def interpolate(self, values) -> Polynomial:
-        """Unique polynomial of degree < n through (r_i, values_i)."""
+        """Unique polynomial of degree < n through (w^i, values_i)."""
         if len(values) != len(self.points):
             raise ValueError("value count must match domain size")
         p = self.field.p
-        if self.omega is not None:
-            ninv = pow(len(self.points), -1, p)
-            return Polynomial(
-                [v * ninv % p for v in self._ntt(values, inverse=True)], self.field)
-        # Newton-free schoolbook: sum of v_i * w_i * t(x)/(x - r_i)
-        t = vanishing_poly(self)
-        weights = self.barycentric_weights()
-        acc = [0] * len(self.points)
-        for ri, vi, wi in zip(self.points, values, weights):
-            if vi:
-                q, _ = t.divmod(Polynomial([-ri, 1], self.field))
-                k = vi * wi % p
-                for idx, c in enumerate(q.coeffs):
-                    acc[idx] = (acc[idx] + k * c) % p
-        return Polynomial(acc, self.field)
+        ninv = pow(len(self.points), -1, p)
+        return Polynomial(
+            [v * ninv % p for v in self._ntt(values, inverse=True)], self.field)
 
-    # -- NTT (radix-2 domains only) ------------------------------------------
+    # -- NTT -----------------------------------------------------------------
 
     def _ntt_tables(self):
         """(bit-reversal permutation, per-stage twiddles for w, for w^-1,
@@ -229,8 +127,6 @@ class EvaluationDomain:
         iNTT's factor n and the division by t on gH.
         """
         if self._tables is None:
-            if self.omega is None:
-                raise ValueError("NTT needs a radix-2 subgroup domain")
             p = self.field.p
             n = len(self.points)
             bits = n.bit_length() - 1
@@ -290,27 +186,8 @@ def _powers(first, ratio, count, p):
     return out
 
 
-def vanishing_poly(domain: EvaluationDomain) -> Polynomial:
-    """Monic degree-n polynomial vanishing exactly on the domain."""
-    field = domain.field
-    if domain.omega is not None:
-        coeffs = [0] * (len(domain.points) + 1)
-        coeffs[0] = field.p - 1
-        coeffs[-1] = 1
-        return Polynomial(coeffs, field)
-    acc = Polynomial([1], field)
-    for pt in domain.points:
-        acc = acc * Polynomial([-pt, 1], field)
-    return acc
-
-
 class QapInstance:
-    """Per-wire polynomials {A_j}, {B_j}, {C_j}, vanishing t(x), and domain.
-
-    Wire polynomials are materialized lazily: large circuits only ever need
-    their evaluations at single points (trusted setup) or witness-weighted
-    sums (proving), both of which have cheaper dedicated paths below.
-    """
+    """A constraint system bound to the domain its rows are interpolated on."""
 
     def __init__(self, cs, domain: EvaluationDomain):
         if len(domain) != cs.n_constraints:
@@ -319,54 +196,6 @@ class QapInstance:
         self.cs = cs
         self.domain = domain
         self.field = cs.field
-        self.t = vanishing_poly(domain)
-        self._wire_polys = None
-
-    @property
-    def n_constraints(self):
-        return self.cs.n_constraints
-
-    @property
-    def n_wires(self):
-        return self.cs.n_wires
-
-    def _materialize(self):
-        if self._wire_polys is not None:
-            return self._wire_polys
-        field = self.field
-        p = field.p
-        n = len(self.domain)
-        m1 = self.cs.n_wires
-        # dense Lagrange basis polynomials L_i(x) via synthetic division of t
-        weights = self.domain.barycentric_weights()
-        basis = []
-        for ri, wi in zip(self.domain.points, weights):
-            q, _ = self.t.divmod(Polynomial([-ri, 1], field))
-            basis.append([c * wi % p for c in q.coeffs])
-        cols = []
-        for which in range(3):
-            polys = [[0] * n for _ in range(m1)]
-            for i, triple in enumerate(self.cs.rows):
-                li = basis[i]
-                for j, coeff in triple[which].items():
-                    target = polys[j]
-                    for idx, c in enumerate(li):
-                        target[idx] = (target[idx] + coeff * c) % p
-            cols.append([Polynomial(col, field) for col in polys])
-        self._wire_polys = tuple(cols)
-        return self._wire_polys
-
-    @property
-    def a_polys(self):
-        return self._materialize()[0]
-
-    @property
-    def b_polys(self):
-        return self._materialize()[1]
-
-    @property
-    def c_polys(self):
-        return self._materialize()[2]
 
     def wire_evals_at(self, x: int):
         """([A_j(x)], [B_j(x)], [C_j(x)]) for all wires, via sparse accumulation."""
@@ -385,19 +214,14 @@ class QapInstance:
                 c_vals[j] = (c_vals[j] + li * coeff) % p
         return a_vals, b_vals, c_vals
 
-    def constraint_evaluations(self, witness):
-        """(Aw, Bw, Cw) values on the domain: the sparse row inner products."""
-        values = witness.values if hasattr(witness, "values") else witness
-        p = self.field.p
-        aw, bw, cw = [], [], []
-        for a, b, c in self.cs.rows:
-            aw.append(sum(values[j] * k for j, k in a.items()) % p)
-            bw.append(sum(values[j] * k for j, k in b.items()) % p)
-            cw.append(sum(values[j] * k for j, k in c.items()) % p)
-        return aw, bw, cw
 
+def r1cs_to_qap(cs, domain: EvaluationDomain = None) -> QapInstance:
+    """The QAP of `cs` over `EvaluationDomain.for_size(cs.n_constraints)`.
 
-def r1cs_to_qap(cs, domain: EvaluationDomain) -> QapInstance:
+    A `domain` passed in must have exactly one point per row.
+    """
+    if domain is None:
+        domain = EvaluationDomain.for_size(cs.n_constraints, cs.field)
     return QapInstance(cs, domain)
 
 
@@ -406,29 +230,15 @@ def compute_quotient(qap: QapInstance, witness) -> Polynomial:
 
     deg(H) <= n - 2 whenever the witness satisfies the system.
     """
-    p = qap.field.p
-    aw, bw, cw = qap.constraint_evaluations(witness)
-    for i, (a, b, c) in enumerate(zip(aw, bw, cw)):
-        if a * b % p != c:
-            raise InvalidWitnessError(f"witness violates constraint {i}")
-    domain = qap.domain
-    if domain.omega is not None:
-        return _quotient_ntt(qap, aw, bw, cw)
-    field = qap.field
-    A = domain.interpolate(aw)
-    B = domain.interpolate(bw)
-    C = domain.interpolate(cw)
-    numerator = A * B - C
-    if numerator.is_zero():
-        return Polynomial([], field)
-    h, rem = numerator.divmod(qap.t)
-    if not rem.is_zero():
-        raise InvalidWitnessError("nonzero remainder dividing by the vanishing polynomial")
-    return h
+    evaluations = qap.cs.evaluate(witness)
+    row = qap.cs.first_violation(evaluations)
+    if row is not None:
+        raise InvalidWitnessError(f"witness violates constraint {row}")
+    return _quotient_ntt(qap, *evaluations)
 
 
 def _quotient_ntt(qap: QapInstance, aw, bw, cw) -> Polynomial:
-    """Quotient on the coset gH of the size-n domain H; same H as schoolbook.
+    """Quotient on the coset gH of the size-n domain H.
 
     A, B, C go to coefficients (iNTT) and onto gH (coset scale, NTT).  On gH
     t(x) = x^n - 1 is the one constant g^n - 1, so dividing the pointwise

@@ -137,19 +137,32 @@ class ConstraintSystem:
         ok, _ = self.check(witness)
         return ok
 
-    def check(self, witness):
-        """(satisfied, first_failing_row_or_None)."""
+    def evaluate(self, witness):
+        """(aw, bw, cw): per row, the sparse inner products <a,w>, <b,w>,
+        <c,w> mod p."""
         values = witness.values if isinstance(witness, Witness) else witness
         if len(values) != self.n_wires:
             raise R1csError(f"witness length {len(values)} != wire count {self.n_wires}")
         p = self.field.p
-        for i, (a, b, c) in enumerate(self.rows):
-            av = sum(values[j] * k for j, k in a.items()) % p
-            bv = sum(values[j] * k for j, k in b.items()) % p
-            cv = sum(values[j] * k for j, k in c.items()) % p
-            if av * bv % p != cv:
-                return False, i
-        return True, None
+        aw, bw, cw = [], [], []
+        for a, b, c in self.rows:
+            aw.append(sum(values[j] * k for j, k in a.items()) % p)
+            bw.append(sum(values[j] * k for j, k in b.items()) % p)
+            cw.append(sum(values[j] * k for j, k in c.items()) % p)
+        return aw, bw, cw
+
+    def first_violation(self, evaluations):
+        """The first row of `evaluate`'s output with aw * bw != cw, or None."""
+        p = self.field.p
+        for i, (a, b, c) in enumerate(zip(*evaluations)):
+            if a * b % p != c:
+                return i
+        return None
+
+    def check(self, witness):
+        """(satisfied, first_failing_row_or_None)."""
+        row = self.first_violation(self.evaluate(witness))
+        return row is None, row
 
     def generate_witness(self, assignments: dict) -> Witness:
         """Solve all wires from the input assignment; error if unsolvable.

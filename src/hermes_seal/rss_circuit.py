@@ -145,9 +145,6 @@ class RssPublicInputs:
     w_fog: int = 0
     SAFE: int = 0
 
-    def as_list(self):
-        return [getattr(self, name) for name in PUBLIC_ORDER]
-
 
 @dataclasses.dataclass
 class RssWitness:

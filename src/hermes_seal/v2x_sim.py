@@ -35,7 +35,7 @@ from .groth16 import setup
 from .protocol import (AUDIT_SIGN_DOMAIN, DomainSeparator, EnrollmentAuthority,
                        ProofPackage, RSS_SIGN_DOMAIN, VerifierState,
                        create_package, schnorr_keygen)
-from .qap import EvaluationDomain, r1cs_to_qap
+from .qap import r1cs_to_qap
 from .rss_circuit import RssScenario, build_rss_circuit, make_rss_inputs
 
 __all__ = [
@@ -187,8 +187,7 @@ class SimArtifacts:
         self.circuit = build_rss_circuit(
             include_commitment=full_circuit)
         cs = self.circuit.cs
-        self.qap = r1cs_to_qap(
-            cs, EvaluationDomain.for_size(cs.n_constraints, self.field))
+        self.qap = r1cs_to_qap(cs)
         self.pk, self.vk = setup(self.qap, seed=seed)
         self.r1cs_bytes = cs.to_bytes()
         self.vk_bytes = self.vk.to_bytes()

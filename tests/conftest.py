@@ -11,13 +11,8 @@ from hermes_seal.audit_circuit import (AuditThresholds, ChallengeSet,
                                        fixture_challenge, fixture_detections)
 from hermes_seal.groth16 import setup
 from hermes_seal.protocol import EnrollmentAuthority, schnorr_keygen
-from hermes_seal.qap import EvaluationDomain, r1cs_to_qap
+from hermes_seal.qap import r1cs_to_qap
 from hermes_seal.rss_circuit import build_rss_circuit
-
-
-def make_qap(cs):
-    return r1cs_to_qap(cs, EvaluationDomain.for_size(cs.n_constraints,
-                                                     cs.field))
 
 
 class Artifacts:
@@ -26,7 +21,7 @@ class Artifacts:
     def __init__(self, circuit, seed=12345):
         self.circuit = circuit
         self.cs = circuit.cs
-        self.qap = make_qap(circuit.cs)
+        self.qap = r1cs_to_qap(circuit.cs)
         self.pk, self.vk = setup(self.qap, seed=seed)
         self.r1cs_bytes = circuit.cs.to_bytes()
         self.vk_bytes = self.vk.to_bytes()

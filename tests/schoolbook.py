@@ -1,0 +1,142 @@
+"""Schoolbook reference for the QAP layer, for differential tests.
+
+Dense polynomials, Lagrange interpolation over arbitrary distinct points,
+the vanishing polynomial as a product of linear factors, dense wire
+polynomials A_j, B_j, C_j, and the quotient H = (AB - C) / t by exact long
+division.  Nothing here uses the subgroup structure of a radix-2 domain or
+an NTT, so `hermes_seal.qap` is checked against the textbook construction
+on the same points.
+"""
+
+
+class Poly:
+    """Dense polynomial over F_p, low-degree coefficient first."""
+
+    def __init__(self, coeffs, p: int):
+        c = [x % p for x in coeffs]
+        while c and c[-1] == 0:
+            c.pop()
+        self.coeffs = c
+        self.p = p
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def eval(self, x: int) -> int:
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc * x + c) % self.p
+        return acc
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] += v
+        return Poly(out, self.p)
+
+    def __sub__(self, other):
+        return self + Poly([-c for c in other.coeffs], self.p)
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            return Poly([], self.p)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Poly(out, self.p)
+
+    def divmod(self, divisor):
+        """(quotient, remainder) with deg(remainder) < deg(divisor)."""
+        if divisor.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        p = self.p
+        rem = list(self.coeffs)
+        dlen = len(divisor.coeffs)
+        lead_inv = pow(divisor.coeffs[-1], -1, p)
+        quot = [0] * max(len(rem) - dlen + 1, 0)
+        for i in range(len(rem) - dlen, -1, -1):
+            factor = rem[i + dlen - 1] * lead_inv % p
+            quot[i] = factor
+            for j, d in enumerate(divisor.coeffs):
+                rem[i + j] = (rem[i + j] - factor * d) % p
+        return Poly(quot, p), Poly(rem[:dlen - 1], p)
+
+
+class Domain:
+    """Distinct interpolation points r_1..r_n, with no structure assumed."""
+
+    def __init__(self, points, p: int):
+        points = [x % p for x in points]
+        if not points:
+            raise ValueError("empty evaluation domain")
+        if len(set(points)) != len(points):
+            raise ValueError("evaluation domain points must be pairwise distinct")
+        self.points = points
+        self.p = p
+
+    def vanishing(self) -> Poly:
+        """t(x) = prod (x - r_i)."""
+        acc = Poly([1], self.p)
+        for r in self.points:
+            acc = acc * Poly([-r, 1], self.p)
+        return acc
+
+    def basis(self):
+        """Dense Lagrange polynomials L_i = t / ((x - r_i) prod_{j != i}
+        (r_i - r_j))."""
+        p = self.p
+        t = self.vanishing()
+        out = []
+        for i, ri in enumerate(self.points):
+            denom = 1
+            for j, rj in enumerate(self.points):
+                if i != j:
+                    denom = denom * (ri - rj) % p
+            q, _ = t.divmod(Poly([-ri, 1], p))
+            k = pow(denom, -1, p)
+            out.append(Poly([c * k for c in q.coeffs], p))
+        return out
+
+    def interpolate(self, values) -> Poly:
+        acc = Poly([], self.p)
+        for v, li in zip(values, self.basis()):
+            acc = acc + Poly([v * c for c in li.coeffs], self.p)
+        return acc
+
+
+def wire_polys(cs, domain: Domain):
+    """([A_j], [B_j], [C_j]): the column of every wire, interpolated."""
+    p = domain.p
+    basis = domain.basis()
+    cols = []
+    for which in range(3):
+        col = [Poly([], p) for _ in range(cs.n_wires)]
+        for li, triple in zip(basis, cs.rows):
+            for j, coeff in triple[which].items():
+                col[j] = col[j] + Poly([coeff * c for c in li.coeffs], p)
+        cols.append(col)
+    return tuple(cols)
+
+
+def quotient(cs, domain: Domain, witness) -> Poly:
+    """H with A B - C = H t, where A = sum_j w_j A_j (and B, C alike).
+    Raises ValueError naming the first row whose point has A B != C."""
+    p = domain.p
+    values = witness.values if hasattr(witness, "values") else witness
+    A, B, C = (sum((Poly([w * c for c in poly.coeffs], p)
+                    for w, poly in zip(values, col)), Poly([], p))
+               for col in wire_polys(cs, domain))
+    for i, r in enumerate(domain.points):
+        if A.eval(r) * B.eval(r) % p != C.eval(r):
+            raise ValueError(f"witness violates constraint {i}")
+    h, rem = (A * B - C).divmod(domain.vanishing())
+    assert rem.is_zero()
+    return h

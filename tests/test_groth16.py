@@ -10,7 +10,7 @@ from hermes_seal.field import TEST_FIELD
 from hermes_seal.groth16 import (Groth16Error, Proof, ProvingKey,
                                  VerifyingKey, prove, setup, verify)
 from hermes_seal.pairing import toy_group
-from hermes_seal.qap import EvaluationDomain, r1cs_to_qap
+from hermes_seal.qap import r1cs_to_qap
 from hermes_seal.r1cs import CircuitBuilder, pad_to_power_of_two
 from hermes_seal.rss_circuit import PUBLIC_ORDER, RssScenario, make_rss_inputs
 
@@ -36,8 +36,7 @@ def cubic():
     cube = bld.gadget_mul(sq, y, "cube")
     bld.enforce(bld.lc(cube) + bld.lc(y), bld.lc(1), bld.lc(x), "bind")
     cs = pad_to_power_of_two(bld.finalize())
-    dom = EvaluationDomain.for_size(cs.n_constraints, TEST_FIELD)
-    qap = r1cs_to_qap(cs, dom)
+    qap = r1cs_to_qap(cs)
     pk, vk = setup(qap, seed=42)
     return cs, qap, pk, vk, x, y
 
@@ -129,8 +128,7 @@ def test_circuit_digest_binding(cubic):
     bld.gadget_mul(b, b, "bsq")
     bld.assert_equal(a, b, "a=b")
     other_cs = pad_to_power_of_two(bld.finalize())
-    other_qap = r1cs_to_qap(other_cs, EvaluationDomain.for_size(
-        other_cs.n_constraints, TEST_FIELD))
+    other_qap = r1cs_to_qap(other_cs)
     other_pk, _ = setup(other_qap, seed=9)
     w = cs.generate_witness({x: 30, y: 3})
     with pytest.raises(Groth16Error):

@@ -359,3 +359,37 @@ def test_scalar_mul_field_element_on_generator():
     k = FieldElement(123456789, TEST_FIELD)
     assert G.scalar_mul_g1(k, G.g1).point == \
         G.curve.scalar_mul(123456789, G.g1.point)
+
+
+# -- one point class, two groups ----------------------------------------------
+
+
+def test_g1_and_g2_points_do_not_mix():
+    P = G1Element(G.g2.point, G)     # same coordinates, different group
+    with pytest.raises(TypeError):
+        P + G.g2
+    with pytest.raises(TypeError):
+        G.g2 - P
+    assert P != G.g2 and G.g2 != P
+    assert hash(P) == hash(("G1", G.g2.point)) != hash(G.g2)
+    assert hash(G.g2) == hash(("G2", G.g2.point))
+    assert len({P, G.g2}) == 2
+
+
+def test_point_reprs():
+    assert repr(G.g1) == f"G1({G.g1.point})"
+    assert repr(G.g2) == f"G2({G.g2.point})"
+    assert repr(G.identity_g1()) == "G1(None)"
+    assert repr(-G.identity_g2()) == "G2(None)"
+
+
+def test_group_methods_keep_the_argument_class():
+    for mul in (G.scalar_mul_g1, G.scalar_mul_g2):
+        assert type(mul(5, G.g1)) is G1Element
+        assert type(mul(5, G.g2)) is G2Element
+        assert mul(5, G.g1).point == mul(5, G1Element(G.g1.point, G)).point
+    assert type(G.g1 + G.g1) is G1Element and type(-G.g2) is G2Element
+    assert type(G.multi_scalar_mul([2, 3], [G.g2, G.g2])) is G2Element
+    with pytest.raises(ValueError, match="mixed"):
+        G.multi_scalar_mul([1, 1], [G.g1, G2Element(G.g1.point, G)])
+    assert not hasattr(G.g1, "__dict__") and not hasattr(G.g2, "__dict__")

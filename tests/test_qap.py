@@ -1,15 +1,16 @@
-"""Polynomial arithmetic, evaluation domains, NTT interpolation, and the
-R1CS-to-QAP reduction with quotient computation."""
+"""Radix-2 evaluation domains, NTT interpolation, and the R1CS-to-QAP
+reduction with quotient computation, checked against the schoolbook oracle
+in `schoolbook.py` (whose own polynomial arithmetic is tested first)."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schoolbook
 from hermes_seal.field import TEST_FIELD
-from hermes_seal.qap import (EvaluationDomain, InvalidWitnessError, Polynomial,
-                             _quotient_ntt, compute_quotient, r1cs_to_qap,
-                             vanishing_poly)
+from hermes_seal.qap import (EvaluationDomain, InvalidWitnessError,
+                             _quotient_ntt, compute_quotient, r1cs_to_qap)
 from hermes_seal.r1cs import CircuitBuilder, pad_to_power_of_two
 
 P = TEST_FIELD.p
@@ -17,7 +18,11 @@ coeff_lists = st.lists(st.integers(min_value=0, max_value=P - 1),
                        min_size=0, max_size=8)
 
 
-# -- polynomials --------------------------------------------------------------
+def _oracle_domain(dom):
+    return schoolbook.Domain(dom.points, P)
+
+
+# -- the oracle's polynomials -------------------------------------------------
 
 
 @given(coeff_lists, coeff_lists,
@@ -25,7 +30,7 @@ coeff_lists = st.lists(st.integers(min_value=0, max_value=P - 1),
 @settings(max_examples=60, deadline=None)
 def test_poly_ring_via_evaluation(ac, bc, x):
     # oracle: evaluation homomorphism
-    a, b = Polynomial(ac, TEST_FIELD), Polynomial(bc, TEST_FIELD)
+    a, b = schoolbook.Poly(ac, P), schoolbook.Poly(bc, P)
     assert (a + b).eval(x) == (a.eval(x) + b.eval(x)) % P
     assert (a - b).eval(x) == (a.eval(x) - b.eval(x)) % P
     assert (a * b).eval(x) == a.eval(x) * b.eval(x) % P
@@ -34,7 +39,7 @@ def test_poly_ring_via_evaluation(ac, bc, x):
 @given(coeff_lists, coeff_lists)
 @settings(max_examples=60, deadline=None)
 def test_poly_divmod_identity(ac, bc):
-    a, b = Polynomial(ac, TEST_FIELD), Polynomial(bc, TEST_FIELD)
+    a, b = schoolbook.Poly(ac, P), schoolbook.Poly(bc, P)
     if b.is_zero():
         with pytest.raises(ZeroDivisionError):
             a.divmod(b)
@@ -49,10 +54,10 @@ def test_poly_divmod_identity(ac, bc):
 
 @pytest.mark.parametrize("size", [1, 2, 8, 64, 1024])
 def test_radix2_domain(size):
-    dom = EvaluationDomain.radix2(size, TEST_FIELD)
+    dom = EvaluationDomain(size, TEST_FIELD)
     assert len(dom) == size
     assert len(set(dom.points)) == size
-    z = vanishing_poly(dom)
+    z = _oracle_domain(dom).vanishing()
     for pt in dom.points:
         assert z.eval(pt) == 0
         assert dom.eval_vanishing(pt) == 0
@@ -63,7 +68,7 @@ def test_radix2_domain(size):
 @pytest.mark.parametrize("size", [4, 32, 256])
 def test_interpolation_roundtrip(size):
     rng = random.Random(size)
-    dom = EvaluationDomain.radix2(size, TEST_FIELD)
+    dom = EvaluationDomain(size, TEST_FIELD)
     values = [rng.randrange(P) for _ in range(size)]
     poly = dom.interpolate(values)
     assert poly.degree < size or poly.is_zero()
@@ -72,20 +77,20 @@ def test_interpolation_roundtrip(size):
 
 
 def test_interpolation_ntt_vs_schoolbook():
-    # generic-domain Lagrange vs radix-2 iNTT must agree coefficient-wise
+    # schoolbook Lagrange vs radix-2 iNTT must agree coefficient-wise
     rng = random.Random(5)
     size = 16
-    sub = EvaluationDomain.radix2(size, TEST_FIELD)
-    generic = EvaluationDomain(list(sub.points), TEST_FIELD)
+    sub = EvaluationDomain(size, TEST_FIELD)
     values = [rng.randrange(P) for _ in range(size)]
-    assert sub.interpolate(values).coeffs == generic.interpolate(values).coeffs
+    assert sub.interpolate(values).coeffs == \
+        _oracle_domain(sub).interpolate(values).coeffs
 
 
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32, 64, 128, 256])
 def test_ntt_matches_naive_dft(size):
     # oracle: out_i = sum_j v_j w^(+-ij), straight from the definition
     rng = random.Random(size)
-    dom = EvaluationDomain.radix2(size, TEST_FIELD)
+    dom = EvaluationDomain(size, TEST_FIELD)
     pts = dom.points
     values = [rng.randrange(P) for _ in range(size)]
     fwd = [sum(v * pts[i * j % size] for j, v in enumerate(values)) % P
@@ -98,18 +103,20 @@ def test_ntt_matches_naive_dft(size):
 
 
 def test_lagrange_at():
-    dom = EvaluationDomain.radix2(8, TEST_FIELD)
+    dom = EvaluationDomain(8, TEST_FIELD)
     x = 424242
     basis = dom.lagrange_at(x)
     # oracle: interpolation of indicator vectors
     for i in range(8):
         indicator = [1 if j == i else 0 for j in range(8)]
         assert dom.interpolate(indicator).eval(x) == basis[i]
+    assert dom.lagrange_at(dom.points[3]) == [int(i == 3) for i in range(8)]
 
 
 def test_duplicate_points_rejected():
+    # the oracle's domain must be a set of distinct points to mean anything
     with pytest.raises(ValueError):
-        EvaluationDomain([1, 1, 2], TEST_FIELD)
+        schoolbook.Domain([1, 1, 2], P)
 
 
 # -- R1CS -> QAP --------------------------------------------------------------
@@ -127,21 +134,47 @@ def _toy_circuit():
 
 def test_qap_divisibility_iff_satisfied():
     cs, x, y = _toy_circuit()
-    dom = EvaluationDomain.for_size(cs.n_constraints, TEST_FIELD)
-    qap = r1cs_to_qap(cs, dom)
+    qap = r1cs_to_qap(cs)
+    dom = qap.domain
     w = cs.generate_witness({x: 30, y: 5})
     h = compute_quotient(qap, w)
-    # check A(t)*B(t) - C(t) == H(t)*Z(t) at a random off-domain point
+    # check A(t)*B(t) - C(t) == H(t)*Z(t) at a random off-domain point, with
+    # A, B, C from the oracle's dense wire polynomials
     t = 987654321987
     aw, bw, cw = (sum(polys[i].eval(t) * w[i] for i in range(cs.n_wires)) % P
-                  for polys in (qap.a_polys, qap.b_polys, qap.c_polys))
+                  for polys in schoolbook.wire_polys(cs, _oracle_domain(dom)))
     assert (aw * bw - cw) % P == h.eval(t) * dom.eval_vanishing(t) % P
+    assert dom.eval_vanishing(t) == _oracle_domain(dom).vanishing().eval(t)
+
+
+def test_wire_evals_at_matches_schoolbook():
+    cs, _, _ = _toy_circuit()
+    qap = r1cs_to_qap(cs)
+    tau = 987654321987
+    dense = schoolbook.wire_polys(cs, _oracle_domain(qap.domain))
+    assert qap.wire_evals_at(tau) == tuple(
+        [poly.eval(tau) for poly in col] for col in dense)
+
+
+def test_r1cs_to_qap_builds_its_domain():
+    cs, _, _ = _toy_circuit()
+    qap = r1cs_to_qap(cs)
+    explicit = r1cs_to_qap(cs, EvaluationDomain.for_size(cs.n_constraints,
+                                                         cs.field))
+    assert qap.domain.points == explicit.domain.points
+    assert qap.wire_evals_at(5) == explicit.wire_evals_at(5)
+    with pytest.raises(ValueError, match="domain size"):
+        r1cs_to_qap(cs, EvaluationDomain(2 * cs.n_constraints, cs.field))
+    unpadded = CircuitBuilder()
+    for i in range(3):
+        unpadded.enforce(unpadded.lc(1), unpadded.lc(1), unpadded.lc(1), f"r{i}")
+    with pytest.raises(ValueError, match="domain size 4 != constraint count 3"):
+        r1cs_to_qap(unpadded.finalize())
 
 
 def test_qap_invalid_witness_names_row():
     cs, x, y = _toy_circuit()
-    dom = EvaluationDomain.for_size(cs.n_constraints, TEST_FIELD)
-    qap = r1cs_to_qap(cs, dom)
+    qap = r1cs_to_qap(cs)
     w = cs.generate_witness({x: 30, y: 5})
     bad = list(w.values)
     bad[cs.wire_index(x)] = 31
@@ -150,16 +183,13 @@ def test_qap_invalid_witness_names_row():
 
 
 def test_quotient_ntt_matches_generic():
-    # same circuit, one QAP over the radix-2 subgroup (NTT fast path) and
-    # one over an arbitrary-point domain (schoolbook path)
+    # same circuit and points: the coset NTT quotient against the oracle's
+    # dense wire polynomials and long division
     cs, x, y = _toy_circuit()
-    n = cs.n_constraints
-    sub = EvaluationDomain.radix2(
-        1 << (n - 1).bit_length(), TEST_FIELD)
-    generic = EvaluationDomain(list(sub.points), TEST_FIELD)
+    qap = r1cs_to_qap(cs)
     w = cs.generate_witness({x: 12, y: 3})
-    h_fast = compute_quotient(r1cs_to_qap(cs, sub), w)
-    h_slow = compute_quotient(r1cs_to_qap(cs, generic), w)
+    h_fast = compute_quotient(qap, w)
+    h_slow = schoolbook.quotient(cs, _oracle_domain(qap.domain), w)
     assert h_fast.coeffs == h_slow.coeffs
 
 
@@ -185,12 +215,12 @@ def _chain_circuit(rng, n):
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
 def test_coset_quotient_matches_schoolbook(n):
     rng = random.Random(n)
-    sub = EvaluationDomain.radix2(n, TEST_FIELD)
-    generic = EvaluationDomain(list(sub.points), TEST_FIELD)
+    sub = EvaluationDomain(n, TEST_FIELD)
+    generic = _oracle_domain(sub)
     for _ in range(3):
         cs, w, _ = _chain_circuit(rng, n)
         h_fast = compute_quotient(r1cs_to_qap(cs, sub), w)
-        h_slow = compute_quotient(r1cs_to_qap(cs, generic), w)
+        h_slow = schoolbook.quotient(cs, generic, w)
         assert h_fast.coeffs == h_slow.coeffs
         assert h_fast.degree <= n - 2
 
@@ -202,11 +232,11 @@ def test_unsatisfying_chain_witness_names_row(n):
     row = rng.randrange(len(products))   # product i is row i's output wire
     bad = list(w.values)
     bad[cs.wire_index(products[row])] += 1
-    sub = EvaluationDomain.radix2(n, TEST_FIELD)
-    for dom in (sub, EvaluationDomain(list(sub.points), TEST_FIELD)):
-        with pytest.raises(InvalidWitnessError,
-                           match=rf"violates constraint {row}$"):
-            compute_quotient(r1cs_to_qap(cs, dom), bad)
+    with pytest.raises(InvalidWitnessError,
+                       match=rf"violates constraint {row}$"):
+        compute_quotient(r1cs_to_qap(cs), bad)
+    with pytest.raises(ValueError, match=rf"violates constraint {row}$"):
+        schoolbook.quotient(cs, _oracle_domain(EvaluationDomain(n)), bad)
 
 
 def test_coset_quotient_rejects_top_coefficient():
@@ -214,8 +244,8 @@ def test_coset_quotient_rejects_top_coefficient():
     # check, the interpolated coefficient n - 1 is what gives it away
     rng = random.Random(3)
     cs, w, _ = _chain_circuit(rng, 8)
-    qap = r1cs_to_qap(cs, EvaluationDomain.radix2(8, TEST_FIELD))
-    aw, bw, cw = qap.constraint_evaluations(w)
+    qap = r1cs_to_qap(cs)
+    aw, bw, cw = cs.evaluate(w)
     cw[0] = (cw[0] + 1) % P
     with pytest.raises(InvalidWitnessError, match="degree bound"):
         _quotient_ntt(qap, aw, bw, cw)
@@ -227,5 +257,5 @@ def test_constraint_evaluations_match_rows(small_rss_artifacts):
     publics, witness, _ = make_rss_inputs(RssScenario(), nonce=bytes(16),
                                           s_sec=1, circuit=art.circuit)
     w = art.circuit.generate_witness(publics, witness)
-    for av, bv, cv in zip(*art.qap.constraint_evaluations(w)):
+    for av, bv, cv in zip(*art.cs.evaluate(w)):
         assert av * bv % P == cv

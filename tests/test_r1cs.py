@@ -147,6 +147,23 @@ def test_check_validates_each_row():
     assert not cs.is_satisfied(bad)
 
 
+def test_evaluate_feeds_check():
+    bld = CircuitBuilder()
+    x, y = bld.alloc_private("x"), bld.alloc_private("y")
+    xy = bld.gadget_mul(x, y, "xy")
+    out = bld.gadget_mul(xy, y, "xyy")
+    cs = bld.finalize()
+    w = cs.generate_witness({x: 2, y: 3})
+    assert cs.evaluate(w) == ([2, 6], [3, 3], [6, 18])
+    assert cs.check(w) == (True, None)
+    bad = list(w.values)
+    bad[cs.wire_index(out)] += 1
+    assert cs.first_violation(cs.evaluate(bad)) == 1
+    assert cs.check(bad) == (False, 1)
+    with pytest.raises(R1csError, match=r"witness length 3 != wire count 5"):
+        cs.check(bad[:3])
+
+
 # -- serialization ------------------------------------------------------------
 
 
