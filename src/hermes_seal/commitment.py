@@ -1,23 +1,18 @@
-"""Algebraic sponge hash (Poseidon-style), commitments, and security games.
+"""Algebraic sponge hash (Poseidon-style) and commitments.
 
 One permutation family serves both the native hash and its in-circuit
-gadget; the two are constraint-for-constraint identical, which the tests
-pin down.  Parameters (round constants, MDS matrix) are derived
-deterministically from a seed string via counter-mode SHA-256 so that no
-external parameter files are needed and both field profiles get their own
-consistent instances.
+gadget; the two compute the same function, which the tests pin down.
+Parameters (round constants, MDS matrix) are derived deterministically from
+a seed string via counter-mode SHA-256 so that no external parameter files
+are needed and both field profiles get their own consistent instances.
 
 Commitments are hiding/binding in the random-sponge model:
     c = sponge(domain_sep, payload..., blinder).
-Security-game harnesses at the bottom give empirical, falsifiable checks
-(and a deliberately truncated variant that *does* break, validating the
-harness itself).
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 
 from .field import FieldElement, PrimeModulus, TEST_FIELD
 
@@ -31,9 +26,6 @@ __all__ = [
     "commit",
     "open_commitment",
     "verify_commitment",
-    "game_collision",
-    "game_binding",
-    "game_hiding",
     "PARAMETER_SEED",
 ]
 
@@ -178,61 +170,86 @@ def sponge_hash(inputs, field: PrimeModulus = TEST_FIELD) -> FieldElement:
     return FieldElement(state[0], field)
 
 
-def sponge_gadget(builder, input_lcs, label: str = "sponge"):
-    """In-circuit sponge identical to sponge_hash; returns the output wire.
+def sponge_gadget(builder, input_lcs, out, label: str = "sponge"):
+    """Constrain `out` (a wire or LC) to equal sponge_hash(input_lcs).
 
-    Each S-box x^3 costs exactly two constraints (square, then cube), so the
-    per-permutation constraint count is
-        2 * (3 * full_rounds + partial_rounds).
-    Only the test-profile exponent (alpha = 3) is supported in-circuit.
+    An S-box x^3 costs two rows (square, then cube) when x is a wire
+    combination and none when x is a constant LC: it is folded into the
+    constant x^3.  The first permutation's capacity element len + rc is
+    such a constant, and so is any input given as a constant.
+
+    There is no output wire and no separate binding row.  The last S-box
+    of the final permutation writes its cube row as
+        sq * s2 = (out - m00*c0 - m01*c1) / m02,
+    where c0, c1 are the other two cubes of that round and m0* the first
+    row of the MDS matrix.  It holds iff out equals the squeezed element,
+    and it carries `label`, so an unsatisfied digest names that row.  A
+    permutation with no constant S-box input therefore costs
+        2 * (3 * full_rounds + partial_rounds)
+    rows, digest binding included.  Only the cube S-box (alpha = 3) is
+    supported in-circuit.
     """
     params = sponge_parameters(builder.field)
     if params.alpha != 3:
         raise ValueError("sponge gadget supports the cube S-box only")
     lcs = [builder._as_lc(x) for x in input_lcs]
+    out = builder._as_lc(out)
     state = [builder.lc(0), builder.lc(0), builder.lc(len(lcs))]
     n_chunks = max(1, (len(lcs) + RATE - 1) // RATE)
     for ci in range(n_chunks):
         chunk = lcs[ci * RATE:(ci + 1) * RATE]
         for j, v in enumerate(chunk):
             state[j] = state[j] + v
-        state = _permutation_gadget(builder, state, params, f"{label}.p{ci}")
-    out = builder.alloc_internal(f"{label}.out")
-    builder.assert_equal(state[0], out, f"{label}.squeeze")
-    st = dict(state[0].terms)
-    p = builder.p
-
-    def solve(v, st=st, oi=out.index, p=p):
-        v[oi] = sum(v[j] * k for j, k in st.items()) % p
-    builder.add_solver([out], solve)
-    return out
+        last = ci == n_chunks - 1
+        state = _permutation_gadget(builder, state, params, f"{label}.p{ci}",
+                                    out if last else None, label)
 
 
-def _cube_gadget(builder, lc, label):
-    sq = builder.gadget_mul(lc, lc, f"{label}.sq")
-    return builder.gadget_mul(sq, lc, f"{label}.cube")
+def _cube_gadget(builder, x, label, cube=None, cube_label=None):
+    """The LC of x^3, or, given `cube`, the row x^3 = cube (labelled
+    `cube_label`).  A constant x costs no square or cube row."""
+    if set(x.terms) <= {0}:
+        k = x.terms.get(0, 0)
+        k3 = builder.lc(k * k % builder.p * k)
+        if cube is None:
+            return k3
+        builder.assert_equal(cube, k3, cube_label)
+        return cube
+    sq = builder.gadget_mul(x, x, f"{label}.sq")
+    if cube is None:
+        return builder.lc(builder.gadget_mul(sq, x, f"{label}.cube"))
+    builder.enforce(builder.lc(sq), x, cube, cube_label)
+    return cube
 
 
-def _permutation_gadget(builder, state, params, label):
+def _permutation_gadget(builder, state, params, label, out=None,
+                        out_label=None):
+    """The permutation on a state of three LCs.  With `out`, the final
+    round binds out to the squeezed element (see `sponge_gadget`) and the
+    state is not returned."""
     half = params.full_rounds // 2
+    last = params.n_rounds - 1
     mds = params.mds
     for rnd in range(params.n_rounds):
         rc = params.round_constants[rnd]
         state = [s + builder.lc(k) for s, k in zip(state, rc)]
+        tag = f"{label}.r{rnd}s"
         if half <= rnd < half + params.partial_rounds:
-            state[0] = builder.lc(_cube_gadget(builder, state[0],
-                                               f"{label}.r{rnd}s0"))
+            state[0] = _cube_gadget(builder, state[0], f"{tag}0")
+        elif rnd == last and out is not None:
+            m00, m01, m02 = mds[0]
+            c0 = _cube_gadget(builder, state[0], f"{tag}0")
+            c1 = _cube_gadget(builder, state[1], f"{tag}1")
+            c2 = (out - c0.scaled(m00) - c1.scaled(m01)).scaled(
+                pow(m02, -1, builder.p))
+            _cube_gadget(builder, state[2], f"{tag}2", c2, out_label)
+            return None
         else:
-            state = [builder.lc(_cube_gadget(builder, s, f"{label}.r{rnd}s{i}"))
+            state = [_cube_gadget(builder, s, f"{tag}{i}")
                      for i, s in enumerate(state)]
         state = [state[0].scaled(mds[r][0]) + state[1].scaled(mds[r][1])
                  + state[2].scaled(mds[r][2]) for r in range(STATE_WIDTH)]
     return state
-
-
-def gadget_constraints_per_permutation(field: PrimeModulus = TEST_FIELD) -> int:
-    params = sponge_parameters(field)
-    return 2 * (STATE_WIDTH * params.full_rounds + params.partial_rounds)
 
 
 def byte_hash(data: bytes) -> bytes:
@@ -258,60 +275,3 @@ def verify_commitment(c: FieldElement, opening: dict,
                       field: PrimeModulus = TEST_FIELD) -> bool:
     return commit(opening["domain_sep"], opening["payload"],
                   opening["blinder"], field) == c
-
-
-# -- empirical security games ------------------------------------------------
-
-
-def _truncated(c: FieldElement, bits):
-    return c.value & ((1 << bits) - 1) if bits else c.value
-
-
-def game_collision(trials: int, rng: random.Random,
-                   field: PrimeModulus = TEST_FIELD, truncate_bits: int = 0):
-    """Birthday-search for colliding 2-element inputs; returns a colliding
-    pair or None.  At full width a collision means the hash is broken; with
-    truncate_bits ~16 a collision is expected (harness sanity check)."""
-    seen = {}
-    p = field.p
-    for _ in range(trials):
-        x = (rng.randrange(p), rng.randrange(p))
-        h = _truncated(sponge_hash(list(x), field), truncate_bits)
-        if h in seen and seen[h] != x:
-            return seen[h], x
-        seen[h] = x
-    return None
-
-
-def game_binding(trials: int, rng: random.Random,
-                 field: PrimeModulus = TEST_FIELD, truncate_bits: int = 0):
-    """Try to open a fixed commitment to a different payload; returns the
-    equivocating opening or None."""
-    p = field.p
-    payload = [rng.randrange(p)]
-    blinder = rng.randrange(p)
-    c = _truncated(commit(0, payload, blinder, field), truncate_bits)
-    for _ in range(trials):
-        payload2 = [rng.randrange(p)]
-        blinder2 = rng.randrange(p)
-        if payload2 != payload and \
-                _truncated(commit(0, payload2, blinder2, field),
-                           truncate_bits) == c:
-            return payload2, blinder2
-    return None
-
-
-def game_hiding(trials: int, rng: random.Random,
-                field: PrimeModulus = TEST_FIELD) -> float:
-    """Distinguishing advantage for commitments to two fixed payloads under
-    fresh blinders, using a low-bit distinguisher; should be ~0."""
-    p = field.p
-    payloads = ([1], [2])
-    correct = 0
-    for _ in range(trials):
-        bit = rng.randrange(2)
-        c = commit(0, payloads[bit], rng.randrange(p), field)
-        guess = c.value & 1  # any fixed efficient distinguisher
-        if guess == bit:
-            correct += 1
-    return abs(correct / trials - 0.5)

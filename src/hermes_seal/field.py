@@ -18,6 +18,7 @@ __all__ = [
     "TEST_FIELD",
     "STANDARD_FIELD",
     "FIELD_PROFILES",
+    "batch_inverse",
     "scale",
     "unscale",
     "encode",
@@ -175,6 +176,22 @@ class FieldElement:
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(self.modulus.byte_width, "little")
+
+
+def batch_inverse(values, p: int):
+    """Inverses mod p of nonzero `values` with one modular inversion
+    (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % p
+    inv = pow(acc, -1, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * values[i] % p
+    return out
 
 
 class ScalingFactor:

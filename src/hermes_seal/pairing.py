@@ -38,7 +38,7 @@ keys, nonces and checks).
 
 from __future__ import annotations
 
-from .field import FieldElement, PrimeModulus, TEST_FIELD
+from .field import FieldElement, PrimeModulus, TEST_FIELD, batch_inverse
 
 __all__ = [
     "BilinearGroup",
@@ -58,22 +58,6 @@ def _sqrt_3mod4(a: int, p: int):
     """Square root mod p for p = 3 (mod 4); None if a is a non-residue."""
     r = pow(a, (p + 1) // 4, p)
     return r if r * r % p == a else None
-
-
-def _batch_inverse(values, p: int):
-    """Inverses mod p of nonzero `values` with one modular inversion
-    (Montgomery's trick)."""
-    prefix = []
-    acc = 1
-    for v in values:
-        prefix.append(acc)
-        acc = acc * v % p
-    inv = pow(acc, -1, p)
-    out = [0] * len(values)
-    for i in range(len(values) - 1, -1, -1):
-        out[i] = inv * prefix[i] % p
-        inv = inv * values[i] % p
-    return out
 
 
 class _Curve:
@@ -187,8 +171,8 @@ class _Curve:
         one shared inversion; a pair with x1 == x2 (a doubling, or a + (-a)
         = infinity) goes through `add`."""
         p = self.p
-        invs = _batch_inverse([(b[0] - a[0]) % p or 1
-                               for a, b in zip(lhs, rhs)], p)
+        invs = batch_inverse([(b[0] - a[0]) % p or 1
+                              for a, b in zip(lhs, rhs)], p)
         out = []
         for (x1, y1), (x2, y2), inv in zip(lhs, rhs, invs):
             if x1 == x2:

@@ -24,7 +24,7 @@ per-stage twiddles for w and w^-1, coset scales) once, on first use.
 
 from __future__ import annotations
 
-from .field import PrimeModulus, TEST_FIELD
+from .field import PrimeModulus, TEST_FIELD, batch_inverse
 
 __all__ = [
     "Polynomial",
@@ -104,7 +104,8 @@ class EvaluationDomain:
         if t_x == 0:
             return [1 if pt == x else 0 for pt in self.points]
         k = t_x * pow(len(self.points), -1, p) % p
-        return [k * pt % p * pow(x - pt, -1, p) % p for pt in self.points]
+        invs = batch_inverse([(x - pt) % p for pt in self.points], p)
+        return [k * pt % p * inv % p for pt, inv in zip(self.points, invs)]
 
     def interpolate(self, values) -> Polynomial:
         """Unique polynomial of degree < n through (w^i, values_i)."""

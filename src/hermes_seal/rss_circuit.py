@@ -1,14 +1,21 @@
 """Safe-stopping-distance case study: RSS formula, safety predicate, and the
 corresponding R1CS instantiation.
 
-The circuit enforces, over scaled integers:
-  1. the object class equals the stop-sign ID (asserted),
-  2. is_detected  = (Pr >= theta),  16-bit comparison,
-  3. is_distant   = (d_current >= d_safe),  32-bit comparison,
-  4. SAFE = OR(NOT(is_detected), is_distant),
-  5. the commitment domain tag equals the fixed application constant,
+The circuit enforces, over scaled integers (rows at production widths):
+  1. the object class equals the stop-sign ID (1 row, asserted),
+  2. is_detected  = (Pr >= theta),  16-bit comparison (35 rows),
+  3. is_distant   = (d_current >= d_safe),  32-bit comparison (100 rows),
+  4. SAFE = OR(NOT(is_detected), is_distant) (1 row),
+  5. the commitment domain tag equals the fixed application constant
+     (1 row),
   6. the public commitment c equals the in-circuit sponge over
-     (tag, Pr, bbox, position, speed, yaw, timestamp, nonce, blinder).
+     (tag, Pr, bbox, position, speed, yaw, timestamp, nonce, blinder):
+     7 permutations, 878 rows; the tag enters as that constant, so round
+     0 of the first permutation cubes only Pr.
+With one binding row for each of the 8 public wires that carry no logic
+(see below), that is exactly 1024 rows, the whole radix-2 domain: one
+more row doubles every quotient transform and the h MSM, and
+`tests/test_rss.py` pins the count.
 
 The safe distance itself is computed off-circuit (it involves real division)
 and enters as a public input; the circuit only checks the comparison.
@@ -227,27 +234,30 @@ def build_rss_circuit(theta: float = 0.75, stop_sign_id: int = STOP_SIGN_ID,
         wires[name] = b.alloc_private(name)
 
     # 1. object class check
-    check_id = b.gadget_is_equal(wires["ID"], b.lc(stop_sign_id), "check_id")
-    b.assert_equal(check_id, b.lc(1), "assert_stop_sign")
-    # 2. threshold logic
+    b.assert_equal(wires["ID"], b.lc(stop_sign_id), "assert_stop_sign")
+    # 2. threshold logic; SAFE = OR(x, y) of two bits as x*y = x + y - SAFE
     is_detected = b.gadget_geq(wires["Pr"], b.lc(theta_scaled), prob_bits,
                                "is_detected")
     is_distant = b.gadget_geq(wires["d_S_current"], wires["d_S"], dist_bits,
                               "is_distant")
-    safe = b.gadget_or(b.gadget_not(is_detected), is_distant, "safe")
-    b.assert_equal(wires["SAFE"], safe, "bind_safe_output")
+    not_detected = b.gadget_not(is_detected)
+    b.enforce(not_detected, is_distant,
+              not_detected + b.lc(is_distant) - b.lc(wires["SAFE"]),
+              "bind_safe_output")
     # 3. context binding
     b.assert_equal(wires["delta_commit"], b.lc(RSS_COMMIT_DOMAIN.value),
                    "assert_commit_domain")
     unbound = ["phi_S", "lambda_S", "rho_prob", "rho_geo", "rho_psi",
                "w_cloud", "w_precip", "w_fog"]
     if include_commitment:
-        sponge_inputs = [wires["delta_commit"], wires["Pr"], wires["b0"],
-                         wires["b1"], wires["b2"], wires["b3"], wires["phi_V"],
-                         wires["lambda_V"], wires["v"], wires["psi"],
-                         wires["T"], wires["nu"], wires["s_sec"]]
-        c_wire = sponge_gadget(b, sponge_inputs, "commitment")
-        b.assert_equal(wires["c"], c_wire, "bind_commitment")
+        # the tag enters as the constant assert_commit_domain pins
+        # delta_commit to, so round 0's S-box on it folds away
+        sponge_inputs = [b.lc(RSS_COMMIT_DOMAIN.value), wires["Pr"],
+                         wires["b0"], wires["b1"], wires["b2"], wires["b3"],
+                         wires["phi_V"], wires["lambda_V"], wires["v"],
+                         wires["psi"], wires["T"], wires["nu"],
+                         wires["s_sec"]]
+        sponge_gadget(b, sponge_inputs, wires["c"], "bind_commitment")
     else:
         unbound += ["T", "nu", "c"]
     # 4. bind otherwise-unconstrained public wires into the proof

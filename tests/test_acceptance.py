@@ -20,8 +20,7 @@ from hermes_seal.audit_circuit import (AuditThresholds, ChallengeSet,
                                        build_audit_circuit, fixture_challenge,
                                        fixture_detections, make_audit_inputs)
 from hermes_seal.cli import main as cli_main
-from hermes_seal.commitment import (game_binding, game_collision, game_hiding,
-                                    sponge_hash)
+from hermes_seal.commitment import sponge_hash
 from hermes_seal.field import TEST_FIELD, scale, unscale
 from hermes_seal.groth16 import Groth16Error, Proof, prove, verify
 from hermes_seal.protocol import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN,
@@ -33,6 +32,8 @@ from hermes_seal.rss_circuit import (RssParams, RssPublicInputs, RssScenario,
                                      rss_safe_distance)
 from hermes_seal.v2x_sim import TEMPLATES, default_artifacts, make_scenario, \
     run_scenario
+
+from commitment_games import game_binding, game_collision, game_hiding
 
 REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "acceptance_report.txt"
@@ -205,7 +206,7 @@ def test_criterion_05_constant_proof_size(rss_artifacts,
     n_rss, n_audit = r_art.cs.n_constraints, a_art.cs.n_constraints
     sizes = (len(rss_proof.to_bytes()), len(audit_proof.to_bytes()))
     ok = sizes == (95, 95) and Proof.byte_length() == 95 \
-        and n_rss == 2048 and n_audit == 32768
+        and n_rss == 1024 and n_audit == 32768
     _report(5, "constant proof size", ok,
             f"{sizes[0]} bytes at {n_rss} constraints vs {sizes[1]} bytes "
             f"at {n_audit} constraints")

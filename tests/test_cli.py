@@ -39,7 +39,7 @@ def test_setup_outputs(workspace, capfd):
     assert run(["setup", "--circuit", "rss", "--out-dir", again,
                 "--seed", "7"]) == 0
     out = capfd.readouterr().out
-    assert "constraints 2048" in out
+    assert "constraints 1024" in out
     assert "public-inputs 16" in out
     for ext in (".r1cs", ".pk", ".vk"):
         assert (again / f"rss{ext}").read_bytes() == \

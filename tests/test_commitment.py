@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermes_seal.commitment import (FULL_ROUNDS, RATE, STATE_WIDTH,
-                                    commit, game_binding, game_collision,
-                                    game_hiding,
-                                    gadget_constraints_per_permutation,
-                                    open_commitment, sponge_gadget,
+                                    commit, open_commitment, sponge_gadget,
                                     sponge_hash, sponge_parameters,
                                     sponge_permutation, verify_commitment)
 from hermes_seal.field import STANDARD_FIELD, TEST_FIELD
-from hermes_seal.r1cs import CircuitBuilder
+from hermes_seal.r1cs import CircuitBuilder, UnsatisfiableError
+
+from commitment_games import (gadget_constraints_per_permutation,
+                              game_binding, game_collision, game_hiding)
 
 P = TEST_FIELD.p
 elems = st.integers(min_value=0, max_value=P - 1)
@@ -88,33 +88,66 @@ def test_hash_deterministic(xs):
 # -- gadget equivalence -------------------------------------------------------
 
 
-@pytest.mark.parametrize("n_inputs", [0, 1, 2, 3, 5])
+def _sponge_circuit(inputs):
+    """A builder holding sponge_gadget over `inputs` (ints become constant
+    LCs, None a private input wire) bound to a private `out` wire."""
+    bld = CircuitBuilder()
+    wires = [bld.alloc_private(f"in{i}") for i, x in enumerate(inputs)
+             if x is None]
+    out = bld.alloc_private("out")
+    it = iter(wires)
+    lcs = [next(it) if x is None else bld.lc(x) for x in inputs]
+    sponge_gadget(bld, lcs, out, "bind_h")
+    return bld.finalize(), wires, out
+
+
+@pytest.mark.parametrize("n_inputs", range(15))
 def test_gadget_matches_native(n_inputs):
+    """Satisfiable iff out is the native digest; a wrong out fails at the
+    binding row, which the gadget emits even when nothing is private."""
     rng = random.Random(n_inputs)
     values = [rng.randrange(P) for _ in range(n_inputs)]
-    bld = CircuitBuilder()
-    wires = [bld.alloc_private(f"in{i}") for i in range(n_inputs)]
-    out = sponge_gadget(bld, wires, "h")
-    cs = bld.finalize()
-    w = cs.generate_witness(dict(zip(wires, values)))
-    assert w[cs.wire_index(out)] == sponge_hash(values).value
+    cs, wires, out = _sponge_circuit([None] * n_inputs)
+    digest = sponge_hash(values).value
+    assignment = dict(zip(wires, values))
+    w = cs.generate_witness({**assignment, out: digest})
+    assert w[cs.wire_index(out)] == digest
+    assert cs.row_labels.count("bind_h") == 1
+    with pytest.raises(UnsatisfiableError, match=r"\(bind_h\)"):
+        cs.generate_witness({**assignment, out: (digest + 1) % P})
+
+
+def test_gadget_folds_constant_inputs():
+    # all-constant input: every S-box folds and only the binding row is left
+    cs, _, out = _sponge_circuit([3, 4, 5])
+    assert cs.row_labels == ["bind_h"]
+    cs.generate_witness({out: sponge_hash([3, 4, 5]).value})
+    with pytest.raises(UnsatisfiableError, match=r"\(bind_h\)"):
+        cs.generate_witness({out: sponge_hash([3, 4, 6]).value})
+    # a constant beside a wire folds only its own round-0 S-box
+    values = [7, 8]
+    cs, wires, out = _sponge_circuit([7, None])
+    assert cs.n_constraints == gadget_constraints_per_permutation() - 4
+    cs.generate_witness({wires[0]: 8, out: sponge_hash(values).value})
 
 
 def test_gadget_constraint_count():
     # 2 constraints per cube: 2 * (3*8 + 39) = 126 per permutation
     assert gadget_constraints_per_permutation() == 126
-    bld = CircuitBuilder()
-    wires = [bld.alloc_private(f"in{i}") for i in range(2)]  # one chunk
-    sponge_gadget(bld, wires, "h")
-    cs = bld.finalize()
-    assert cs.n_constraints == 126 + 1  # plus the squeeze binding row
+    # the first permutation's capacity len + rc is constant: its round-0
+    # S-box folds (-2), and the digest binding is the last cube row (+0)
+    cs, _, _ = _sponge_circuit([None] * RATE)  # one chunk
+    assert cs.n_constraints == 124
+    # a later permutation has no constant S-box input
+    cs, _, _ = _sponge_circuit([None] * (2 * RATE))
+    assert cs.n_constraints == 124 + 126
 
 
 def test_gadget_rejects_standard_field():
     bld = CircuitBuilder(STANDARD_FIELD)
     x = bld.alloc_private("x")
     with pytest.raises(ValueError):
-        sponge_gadget(bld, [x])
+        sponge_gadget(bld, [x], x)
 
 
 # -- commitments --------------------------------------------------------------

@@ -23,7 +23,7 @@ GOLDEN_CUBIC_PROOF = \
 GOLDEN_CUBIC_PK = \
     "dbe1ae4d65ebf2a0178d0c54514c67d75521128c0ae99dc0746ce12ec2904baf"
 GOLDEN_SMALL_RSS_PROOF = \
-    "111a4ea3de8771996cadd13e7edc2fc3e2e31e1e86d198d2c677edcab9fe3d59"
+    "27220ff490847b576ed4d9c34720645aa0ad563ea296b8370a64825d672ff484"
 
 
 @pytest.fixture(scope="module")

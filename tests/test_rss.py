@@ -1,6 +1,8 @@
 """Safe-stopping-distance case study: formula values, predicate/circuit
 agreement, input scaling, and the scenario text format."""
 
+import collections
+import dataclasses
 import math
 import random
 
@@ -115,9 +117,58 @@ def test_full_circuit_binds_commitment(rss_artifacts):
         art.circuit.generate_witness(publics, witness)
 
 
+def _seeded_inputs(circuit, seed):
+    rng = random.Random(seed)
+    scenario = RssScenario(speed_mps=rng.uniform(0, 30),
+                           distance_m=rng.uniform(0, 60),
+                           probability=rng.uniform(0.5, 1.0),
+                           timestamp=rng.randrange(1 << 32))
+    publics, witness, _ = make_rss_inputs(scenario, nonce=rng.randbytes(16),
+                                          s_sec=rng.randrange(TEST_FIELD.p),
+                                          circuit=circuit)
+    return publics, witness
+
+
+def _fails_at(circuit, publics, witness, label):
+    with pytest.raises(UnsatisfiableError, match=rf"\({label}\)"):
+        circuit.generate_witness(publics, witness)
+
+
+def test_full_circuit_rejects_at_named_rows(rss_artifacts):
+    """Each one-row check of the full-width circuit names itself."""
+    circuit = rss_artifacts.circuit
+    q = TEST_FIELD.p
+    verdicts = set()
+    for seed in range(12):
+        publics, witness = _seeded_inputs(circuit, seed)
+        circuit.generate_witness(publics, witness)
+        verdicts.add(publics.SAFE)
+        for name, value, label in (
+                ("ID", publics.ID + 1, "assert_stop_sign"),
+                ("SAFE", 1 - publics.SAFE, "bind_safe_output"),
+                ("c", (publics.c + 1) % q, "bind_commitment"),
+                ("delta_commit", publics.delta_commit + 1,
+                 "assert_commit_domain")):
+            _fails_at(circuit, dataclasses.replace(publics, **{name: value}),
+                      witness, label)
+    assert verdicts == {0, 1}             # SAFE flipped both ways
+
+
+def test_rss_rows_fit_1024_domain(rss_artifacts):
+    """The full circuit fills its 1024-row domain exactly: one more row
+    doubles the domain, every quotient transform and the h MSM."""
+    cs = rss_artifacts.cs
+    real = [label for label in cs.row_labels if label is not None]
+    per_label = collections.Counter(label.split(".")[0] for label in real)
+    assert cs.n_constraints == 1024 and len(real) <= 1024, \
+        f"{len(real)} real rows in a {cs.n_constraints} domain: " \
+        f"{dict(per_label.most_common())}"
+    assert cs.n_wires <= 1034
+
+
 def test_constraint_count_and_publics(rss_artifacts):
     cs = rss_artifacts.cs
-    assert cs.n_constraints == 2048       # padded power of two
+    assert cs.n_constraints == 1024       # padded power of two
     assert cs.n_public == 16
     assert STOP_SIGN_ID == 11
     assert PROB_BITS == 16 and DIST_BITS == 32 and RHO_DIST == 100
