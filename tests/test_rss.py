@@ -129,11 +129,6 @@ def _seeded_inputs(circuit, seed):
     return publics, witness
 
 
-def _fails_at(circuit, publics, witness, label):
-    with pytest.raises(UnsatisfiableError, match=rf"\({label}\)"):
-        circuit.generate_witness(publics, witness)
-
-
 def test_full_circuit_rejects_at_named_rows(rss_artifacts):
     """Each one-row check of the full-width circuit names itself."""
     circuit = rss_artifacts.circuit
@@ -149,8 +144,9 @@ def test_full_circuit_rejects_at_named_rows(rss_artifacts):
                 ("c", (publics.c + 1) % q, "bind_commitment"),
                 ("delta_commit", publics.delta_commit + 1,
                  "assert_commit_domain")):
-            _fails_at(circuit, dataclasses.replace(publics, **{name: value}),
-                      witness, label)
+            with pytest.raises(UnsatisfiableError, match=rf"\({label}\)"):
+                circuit.generate_witness(
+                    dataclasses.replace(publics, **{name: value}), witness)
     assert verdicts == {0, 1}             # SAFE flipped both ways
 
 
