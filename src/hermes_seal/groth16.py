@@ -13,7 +13,10 @@ Groth16 equation
 as one pairing product with one final exponentiation,
     e(A, B) * e(-IC(x), gamma) * e(-C, delta) = e(alpha, beta),
 where e(alpha, beta) and the Miller-loop lines of gamma and delta are
-precomputed in the verifying key (a prepared verifying key).
+precomputed in the verifying key (a prepared verifying key).  B's subgroup
+check comes from the Miller loop over B, which ends at q*B.  IC(x) is
+summed from fixed-base tables of the IC points with IC_WINDOW-bit digits,
+one table entry per nonzero digit; the key builds them on first use.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ PK_MAGIC = b"HSPK"
 VK_MAGIC = b"HSVK"
 PROOF_MAGIC = b"HSPF"
 KEY_VERSION = 1
+IC_WINDOW = 4  # bits per digit of a public input in the IC tables
 
 
 class Groth16Error(Exception):
@@ -137,7 +141,8 @@ class ProvingKey:
 class VerifyingKey:
     """Verifier material: four constants plus the public-input commitments,
     prepared for `verify` with e(alpha, beta) and the lines of gamma and
-    delta."""
+    delta.  The fixed-base tables of the IC points are built on first use
+    (`ic_tables`), not here, so decoding or generating a key stays cheap."""
 
     def __init__(self, group, circuit_digest, alpha_g1, beta_g2, gamma_g2,
                  delta_g2, ic):
@@ -151,6 +156,14 @@ class VerifyingKey:
         self.alpha_beta = group.pair(alpha_g1, beta_g2)
         self.gamma_lines = group.lines(gamma_g2)
         self.delta_lines = group.lines(delta_g2)
+        self._ic_tables = None
+
+    def ic_tables(self) -> list:
+        """The fixed-base tables of `ic` (IC_WINDOW bits), built on first
+        use and kept with the key."""
+        if self._ic_tables is None:
+            self._ic_tables = self.group.fixed_base_tables(self.ic, IC_WINDOW)
+        return self._ic_tables
 
     @property
     def n_public(self) -> int:
@@ -336,7 +349,11 @@ def prove(pk: ProvingKey, qap: QapInstance, witness, seed=None) -> Proof:
 
 def verify(vk: VerifyingKey, proof: Proof, public_inputs) -> bool:
     """Canonical inputs and subgroup checks, then the Groth16 equation as
-    one pairing product against the key's e(alpha, beta)."""
+    one pairing product against the key's e(alpha, beta).
+
+    A and C get `in_subgroup_g1`; B's check comes from the Miller loop over
+    B (`checked_lines`), which ends at q*B.  IC(x) is summed from the key's
+    fixed-base tables."""
     group = vk.group
     inputs = [x.value if hasattr(x, "value") else int(x)
               for x in public_inputs]
@@ -346,11 +363,13 @@ def verify(vk: VerifyingKey, proof: Proof, public_inputs) -> bool:
         return False  # an input >= q would alias x mod q
     if proof.circuit_digest != vk.circuit_digest:
         return False
-    if not (group.in_subgroup_g1(proof.a) and group.in_subgroup_g2(proof.b)
-            and group.in_subgroup_g1(proof.c)):
+    if not (group.in_subgroup_g1(proof.a) and group.in_subgroup_g1(proof.c)):
         return False
-    ic = group.multi_scalar_mul([1] + inputs, vk.ic)
-    product = group.pairing_product([(proof.a, group.lines(proof.b)),
+    b_lines, b_in_subgroup = group.checked_lines(proof.b)
+    if not b_in_subgroup:
+        return False
+    ic = group.fixed_base_msm([1] + inputs, vk.ic, vk.ic_tables())
+    product = group.pairing_product([(proof.a, b_lines),
                                      (-ic, vk.gamma_lines),
                                      (-proof.c, vk.delta_lines)])
     return product == vk.alpha_beta

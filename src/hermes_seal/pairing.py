@@ -18,6 +18,17 @@ key keeps the lines of its fixed G2 points.  The final exponentiation uses
 (p^2-1)/q = 36*(p-1) and the Frobenius f^p = conj(f), so it costs one F_p
 inversion and a 36th power.
 
+The walk over Q runs in Jacobian coordinates, with no inversion per step:
+each line's slope and offset are kept as fractions over an F_p
+denominator, and one batch inversion of all the denominators at the end
+gives the affine (lam, c).  Scaling a line by any nonzero factor in F_p
+would also leave every pairing value unchanged, since the final exponent
+is a multiple of p - 1 and so maps every element of F_p* to 1; the batch
+inversion is kept so that `lines(Q)` stays exactly the affine lines.  The
+walk is exact double-and-add by q, so it ends at q*Q and also tells
+whether Q is in the order-q subgroup (`checked_lines`); a verifier checks
+the proof's B that way, at no extra cost.
+
 This instantiation is NOT cryptographically secure (64-bit discrete logs,
 embedding degree 2); every serialized artifact carries the toy profile byte.
 
@@ -31,9 +42,10 @@ Jacobian coordinates.  MSM is Pippenger's bucket method with a window of
 max(3, n.bit_length() - 4) bits for n nonzero terms and the buckets summed
 in affine form, each round of independent additions sharing one modular
 inversion (Montgomery's trick); the fixed-base tables use the same
-batched addition.  Each generator has one such table per group, built on
-first use, which serves the setup and every multiple of g1 or g2 (Schnorr
-keys, nonces and checks).
+batched addition, across all the bases built together.  Each generator has
+one such table per group, built on first use, which serves the setup and
+every multiple of g1 or g2 (Schnorr keys, nonces and checks); a verifying
+key builds one per IC point (`fixed_base_tables`, `fixed_base_msm`).
 """
 
 from __future__ import annotations
@@ -158,13 +170,20 @@ class _Curve:
         return acc
 
     def _to_affine(self, jac):
-        X, Y, Z = jac
-        if Z == 0:
-            return _INF
+        return self._to_affine_many([jac])[0]
+
+    def _to_affine_many(self, jacs):
+        """The affine forms of Jacobian points, with one shared inversion."""
         p = self.p
-        zinv = pow(Z, -1, p)
-        z2 = zinv * zinv % p
-        return (X * z2 % p, Y * z2 % p * zinv % p)
+        invs = batch_inverse([Z or 1 for _, _, Z in jacs], p)
+        out = []
+        for (X, Y, Z), zinv in zip(jacs, invs):
+            if Z == 0:
+                out.append(_INF)
+            else:
+                z2 = zinv * zinv % p
+                out.append((X * z2 % p, Y * z2 % p * zinv % p))
+        return out
 
     def _add_pairs(self, lhs, rhs):
         """[a + b for a, b in zip(lhs, rhs)] over finite affine points with
@@ -182,6 +201,14 @@ class _Curve:
                 x3 = (lam * lam - x1 - x2) % p
                 out.append((x3, (lam * (x1 - x3) - y1) % p))
         return out
+
+    def sum_tree(self, pts):
+        """The sum of finite affine points, added as a tree one level at a
+        time with one batched inversion per level."""
+        while len(pts) > 1:
+            sums = self._add_pairs(pts[0::2], pts[1::2])
+            pts = [pt for pt in sums if pt is not _INF] + pts[len(sums) * 2:]
+        return pts[0] if pts else _INF
 
     def _add_into(self, acc, terms):
         """acc[i] += terms[i] for every i, with one batched inversion."""
@@ -255,29 +282,46 @@ class _Curve:
 
 
 class _FixedBaseTable:
-    """Windowed fixed-base exponentiation with batched affine additions.
+    """Windowed fixed-base exponentiation of one base point P.
 
-    Precomputes [k * 2^(w*t)] * P for every window t and digit k, so each
-    exponentiation is ~ceil(bits/w) additions and zero doublings.
+    tables[t][k] is [k * 2^(w*t)] * P for every window t and digit k, so
+    s * P is one table entry per nonzero w-bit digit of s: ~ceil(bits/w)
+    additions and zero doublings.
     """
 
-    def __init__(self, curve: _Curve, base_point, bits: int, window: int = 8):
+    def __init__(self, curve: _Curve, tables, window: int):
         self.curve = curve
         self.window = window
-        self.windows = (bits + window - 1) // window
-        size = 1 << window
-        tables = []
-        block = base_point
-        for _ in range(self.windows):
-            row = [None] * size
-            acc = None
-            for k in range(1, size):
-                acc = block if acc is None else curve.add(acc, block)
-                row[k] = acc
-            tables.append(row)
-            block = curve.add(row[size - 1], block)  # 2^w * previous block
+        self.mask = (1 << window) - 1
         self.tables = tables
-        self.mask = size - 1
+
+    @classmethod
+    def build(cls, curve: _Curve, bases, bits: int, window: int) -> list:
+        """One table per affine point of `bases` (which may hold infinity),
+        all built together.  Each base's blocks 2^(w*t) * P and their doubles
+        come from Jacobian doublings and go affine with one shared
+        inversion; then digit k = 3 .. 2^w - 1 of every window of every base
+        is one batched affine addition, entry k - 1 plus the block."""
+        windows = (bits + window - 1) // window
+        jac = []  # per base, per window: the block, then its double
+        for pt in bases:
+            block = (1, 1, 0) if pt is _INF else (pt[0], pt[1], 1)
+            for _ in range(windows):
+                dbl = curve._jdbl(block)
+                jac += [block, dbl]
+                for _ in range(window - 1):
+                    dbl = curve._jdbl(dbl)
+                block = dbl
+        aff = curve._to_affine_many(jac)
+        blocks = aff[0::2]
+        cols = [[_INF] * len(blocks), blocks, aff[1::2]]
+        for _ in range(3, 1 << window):
+            col = list(cols[-1])
+            curve._add_into(col, blocks)
+            cols.append(col)
+        return [cls(curve, [[col[i * windows + t] for col in cols]
+                            for t in range(windows)], window)
+                for i in range(len(bases))]
 
     def exp_many(self, scalars):
         """[s * P for s in scalars] as affine points: per window, one batched
@@ -288,6 +332,19 @@ class _FixedBaseTable:
             self.curve._add_into(acc, [row[(s >> shift) & self.mask]
                                        for s in scalars])
         return acc
+
+    def entries(self, s: int) -> list:
+        """The finite table entries, one per nonzero digit of s, whose sum
+        is s * P."""
+        out = []
+        for row in self.tables:
+            if not s:
+                break
+            pt = row[s & self.mask]
+            if pt is not _INF:
+                out.append(pt)
+            s >>= self.window
+        return out
 
 
 class _Fp2:
@@ -452,7 +509,8 @@ class BilinearGroup:
         first use and kept for the life of the group."""
         table = self._tables.get(gen.point)
         if table is None:
-            table = _FixedBaseTable(self.curve, gen.point, self.q.bit_length())
+            table = _FixedBaseTable.build(self.curve, [gen.point],
+                                          self.q.bit_length(), 8)[0]
             self._tables[gen.point] = table
         return table
 
@@ -492,6 +550,23 @@ class BilinearGroup:
                              [pt.point for pt in points])
         return cls(raw, self)
 
+    def fixed_base_tables(self, points, window: int) -> list:
+        """One `_FixedBaseTable` of `window` bits per point of `points`, for
+        `fixed_base_msm`; built together, with batched additions."""
+        return _FixedBaseTable.build(self.curve, [pt.point for pt in points],
+                                     self.q.bit_length(), window)
+
+    def fixed_base_msm(self, scalars, points, tables) -> _Point:
+        """multi_scalar_mul(scalars, points) from the points' tables
+        (`fixed_base_tables`): one table entry per nonzero digit of each
+        scalar, all the entries summed as a tree."""
+        if len(scalars) != len(points) or len(points) != len(tables):
+            raise ValueError("scalar/point/table length mismatch")
+        terms = []
+        for s, table in zip(scalars, tables):
+            terms += table.entries(self._scalar_int(s))
+        return type(points[0])(self.curve.sum_tree(terms), self)
+
     def in_subgroup_g1(self, P: _Point) -> bool:
         return self.curve.on_curve(P.point) and \
             self.curve.scalar_mul(self.q, P.point) is _INF
@@ -509,37 +584,69 @@ class BilinearGroup:
         (c = lam*x_T - y_T).  Vertical lines are F_p factors that the final
         exponentiation removes, so they are left out.  None for the identity.
         """
+        return self.checked_lines(Q)[0]
+
+    def checked_lines(self, Q: G2Element):
+        """(lines(Q), in_subgroup_g2(Q)) from one walk of the Miller loop.
+
+        T runs in Jacobian coordinates (x = X/Z^2, y = Y/Z^3), so a step
+        needs no inversion: each line is kept as (num, num_c) over a
+        denominator den, lam = num/den and c = num_c/den, and one batch
+        inversion of all the dens at the end gives exactly the affine
+        (lam, c).  The walk is double-and-add by q, exact for any point:
+        the doubling of a point with y = 0 and the addition of T = -Q go to
+        infinity, T = Q doubles (as `_Curve.add` does), and neither records
+        a line.  So it ends at q*Q, and Q is in the order-q subgroup iff it
+        is on the curve and the walk ends at infinity.
+        """
         if Q.point is _INF:
-            return None
+            return None, True
         p = self.p
         base = Q.point
         xq, yq = base
-        T = base
-        out = []
+        X, Y, Z = xq, yq, 1
+        nums, dens, counts = [], [], []  # counts: lines per bit
         for bit in bin(self.q)[3:]:
-            step = []
-            if T is not _INF:
-                xt, yt = T
-                if yt == 0:
-                    T = _INF  # vertical tangent
+            count = 0
+            if Z:
+                if Y == 0:
+                    Z = 0  # vertical tangent
                 else:
-                    lam = (3 * xt * xt + 1) * pow(2 * yt, -1, p) % p
-                    step.append((lam, (lam * xt - yt) % p))
-                    x3 = (lam * lam - 2 * xt) % p
-                    T = (x3, (lam * (xt - x3) - yt) % p)
+                    YY = Y * Y % p
+                    ZZ = Z * Z % p
+                    M = (3 * X * X + ZZ * ZZ) % p
+                    Z3 = 2 * Y * Z % p
+                    nums.append((M * ZZ, M * X - 2 * YY))
+                    dens.append(Z3 * ZZ)
+                    S = 4 * X * YY
+                    X = (M * M - 2 * S) % p
+                    Y, Z = (M * (S - X) - 8 * YY * YY) % p, Z3
+                    count = 1
             if bit == "1":
-                if T is _INF:
-                    T = base
-                elif T[0] == xq:
-                    T = self.curve.add(T, base)  # T = -Q: vertical line
-                else:
-                    xt, yt = T
-                    lam = (yq - yt) * pow(xq - xt, -1, p) % p
-                    step.append((lam, (lam * xt - yt) % p))
-                    x3 = (lam * lam - xt - xq) % p
-                    T = (x3, (lam * (xt - x3) - yt) % p)
-            out.append(step)
-        return out
+                ZZ = Z * Z % p
+                H = (xq * ZZ - X) % p
+                if Z and H:
+                    r = (yq * Z * ZZ - Y) % p
+                    nums.append((r * ZZ, r * X - Y * H))
+                    dens.append(Z * ZZ * H)
+                    HH = H * H % p
+                    HHH = H * HH % p
+                    V = X * HH % p
+                    X = (r * r - HHH - 2 * V) % p
+                    Y = (r * (V - X) - Y * HHH) % p
+                    Z = Z * H % p
+                    count += 1
+                else:  # T is infinity or +-Q
+                    X, Y, Z = self.curve._jadd_mixed((X, Y, Z), base)
+            counts.append(count)
+        flat = [(num * inv % p, num_c * inv % p) for (num, num_c), inv
+                in zip(nums, batch_inverse(dens, p))]
+        out = []
+        pos = 0
+        for count in counts:
+            out.append(flat[pos:pos + count])
+            pos += count
+        return out, Z == 0 and self.curve.on_curve(base)
 
     def pairing_product(self, terms) -> GtElement:
         """prod e(P, Q) over `terms` of (P, lines(Q)): one Miller loop that

@@ -130,8 +130,24 @@ def schnorr_sign(keypair: SignatureKeypair, message: bytes) -> bytes:
     return e.to_bytes(8, "little") + s.to_bytes(8, "little")
 
 
+@functools.lru_cache(maxsize=1024)
+def _schnorr_key(pk_bytes: bytes, group: BilinearGroup):
+    """The public key that `pk_bytes` encodes if it is a point of the
+    order-q subgroup, else None.  Memoized on the bytes, since a verifier
+    sees the same few root and vehicle keys on package after package."""
+    try:
+        pk = group.g1_from_bytes(pk_bytes)
+    except ValueError:
+        return None
+    return pk if group.in_subgroup_g1(pk) else None
+
+
 def schnorr_verify(pk_bytes: bytes, message: bytes, signature: bytes,
                    group: BilinearGroup = None) -> bool:
+    """Accept iff `signature` is a Schnorr signature on `message` under the
+    key `pk_bytes`.  The key is decoded and subgroup-checked once per
+    distinct encoding (`_schnorr_key`, a bounded memo); bytes that are no
+    valid key are remembered as such and rejected."""
     group = group or toy_group()
     if len(signature) != 16:
         return False
@@ -140,11 +156,8 @@ def schnorr_verify(pk_bytes: bytes, message: bytes, signature: bytes,
     s = int.from_bytes(signature[8:], "little")
     if not (0 <= e < q and 0 <= s < q):
         return False
-    try:
-        pk = group.g1_from_bytes(pk_bytes)
-    except ValueError:
-        return False
-    if not group.in_subgroup_g1(pk):
+    pk = _schnorr_key(bytes(pk_bytes), group)
+    if pk is None:
         return False
     # R' = s*G - e*PK; accept iff H(R', PK, m) == e
     r_pt = group.scalar_mul_g1(s, group.g1) - group.scalar_mul_g1(e, pk)
@@ -405,9 +418,10 @@ class VerifierState:
         self._certs = {}         # cert bytes -> [Certificate, time last seen]
 
     def register_circuit(self, r1cs_bytes: bytes, vk: VerifyingKey):
-        """Accept packages for this circuit; its payload hashes are computed
-        here once, not per package."""
+        """Accept packages for this circuit; its payload hashes and the
+        key's IC tables are computed here once, not per package."""
         hashes = _artifact_hashes(r1cs_bytes, vk.to_bytes())
+        vk.ic_tables()
         self.registry[hashes[0]] = (vk, hashes)
 
     def _prune(self, now: int):

@@ -1,11 +1,15 @@
-"""Schoolbook reference for the QAP layer, for differential tests.
+"""Schoolbook references for differential tests.
 
-Dense polynomials, Lagrange interpolation over arbitrary distinct points,
-the vanishing polynomial as a product of linear factors, dense wire
-polynomials A_j, B_j, C_j, and the quotient H = (AB - C) / t by exact long
-division.  Nothing here uses the subgroup structure of a radix-2 domain or
-an NTT, so `hermes_seal.qap` is checked against the textbook construction
-on the same points.
+For the QAP layer: dense polynomials, Lagrange interpolation over arbitrary
+distinct points, the vanishing polynomial as a product of linear factors,
+dense wire polynomials A_j, B_j, C_j, and the quotient H = (AB - C) / t by
+exact long division.  Nothing here uses the subgroup structure of a radix-2
+domain or an NTT, so `hermes_seal.qap` is checked against the textbook
+construction on the same points.
+
+For the pairing: `affine_lines`, the Miller loop over Q in affine
+coordinates with one modular inversion per line, the oracle for
+`BilinearGroup.lines`.
 """
 
 
@@ -140,3 +144,41 @@ def quotient(cs, domain: Domain, witness) -> Poly:
     h, rem = (A * B - C).divmod(domain.vanishing())
     assert rem.is_zero()
     return h
+
+
+def affine_lines(group, Q):
+    """The lines of the Miller loop f_{q,Q} walked in affine coordinates:
+    per bit of q after the leading one, the (lam, c) of the doubling line
+    and, for a set bit, of the addition line, y = lam*x - c with c = lam*x_T
+    - y_T.  Vertical lines are left out; None for the identity."""
+    if Q.point is None:
+        return None
+    p = group.p
+    base = Q.point
+    xq, yq = base
+    T = base
+    out = []
+    for bit in bin(group.q)[3:]:
+        step = []
+        if T is not None:
+            xt, yt = T
+            if yt == 0:
+                T = None  # vertical tangent
+            else:
+                lam = (3 * xt * xt + 1) * pow(2 * yt, -1, p) % p
+                step.append((lam, (lam * xt - yt) % p))
+                x3 = (lam * lam - 2 * xt) % p
+                T = (x3, (lam * (xt - x3) - yt) % p)
+        if bit == "1":
+            if T is None:
+                T = base
+            elif T[0] == xq:
+                T = group.curve.add(T, base)  # T = +-Q: no line
+            else:
+                xt, yt = T
+                lam = (yq - yt) * pow(xq - xt, -1, p) % p
+                step.append((lam, (lam * xt - yt) % p))
+                x3 = (lam * lam - xt - xq) % p
+                T = (x3, (lam * (xt - x3) - yt) % p)
+        out.append(step)
+    return out

@@ -9,7 +9,8 @@ import pytest
 from hermes_seal.field import TEST_FIELD
 from hermes_seal.groth16 import (Groth16Error, Proof, ProvingKey,
                                  VerifyingKey, prove, setup, verify)
-from hermes_seal.pairing import toy_group
+from hermes_seal.pairing import BilinearGroup, G2Element, toy_group
+from hermes_seal.protocol import VerifierState
 from hermes_seal.qap import r1cs_to_qap
 from hermes_seal.r1cs import CircuitBuilder, pad_to_power_of_two
 from hermes_seal.rss_circuit import PUBLIC_ORDER, RssScenario, make_rss_inputs
@@ -221,3 +222,110 @@ def test_verify_requires_canonical_inputs(cubic, small_rss_artifacts):
     aliased = list(inputs)
     aliased[safe] += q
     assert not verify(art.vk, rss_proof, aliased)
+
+
+# -- B's subgroup check from the Miller loop -----------------------------------
+
+
+def _torsion_point(order):
+    """The point of order 2, or a point of order 3, of E(F_p) (order 36q)."""
+    group = toy_group()
+    if order == 2:
+        return (0, 0)
+    x = 1
+    while True:
+        rhs = (x ** 3 + x) % group.p
+        y = pow(rhs, (group.p + 1) // 4, group.p)
+        if y * y % group.p == rhs:
+            pt = group.curve.scalar_mul(12 * group.q, (x, y))
+            if pt is not None:
+                return pt
+        x += 1
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_verify_rejects_b_off_the_subgroup(cubic, order):
+    cs, qap, pk, vk, x, y = cubic
+    group = toy_group()
+    w = cs.generate_witness({x: 30, y: 3})
+    proof = prove(pk, qap, w, seed=16)
+    assert verify(vk, proof, [30])
+    torsion = _torsion_point(order)
+    assert group.curve.scalar_mul(order, torsion) is None
+    bad_b = G2Element(group.curve.add(proof.b.point, torsion), group)
+    assert group.curve.on_curve(bad_b.point)
+    assert not verify(vk, Proof(proof.a, bad_b, proof.c, proof.circuit_digest),
+                      [30])
+
+
+def test_verify_rejects_off_curve_b(cubic):
+    cs, qap, pk, vk, x, y = cubic
+    group = toy_group()
+    w = cs.generate_witness({x: 30, y: 3})
+    proof = prove(pk, qap, w, seed=17)
+    xb, yb = proof.b.point
+    off = G2Element((xb, (yb + 1) % group.p), group)
+    assert not group.curve.on_curve(off.point)
+    assert not verify(vk, Proof(proof.a, off, proof.c, proof.circuit_digest),
+                      [30])
+
+
+# -- fixed-base IC tables -------------------------------------------------------
+
+
+def _table_sum(vk, scalars):
+    group = vk.group
+    return group.fixed_base_msm(scalars, vk.ic, vk.ic_tables())
+
+
+def test_ic_tables_match_msm(small_rss_artifacts):
+    vk = VerifyingKey.from_bytes(small_rss_artifacts.vk_bytes)
+    group = vk.group
+    q = group.q
+    n = vk.n_public
+    rng = random.Random(18)
+    special = [0, 1, q - 1] + [1 << k for k in range(0, 62, 3)]
+    vectors = [[0] * n, [q - 1] * n]
+    vectors += [[special[(i + j) % len(special)] for i in range(n)]
+                for j in range(len(special))]
+    vectors += [[rng.randrange(q) for _ in range(n)] for _ in range(10)]
+    for inputs in vectors:
+        scalars = [1] + inputs
+        assert _table_sum(vk, scalars) == \
+            group.multi_scalar_mul(scalars, vk.ic), inputs
+    assert _table_sum(vk, [0] * (n + 1)).is_identity()
+
+
+def test_ic_tables_with_identity_and_repeated_points():
+    group = toy_group()
+    P = group.scalar_mul_g1(123456789, group.g1)
+    ident = group.identity_g1()
+    vk = VerifyingKey(group, bytes(32), group.g1, group.g2, group.g2,
+                      group.g2, [P, ident, P, -P, ident, group.g1])
+    q = group.q
+    for scalars in ([1, 5, 7, 9, 11, 13], [1, 0, 1, 1, 0, 0],
+                    [3, q - 1, 3, 3, 2, 0], [0, 1, 0, 0, 1, 0],
+                    [q - 1, 2, 1, 0, 7, q - 1]):
+        assert _table_sum(vk, scalars) == \
+            group.multi_scalar_mul(scalars, vk.ic), scalars
+
+
+def test_ic_tables_built_once_per_key(small_rss_artifacts, monkeypatch):
+    builds = []
+    real = BilinearGroup.fixed_base_tables
+
+    def spy(self, points, window):
+        builds.append(len(points))
+        return real(self, points, window)
+    monkeypatch.setattr(BilinearGroup, "fixed_base_tables", spy)
+    art = small_rss_artifacts
+    vk = VerifyingKey.from_bytes(art.vk_bytes)
+    assert builds == []              # decoding a key builds no tables
+    first = VerifierState(b"")
+    first.register_circuit(art.r1cs_bytes, vk)
+    assert builds == [len(vk.ic)]
+    tables = vk.ic_tables()
+    VerifierState(b"").register_circuit(art.r1cs_bytes, vk)
+    first.register_circuit(art.r1cs_bytes, vk)
+    assert vk.ic_tables() is tables
+    assert builds == [len(vk.ic)]

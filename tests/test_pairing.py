@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schoolbook
 from hermes_seal.pairing import G1Element, G2Element, _Curve, toy_group
 
 G = toy_group()
@@ -329,6 +330,73 @@ def test_lines_of_identity_and_generator():
     # last addition, T = -Q, whose line is vertical
     assert sum(len(step) for step in ls) == \
         (Q.bit_length() - 1) + (bin(Q).count("1") - 1) - 1
+
+
+@given(scalars)
+@settings(max_examples=40, deadline=None)
+def test_lines_match_affine_walk(k):
+    Qe = G.scalar_mul_g2(k, G.g2)
+    assert G.lines(Qe) == schoolbook.affine_lines(G, Qe)
+
+
+def test_lines_match_affine_walk_on_generator_and_key(small_rss_artifacts):
+    vk = small_rss_artifacts.vk
+    for Qe in (G.g2, vk.gamma_g2, vk.delta_g2, vk.beta_g2):
+        assert G.lines(Qe) == schoolbook.affine_lines(G, Qe)
+    assert vk.gamma_lines == schoolbook.affine_lines(G, vk.gamma_g2)
+    assert vk.delta_lines == schoolbook.affine_lines(G, vk.delta_g2)
+
+
+def test_gt_generator_pinned():
+    assert G.gt_generator.value == (70432318347898196015,
+                                    38602422276112285682)
+    assert G.pair(G.g1, G.g2) == G.gt_generator
+
+
+# E(F_p) is cyclic of order 36*q: (0, 0) is its only 2-torsion point (x^2
+# = -1 has no root for p = 3 mod 4), and 3 does not divide p - 1.
+FULL_ORDER = 36 * Q
+
+
+def _point_of_order(d, seed):
+    """An on-curve point of exact order d, for d dividing 36*q."""
+    rng = random.Random(seed)
+    p = G.p
+    while True:
+        x = rng.randrange(p)
+        y = pow((x ** 3 + x) % p, (p + 1) // 4, p)
+        if y * y % p != (x ** 3 + x) % p:
+            continue
+        pt = G.curve.scalar_mul(FULL_ORDER // d, (x, y))
+        if pt is not None and all(
+                G.curve.scalar_mul(d // r, pt) is not None
+                for r in (2, 3, Q) if d % r == 0):
+            return pt
+
+
+TORSION_ORDERS = [1, 2, 3, 4, 6, 9, 12, 18, 36, Q, 2 * Q, 3 * Q, 36 * Q]
+
+
+@pytest.mark.parametrize("order", TORSION_ORDERS)
+def test_walk_subgroup_verdict_matches_in_subgroup(order):
+    for seed in range(3):
+        Qe = G2Element(None if order == 1 else _point_of_order(order, seed),
+                       G)
+        lines, in_subgroup = G.checked_lines(Qe)
+        assert in_subgroup == G.in_subgroup_g2(Qe) == (order in (1, Q))
+        assert lines == schoolbook.affine_lines(G, Qe)
+
+
+def test_walk_subgroup_verdict_on_two_torsion_and_off_curve(monkeypatch):
+    assert G.checked_lines(G2Element((0, 0), G))[1] is False
+    off = G2Element((2, 3), G)
+    assert not G.curve.on_curve(off.point)
+    assert G.checked_lines(off)[1] is False is G.in_subgroup_g2(off)
+    # The walk's formulas use a = 1 but never b, so an off-curve point walks
+    # on another curve y^2 = x^3 + x + b', where it may have order q: the
+    # verdict must also require the point to be on this curve.
+    monkeypatch.setattr(_Curve, "on_curve", lambda self, pt: False)
+    assert G.checked_lines(G.g2)[1] is False
 
 
 def test_final_exp_matches_generic_power():

@@ -74,6 +74,45 @@ def test_schnorr_deterministic_nonce():
     assert schnorr_sign(kp, b"m") != schnorr_sign(kp, b"n")
 
 
+# the 2-torsion point (0, 0), a point off the curve, and wrong lengths
+BAD_KEYS = {
+    "2-torsion": b"\x01" + bytes(18),
+    "off-curve": b"\x01" + (2).to_bytes(9, "little") + (3).to_bytes(9, "little"),
+    "short": b"\x01" + bytes(17),
+    "long": b"\x01" + bytes(19),
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_KEYS))
+def test_schnorr_rejects_bad_key_on_every_call(name):
+    kp = schnorr_keygen(random.Random(3))
+    msg = b"message"
+    sig = schnorr_sign(kp, msg)
+    bad = BAD_KEYS[name]
+    protocol._schnorr_key.cache_clear()
+    for _ in range(3):
+        assert not schnorr_verify(bad, msg, sig)
+        assert not schnorr_verify(bytearray(bad), msg, sig)
+    assert protocol._schnorr_key(bad, kp.group) is None
+    info = protocol._schnorr_key.cache_info()
+    assert (info.misses, info.hits) == (1, 6)
+    assert schnorr_verify(kp.pk_bytes(), msg, sig)
+
+
+def test_schnorr_key_memo_is_bounded():
+    protocol._schnorr_key.cache_clear()
+    size = protocol._schnorr_key.cache_info().maxsize
+    assert size is not None
+    kp = schnorr_keygen(random.Random(4))
+    sig = schnorr_sign(kp, b"m")
+    for i in range(size + 50):
+        assert not schnorr_verify(b"\x02" + i.to_bytes(4, "little"), b"m",
+                                  sig)
+    assert protocol._schnorr_key.cache_info().currsize == size
+    assert schnorr_verify(kp.pk_bytes(), b"m", sig)
+
+
 # -- certificates -------------------------------------------------------------
 
 
@@ -444,3 +483,27 @@ def test_certificate_memo_pruned_after_horizon(small_rss_artifacts, identity):
     assert state.verify_package(late, now=131)[0]    # 131 - 108 > 10
     assert pkg.cert_bytes not in state._certs
     assert mid.cert_bytes in state._certs
+
+
+def test_vehicle_key_memo_hit_on_second_package(small_rss_artifacts, identity,
+                                                monkeypatch):
+    from hermes_seal.pairing import BilinearGroup
+    decoded = []
+    real = BilinearGroup.g1_from_bytes
+
+    def spy(self, data):
+        decoded.append(bytes(data))
+        return real(self, data)
+    monkeypatch.setattr(BilinearGroup, "g1_from_bytes", spy)
+    vehicle = _vehicle(identity[0], 11, seed=25)
+    key = vehicle[1].pk_bytes()
+    state = _fresh_state(small_rss_artifacts, identity)
+    protocol._schnorr_key.cache_clear()
+    first, _, _ = _fresh_package(small_rss_artifacts, vehicle, seed=4)
+    second, _, _ = _fresh_package(small_rss_artifacts, vehicle, seed=5)
+    assert state.verify_package(first, now=101) == (True, "ok")
+    assert decoded.count(key) == 1
+    hits = protocol._schnorr_key.cache_info().hits
+    assert state.verify_package(second, now=102) == (True, "ok")
+    assert decoded.count(key) == 1
+    assert protocol._schnorr_key.cache_info().hits == hits + 1
