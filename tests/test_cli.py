@@ -2,10 +2,14 @@
 persistent verifier state, commitment opening, golden vectors, benchmarks,
 and every documented exit code."""
 
+import hashlib
 import json
 
 import pytest
 
+from hermes_seal.audit_circuit import (AuditThresholds, ChallengeSet,
+                                       Detection, GroundTruth,
+                                       canonical_text, format_detections)
 from hermes_seal.cli import main
 from hermes_seal.rss_circuit import RssScenario, format_scenario
 
@@ -216,3 +220,103 @@ def test_usage_errors(workspace, capfd):
     assert run(["verify", "--vk", "/nonexistent.vk",
                 "--package", "/nonexistent.bin",
                 "--state-dir", workspace / "state"]) == 2
+
+
+# -- byte identity under fixed seeds -----------------------------------------
+
+# SHA-256 of what `prove --seed` writes; any change to key, proof, package
+# or opening encoding shows here
+RSS_PACKAGE_SHA256 = \
+    "1e7f79bd5fc95e11af847067464766000d424cf2bb73305cf5cdc8fce81545ff"
+RSS_OPENING_SHA256 = \
+    "e747a51492ea08e1371c286da7ed4fbb2a240d9b62dc685686789bc16e5b7e32"
+AUDIT_PACKAGE_SHA256 = \
+    "09ed06eabf304b38e922dbabc760772c174a16743f2dfd39dfb3a9d2db3947d0"
+AUDIT_OPENING_SHA256 = \
+    "0dadda7eabef107a900743db11665de4ccf3614b62d9f94fb0d7f2060bcb97d2"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_rss_prove_bytes_pinned(workspace, tmp_path, capfd):
+    assert run(["prove", "--circuit", "rss",
+                "--circuit-dir", workspace / "keys",
+                "--identity-dir", workspace / "id",
+                "--scenario", workspace / "scn.txt",
+                "--out", tmp_path / "p.bin",
+                "--opening-out", tmp_path / "o.json",
+                "--now", "100", "--seed", "5"]) == 0
+    capfd.readouterr()
+    assert _sha256(tmp_path / "p.bin") == RSS_PACKAGE_SHA256
+    assert _sha256(tmp_path / "o.json") == RSS_OPENING_SHA256
+
+
+def test_prove_requires_the_circuits_input_file(workspace, tmp_path, capfd):
+    assert run(["prove", "--circuit", "rss",
+                "--circuit-dir", workspace / "keys",
+                "--identity-dir", workspace / "id",
+                "--out", tmp_path / "x.bin", "--seed", "1"]) == 2
+    assert "--scenario is required" in capfd.readouterr().err
+
+
+# -- the audit circuit end to end ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def audit_workspace(tmp_path_factory):
+    """A 2-image, 3-slot challenge (as conftest.small_audit): keys,
+    identity, verifier state and a passing detections file."""
+    root = tmp_path_factory.mktemp("cli_audit")
+    images = [
+        [GroundTruth((10, 10, 40, 40), 1, critical=1),
+         GroundTruth((60, 10, 90, 40), 2, critical=0)],
+        [GroundTruth((10, 60, 40, 90), 1, critical=0)],
+    ]
+    challenge = ChallengeSet(images, m_max=3, rho_prob=100, rho_bbox=100)
+    (root / "challenge.txt").write_text(
+        canonical_text(challenge, AuditThresholds()))
+    dets = [[Detection((10, 10, 40, 40), 1, 90),
+             Detection((60, 10, 90, 40), 2, 80)],
+            [Detection((10, 60, 40, 90), 1, 70)]]
+    (root / "dets.txt").write_text(format_detections(dets))
+    keys = root / "keys"
+    assert run(["setup", "--circuit", "audit", "--out-dir", keys,
+                "--challenge", root / "challenge.txt", "--seed", "3"]) == 0
+    assert run(["provision", "--identity-dir", root / "id",
+                "--state-dir", root / "state", "--circuit-dir", keys,
+                "--seed", "9", "--vid", "42"]) == 0
+    return root
+
+
+def test_audit_setup_outputs(audit_workspace, capfd):
+    keys = audit_workspace / "keys"
+    for ext in (".meta", ".challenge", ".r1cs", ".pk", ".vk"):
+        assert (keys / f"audit{ext}").exists()
+    assert (keys / "audit.challenge").read_text() == \
+        (audit_workspace / "challenge.txt").read_text()
+    assert (keys / "audit.meta").read_text() == "circuit = audit\n"
+
+
+def test_audit_prove_verify_open(audit_workspace, capfd):
+    ws = audit_workspace
+    pkg, opening = ws / "pkg.bin", ws / "open.json"
+    capfd.readouterr()
+    assert run(["prove", "--circuit", "audit", "--circuit-dir", ws / "keys",
+                "--identity-dir", ws / "id", "--detections", ws / "dets.txt",
+                "--out", pkg, "--opening-out", opening,
+                "--now", "100", "--seed", "5"]) == 0
+    assert "PASS 1" in capfd.readouterr().out
+    assert _sha256(pkg) == AUDIT_PACKAGE_SHA256
+    assert _sha256(opening) == AUDIT_OPENING_SHA256
+    assert run(["verify", "--vk", ws / "keys" / "audit.vk", "--package", pkg,
+                "--state-dir", ws / "state", "--now", "101"]) == 0
+    assert capfd.readouterr().out.splitlines()[-1] == "accept"
+    assert run(["audit-open", "--package", pkg, "--opening", opening]) == 0
+    assert "opening valid" in capfd.readouterr().out
+    # the audit circuit needs its detections file
+    assert run(["prove", "--circuit", "audit", "--circuit-dir", ws / "keys",
+                "--identity-dir", ws / "id", "--out", ws / "x.bin",
+                "--seed", "1"]) == 2
+    assert "--detections is required" in capfd.readouterr().err
