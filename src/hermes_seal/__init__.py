@@ -3,15 +3,15 @@ privacy-preserving perception exchange between vehicles and roadside
 verifiers.
 
 Layering (each module depends only on those before it):
-    field       prime fields, fixed-point scaling, wire encodings
+    field       prime fields, fixed-point scaling, wire encodings, domain tags
     pairing     toy supersingular pairing group, MSM
-    r1cs        constraint systems, circuit builder, gadgets
+    r1cs        constraint systems, circuit builder, gadgets, descriptors
     qap         radix-2 evaluation domain, NTT, R1CS -> QAP reduction
     groth16     trusted setup, prover, verifier
     commitment  algebraic sponge hash, commitments, security games
-    protocol    signatures, certificates, proof packages, verifier state
     rss_circuit safe-stopping-distance case study
     audit_circuit  detection-audit case study
+    protocol    signatures, certificates, proof packages, verifier state
     cli         command-line front end
     v2x_sim     deterministic broadcast simulation harness
 """

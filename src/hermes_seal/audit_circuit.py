@@ -31,10 +31,10 @@ import dataclasses
 import hashlib
 import secrets
 
-from .commitment import commit, sponge_gadget
-from .field import NONCE_BYTES, PrimeModulus, TEST_FIELD
-from .protocol import AUDIT_COMMIT_DOMAIN
-from .r1cs import CircuitBuilder, pad_to_power_of_two
+from .commitment import commit, open_commitment, sponge_gadget
+from .field import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN, NONCE_BYTES,
+                    PrimeModulus, TEST_FIELD, nonce_to_field)
+from .r1cs import CircuitBuilder, CircuitDescriptor, pad_to_power_of_two
 
 __all__ = [
     "GroundTruth",
@@ -61,6 +61,7 @@ __all__ = [
     "fixture_challenge",
     "fixture_detections",
     "BBOX_BITS",
+    "AUDIT_CIRCUIT",
 ]
 
 BBOX_BITS = 12          # coordinate width; keeps IoU cross-products < 2^50
@@ -352,14 +353,6 @@ def parse_detections(text: str):
 
 # -- public/witness containers ------------------------------------------------
 
-AUDIT_PUBLIC_ORDER = [
-    "delta_commit", "H_I", "N",
-    "theta_conf_num", "theta_conf_den", "theta_iou_num", "theta_iou_den",
-    "tau_prec_num", "tau_prec_den", "tau_rec_num", "tau_rec_den",
-    "rho_prob", "rho_bbox", "T", "nu", "c", "PASS",
-]
-
-
 @dataclasses.dataclass
 class AuditPublicInputs:
     delta_commit: int
@@ -379,6 +372,21 @@ class AuditPublicInputs:
     nu: int
     c: int = 0
     PASS: int = 0
+
+
+AUDIT_PUBLIC_ORDER = [f.name for f in dataclasses.fields(AuditPublicInputs)]
+
+
+def _instance_constants(challenge: ChallengeSet, thresholds: AuditThresholds,
+                        field: PrimeModulus) -> dict:
+    """The public inputs that the challenge fixes: delta_commit through
+    rho_bbox, by name."""
+    ratios = [v for ratio in dataclasses.astuple(thresholds) for v in ratio]
+    values = [AUDIT_COMMIT_DOMAIN.value,
+              digest_to_field(challenge_digest(challenge, thresholds), field),
+              challenge.n_images, *ratios, challenge.rho_prob,
+              challenge.rho_bbox]
+    return dict(zip(AUDIT_PUBLIC_ORDER, values))
 
 
 @dataclasses.dataclass
@@ -413,9 +421,7 @@ class AuditCircuit:
 
     def generate_witness(self, publics: AuditPublicInputs,
                          witness: AuditWitness):
-        assignments = {}
-        for name in AUDIT_PUBLIC_ORDER:
-            assignments[self.wires[name]] = getattr(publics, name)
+        assignments = {self.wires[name]: v for name, v in vars(publics).items()}
         assignments[self.wires["s_sec"]] = witness.s_sec
         for i, dets in enumerate(witness.detections):
             if len(dets) != self.challenge.m_max:
@@ -428,11 +434,6 @@ class AuditCircuit:
                 for axis, v in zip(("x1", "y1", "x2", "y2"), box):
                     assignments[dw[axis]] = v
         return self.cs.generate_witness(assignments)
-
-    def native_commitment(self, publics: AuditPublicInputs,
-                          witness: AuditWitness):
-        payload = [publics.N] + witness.flat_values() + [publics.T, publics.nu]
-        return commit(publics.delta_commit, payload, witness.s_sec, self.field)
 
 
 # -- circuit construction ------------------------------------------------------
@@ -448,24 +449,8 @@ def build_audit_circuit(challenge: ChallengeSet,
     wires = {name: b.alloc_public(name) for name in AUDIT_PUBLIC_ORDER}
     wires["s_sec"] = b.alloc_private("s_sec")
 
-    digest_const = digest_to_field(challenge_digest(challenge, thresholds),
-                                   field)
-    constants = {
-        "delta_commit": AUDIT_COMMIT_DOMAIN.value,
-        "H_I": digest_const,
-        "N": challenge.n_images,
-        "theta_conf_num": thresholds.theta_conf[0],
-        "theta_conf_den": thresholds.theta_conf[1],
-        "theta_iou_num": thresholds.theta_iou[0],
-        "theta_iou_den": thresholds.theta_iou[1],
-        "tau_prec_num": thresholds.tau_prec[0],
-        "tau_prec_den": thresholds.tau_prec[1],
-        "tau_rec_num": thresholds.tau_rec[0],
-        "tau_rec_den": thresholds.tau_rec[1],
-        "rho_prob": challenge.rho_prob,
-        "rho_bbox": challenge.rho_bbox,
-    }
-    for name, value in constants.items():
+    for name, value in _instance_constants(challenge, thresholds,
+                                           field).items():
         b.assert_equal(wires[name], b.lc(value), f"bind_{name}")
 
     m_max = challenge.m_max
@@ -673,7 +658,6 @@ def make_audit_inputs(challenge: ChallengeSet, thresholds: AuditThresholds,
 
     Returns (publics, witness, nonce, report) where report carries the
     native per-image TP / TP_crit / verdicts for inspection."""
-    from .rss_circuit import nonce_to_field
     nonce = nonce if nonce is not None else secrets.token_bytes(NONCE_BYTES)
     s_sec = s_sec if s_sec is not None else secrets.randbits(128) % field.p
     if len(per_image_dets) != challenge.n_images:
@@ -711,27 +695,17 @@ def make_audit_inputs(challenge: ChallengeSet, thresholds: AuditThresholds,
 
     witness = AuditWitness(padded, s_sec, vid)
     publics = AuditPublicInputs(
-        delta_commit=AUDIT_COMMIT_DOMAIN.value,
-        H_I=digest_to_field(challenge_digest(challenge, thresholds), field),
-        N=challenge.n_images,
-        theta_conf_num=thresholds.theta_conf[0],
-        theta_conf_den=thresholds.theta_conf[1],
-        theta_iou_num=thresholds.theta_iou[0],
-        theta_iou_den=thresholds.theta_iou[1],
-        tau_prec_num=thresholds.tau_prec[0],
-        tau_prec_den=thresholds.tau_prec[1],
-        tau_rec_num=thresholds.tau_rec[0],
-        tau_rec_den=thresholds.tau_rec[1],
-        rho_prob=challenge.rho_prob,
-        rho_bbox=challenge.rho_bbox,
-        T=timestamp,
-        nu=nonce_to_field(nonce, field),
-        PASS=report["PASS"],
-    )
-    payload = [publics.N] + witness.flat_values() + [publics.T, publics.nu]
-    publics.c = commit(publics.delta_commit, payload, witness.s_sec,
-                       field).value
+        **_instance_constants(challenge, thresholds, field), T=timestamp,
+        nu=nonce_to_field(nonce, field), PASS=report["PASS"])
+    publics.c = commit(**_opening(publics, witness), field=field).value
     return publics, witness, nonce, report
+
+
+def _opening(publics: AuditPublicInputs, witness: AuditWitness) -> dict:
+    """The opening of the commitment `c`: tag, then N, the flattened
+    detections, T and nu, then the blinder."""
+    payload = [publics.N] + witness.flat_values() + [publics.T, publics.nu]
+    return open_commitment(publics.delta_commit, payload, witness.s_sec)
 
 
 # -- the reference audit scenario ---------------------------------------------
@@ -779,3 +753,25 @@ def fixture_detections():
                                   confidence=85))
         per_image.append(dets)
     return per_image
+
+
+# -- the descriptor ------------------------------------------------------------
+
+
+def _params(args, read):
+    text = (read(args.challenge) if args.challenge is not None
+            else canonical_text(fixture_challenge(), AuditThresholds()))
+    return {}, {".challenge": text}
+
+
+AUDIT_CIRCUIT = CircuitDescriptor(
+    name="audit", public_order=AUDIT_PUBLIC_ORDER,
+    commit_domain=AUDIT_COMMIT_DOMAIN, sign_domain=AUDIT_SIGN_DOMAIN,
+    outcome="PASS", input_option="detections", opening=_opening,
+    params=_params,
+    load=lambda meta, read: build_audit_circuit(
+        *parse_challenge_text(read(".challenge"))),
+    inputs=lambda circuit, text, timestamp, nonce, s_sec: make_audit_inputs(
+        circuit.challenge, circuit.thresholds, parse_detections(text),
+        timestamp=timestamp, nonce=nonce, s_sec=s_sec,
+        field=circuit.field)[:3])

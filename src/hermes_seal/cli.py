@@ -17,7 +17,9 @@ A verifier state directory (created by `provision`) holds:
     registry/H.r1cs,H.vk   registered circuits, H = hex R1CS hash
     nonces.txt         persisted replay cache ("nonce-hex timestamp" lines)
 The state directory for `verify` may also be supplied via the
-HERMES_SEAL_STATE_DIR environment variable.
+HERMES_SEAL_STATE_DIR environment variable.  `verify` prints one PASS/FAIL
+line per stage, in order: context, certificate, circuit-registered,
+signature, binding, freshness, nonce, proof.
 """
 
 from __future__ import annotations
@@ -30,23 +32,16 @@ import random
 import sys
 import time
 
-from .audit_circuit import (AUDIT_PUBLIC_ORDER, build_audit_circuit,
-                            canonical_text, fixture_challenge,
-                            fixture_detections, format_detections,
-                            make_audit_inputs, parse_challenge_text,
-                            parse_detections)
 from .commitment import sponge_hash
 from .field import (DTypeTag, FieldElement, NONCE_BYTES, STANDARD_FIELD,
                     TEST_FIELD, encode)
 from .groth16 import ProvingKey, VerifyingKey, prove, setup, verify
-from .protocol import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN, Certificate,
-                       EnrollmentAuthority, ProofPackage, RSS_COMMIT_DOMAIN,
-                       RSS_SIGN_DOMAIN, SignatureKeypair, VerifierState,
+from .protocol import (CIRCUITS, Certificate, EnrollmentAuthority,
+                       ProofPackage, SignatureKeypair, VerifierState,
                        audit_open, create_package, schnorr_keygen, toy_group)
 from .qap import r1cs_to_qap
 from .r1cs import R1csError, UnsatisfiableError
-from .rss_circuit import (PUBLIC_ORDER, RssScenario, build_rss_circuit,
-                          format_scenario, make_rss_inputs, parse_scenario)
+from .rss_circuit import RssScenario, build_rss_circuit, make_rss_inputs
 
 __all__ = ["main", "cmd_setup", "cmd_prove", "cmd_verify", "cmd_audit_open",
            "cmd_bench", "cmd_vectors", "cmd_provision", "STATE_DIR_ENV"]
@@ -54,12 +49,13 @@ __all__ = ["main", "cmd_setup", "cmd_prove", "cmd_verify", "cmd_audit_open",
 STATE_DIR_ENV = "HERMES_SEAL_STATE_DIR"
 
 _VERIFY_STAGES = ["certificate", "circuit-registered", "signature",
-                  "freshness", "nonce", "proof"]
+                  "binding", "freshness", "nonce", "proof"]
 # library reason -> (stage, printed reason)
 _REASON_TABLE = {
     "certificate": ("certificate", "certificate-invalid"),
     "unknown_circuit": ("circuit-registered", "unknown-circuit"),
     "signature": ("signature", "signature-invalid"),
+    "binding": ("binding", "envelope-mismatch"),
     "freshness": ("freshness", "stale-timestamp"),
     "replay": ("nonce", "nonce-replay"),
     "proof": ("proof", "proof-invalid"),
@@ -99,51 +95,29 @@ def _parse_meta(text: str) -> dict:
 
 def _build_circuit_from_dir(circuit_dir: str, name: str):
     """Rebuild the circuit named by D/NAME.meta and cross-check the stored
-    R1CS encoding; returns (circuit, kind, r1cs_bytes, extras)."""
-    meta = _parse_meta(_read(os.path.join(circuit_dir, f"{name}.meta"), "r"))
-    kind = meta.get("circuit")
-    extras = {}
-    if kind == "rss":
-        circuit = build_rss_circuit(theta=float(meta["theta"]),
-                                    rho_prob=int(meta["rho_prob"]))
-    elif kind == "audit":
-        challenge_text = _read(os.path.join(circuit_dir, f"{name}.challenge"),
-                               "r")
-        challenge, thresholds = parse_challenge_text(challenge_text)
-        circuit = build_audit_circuit(challenge, thresholds)
-        extras["challenge"] = challenge
-        extras["thresholds"] = thresholds
-    else:
-        raise CliError(f"unknown circuit kind {kind!r} in {name}.meta")
-    r1cs_bytes = _read(os.path.join(circuit_dir, f"{name}.r1cs"))
+    R1CS encoding; returns (descriptor, circuit, r1cs_bytes)."""
+    def read(suffix, mode="r"):
+        return _read(os.path.join(circuit_dir, name + suffix), mode)
+    meta = _parse_meta(read(".meta"))
+    desc = CIRCUITS.get(meta.get("circuit"))
+    if desc is None:
+        raise CliError(f"unknown circuit kind {meta.get('circuit')!r} in "
+                       f"{name}.meta")
+    circuit = desc.load(meta, read)
+    r1cs_bytes = read(".r1cs", "rb")
     if circuit.cs.to_bytes() != r1cs_bytes:
         raise CliError(f"{name}.r1cs does not match the parameters in "
                        f"{name}.meta; circuit files are inconsistent")
-    return circuit, kind, r1cs_bytes, extras
+    return desc, circuit, r1cs_bytes
 
 
 # -- setup ---------------------------------------------------------------------
 
 
 def cmd_setup(args) -> int:
-    if args.circuit == "rss":
-        if not 0.0 <= args.theta <= 1.0:
-            raise CliError(f"theta must be within [0, 1], got {args.theta}")
-        circuit = build_rss_circuit(theta=args.theta, rho_prob=args.rho_prob)
-        meta = (f"circuit = rss\ntheta = {args.theta}\n"
-                f"rho_prob = {args.rho_prob}\n")
-        challenge_text = None
-    else:
-        if args.challenge is not None:
-            challenge_text = _read(args.challenge, "r")
-            challenge, thresholds = parse_challenge_text(challenge_text)
-        else:
-            from .audit_circuit import AuditThresholds
-            challenge = fixture_challenge()
-            thresholds = AuditThresholds()
-            challenge_text = canonical_text(challenge, thresholds)
-        circuit = build_audit_circuit(challenge, thresholds)
-        meta = "circuit = audit\n"
+    desc = CIRCUITS[args.circuit]
+    meta, files = desc.params(args, lambda path: _read(path, "r"))
+    circuit = desc.load(meta, lambda suffix: files[suffix])
 
     os.makedirs(args.out_dir, exist_ok=True)
     cs = circuit.cs
@@ -152,9 +126,11 @@ def cmd_setup(args) -> int:
     pk, vk = setup(qap, seed=args.seed)
 
     base = os.path.join(args.out_dir, args.circuit)
-    _write(base + ".meta", meta, "w")
-    if challenge_text is not None:
-        _write(base + ".challenge", challenge_text, "w")
+    _write(base + ".meta", "".join(
+        f"{k} = {v}\n" for k, v in {"circuit": desc.name, **meta}.items()),
+        "w")
+    for suffix, text in files.items():
+        _write(base + suffix, text, "w")
     _write(base + ".r1cs", r1cs_bytes)
     _write(base + ".pk", pk.to_bytes())
     _write(base + ".vk", vk.to_bytes())
@@ -183,46 +159,19 @@ def _load_identity(identity_dir: str):
 
 
 def cmd_prove(args) -> int:
-    circuit, kind, r1cs_bytes, extras = _build_circuit_from_dir(
-        args.circuit_dir, args.circuit)
+    desc, circuit, r1cs_bytes = _build_circuit_from_dir(args.circuit_dir,
+                                                        args.circuit)
     field = circuit.field
     rng = random.Random(args.seed) if args.seed is not None else None
     nonce = rng.randbytes(NONCE_BYTES) if rng else None
     s_sec = rng.randrange(field.p) if rng else None
     proof_seed = rng.getrandbits(64) if rng else None
-
-    if kind == "rss":
-        if args.scenario is None:
-            raise CliError("--scenario is required for the rss circuit")
-        scenario = parse_scenario(_read(args.scenario, "r"))
-        scenario.timestamp = args.now
-        publics, witness, nonce = make_rss_inputs(
-            scenario, nonce=nonce, s_sec=s_sec, circuit=circuit, field=field)
-        sign_domain = RSS_SIGN_DOMAIN
-        outcome = ("SAFE", publics.SAFE)
-        c_index = PUBLIC_ORDER.index("c")
-        opening = {
-            "domain_sep": publics.delta_commit,
-            "payload": witness.commitment_payload(publics.T, publics.nu),
-            "blinder": witness.s_sec,
-            "c_index": c_index,
-        }
-    else:
-        if args.detections is None:
-            raise CliError("--detections is required for the audit circuit")
-        per_image = parse_detections(_read(args.detections, "r"))
-        publics, witness, nonce, report = make_audit_inputs(
-            extras["challenge"], extras["thresholds"], per_image,
-            timestamp=args.now, nonce=nonce, s_sec=s_sec, field=field)
-        sign_domain = AUDIT_SIGN_DOMAIN
-        outcome = ("PASS", publics.PASS)
-        opening = {
-            "domain_sep": publics.delta_commit,
-            "payload": [publics.N] + witness.flat_values()
-                       + [publics.T, publics.nu],
-            "blinder": witness.s_sec,
-            "c_index": AUDIT_PUBLIC_ORDER.index("c"),
-        }
+    input_path = getattr(args, desc.input_option)
+    if input_path is None:
+        raise CliError(f"--{desc.input_option} is required for the "
+                       f"{desc.name} circuit")
+    publics, witness, nonce = desc.inputs(circuit, _read(input_path, "r"),
+                                          args.now, nonce, s_sec)
 
     try:
         full_witness = circuit.generate_witness(publics, witness)
@@ -248,14 +197,16 @@ def cmd_prove(args) -> int:
     qap = r1cs_to_qap(circuit.cs)
     package = create_package(
         pk, qap, full_witness, FieldElement(publics.c, field), keypair, cert,
-        vk_bytes, r1cs_bytes, args.now, sign_domain, nonce=nonce,
+        vk_bytes, r1cs_bytes, args.now, desc.sign_domain, nonce=nonce,
         proof_seed=proof_seed)
     package_bytes = package.to_bytes(field)
     _write(args.out, package_bytes)
     if args.opening_out is not None:
+        opening = {**desc.opening(publics, witness),
+                   "c_index": desc.public_order.index("c")}
         _write(args.opening_out, json.dumps(opening, indent=1) + "\n", "w")
         print(f"wrote opening {args.opening_out}")
-    print(f"{outcome[0]} {outcome[1]}")
+    print(f"{desc.outcome} {getattr(publics, desc.outcome)}")
     print(f"wrote package {args.out} ({len(package_bytes)} bytes)")
     return 0
 
@@ -391,18 +342,16 @@ def cmd_bench(args) -> int:
 
 def cmd_vectors(args) -> int:
     lines = ["golden-vectors v1"]
-    for name, dom in (("rss-commit", RSS_COMMIT_DOMAIN),
-                      ("rss-sign", RSS_SIGN_DOMAIN),
-                      ("audit-commit", AUDIT_COMMIT_DOMAIN),
-                      ("audit-sign", AUDIT_SIGN_DOMAIN)):
-        lines.append(f"domain-separator {name} {dom.value}")
+    for c in (CIRCUITS["rss"], CIRCUITS["audit"]):   # in the pinned order
+        for op, dom in (("commit", c.commit_domain), ("sign", c.sign_domain)):
+            lines.append(f"domain-separator {c.name}-{op} {dom.value}")
     for fname, field in (("test", TEST_FIELD), ("standard", STANDARD_FIELD)):
         for inputs in ([], [0], [1], [1, 2], [1, 2, 3], [field.p - 1]):
             h = sponge_hash(inputs, field)
             label = ",".join(str(x) for x in inputs)
             lines.append(f"sponge {fname} [{label}] {h.value}")
     samples = [
-        ("ctx", encode(RSS_SIGN_DOMAIN.value, DTypeTag.CTX)),
+        ("ctx", encode(CIRCUITS["rss"].sign_domain.value, DTypeTag.CTX)),
         ("ts", encode(123456789, DTypeTag.TS)),
         ("nonce", encode(bytes(range(NONCE_BYTES)), DTypeTag.NONCE)),
         ("commit", encode(FieldElement(42, TEST_FIELD), DTypeTag.COMMIT)),
@@ -464,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("setup", help="compile a circuit and run key ceremony")
-    p.add_argument("--circuit", choices=["rss", "audit"], required=True)
+    p.add_argument("--circuit", choices=sorted(CIRCUITS), required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--theta", type=float, default=0.75,
                    help="detection threshold (rss)")
@@ -474,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_setup)
 
     p = sub.add_parser("prove", help="generate a signed proof package")
-    p.add_argument("--circuit", choices=["rss", "audit"], required=True)
+    p.add_argument("--circuit", choices=sorted(CIRCUITS), required=True)
     p.add_argument("--circuit-dir", required=True)
     p.add_argument("--identity-dir", required=True)
     p.add_argument("--scenario", help="scenario text file (rss)")

@@ -7,6 +7,7 @@ the two field profiles defined here.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 
@@ -24,11 +25,22 @@ __all__ = [
     "encode",
     "decode",
     "EncodingError",
+    "ProtocolError",
+    "DomainSeparator",
+    "RSS_COMMIT_DOMAIN",
+    "RSS_SIGN_DOMAIN",
+    "AUDIT_COMMIT_DOMAIN",
+    "AUDIT_SIGN_DOMAIN",
+    "nonce_to_field",
 ]
 
 
 class EncodingError(ValueError):
     """Raised when encode/decode receives malformed input for a tag."""
+
+
+class ProtocolError(Exception):
+    """A malformed protocol value: domain separator, package or certificate."""
 
 
 class PrimeModulus:
@@ -309,3 +321,33 @@ def decode(data: bytes, dtype: DTypeTag, field: PrimeModulus = TEST_FIELD):
     if dtype in _BLOB_TAGS:
         return data
     raise EncodingError(f"unknown dtype tag {dtype!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class DomainSeparator:
+    """32-bit separator packed big-endian as [app][op][counter:2]."""
+    app: int
+    op: int
+    counter: int = 0
+
+    def __post_init__(self):
+        for name, hi in (("app", 0xFF), ("op", 0xFF), ("counter", 0xFFFF)):
+            if not 0 <= getattr(self, name) <= hi:
+                raise ProtocolError(f"domain separator {name}="
+                                    f"{getattr(self, name)} out of range")
+
+    @property
+    def value(self) -> int:
+        return (self.app << 24) | (self.op << 16) | self.counter
+
+
+RSS_COMMIT_DOMAIN = DomainSeparator(0x00, 0x01)      # 65536
+RSS_SIGN_DOMAIN = DomainSeparator(0x00, 0x02)        # 131072
+AUDIT_COMMIT_DOMAIN = DomainSeparator(0x01, 0x01)    # 16842752
+AUDIT_SIGN_DOMAIN = DomainSeparator(0x01, 0x02)      # 16908288
+
+
+def nonce_to_field(nonce: bytes, field: PrimeModulus = TEST_FIELD) -> int:
+    if len(nonce) != NONCE_BYTES:
+        raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
+    return int.from_bytes(nonce, "little") % field.p

@@ -11,7 +11,8 @@ timestamp, and nonce, so any tampering breaks the signature before the
 
 Verification order (cheapest/most-diagnostic first):
     1. certificate chain,  2. circuit registered,  3. signature,
-    4. timestamp freshness,  5. nonce replay,  6. zk proof.
+    4. binding: public delta_commit, T, nu, c restate the signed envelope,
+    5. timestamp freshness,  6. nonce replay,  7. zk proof.
 """
 
 from __future__ import annotations
@@ -21,11 +22,15 @@ import hashlib
 import secrets
 import struct
 
-from .commitment import byte_hash
-from .field import (DTypeTag, EncodingError, FieldElement, NONCE_BYTES,
-                    TEST_FIELD, decode, encode)
+from .audit_circuit import AUDIT_CIRCUIT
+from .commitment import byte_hash, verify_commitment
+from .field import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN, DTypeTag,
+                    DomainSeparator, EncodingError, FieldElement, NONCE_BYTES,
+                    ProtocolError, RSS_COMMIT_DOMAIN, RSS_SIGN_DOMAIN,
+                    TEST_FIELD, decode, encode, nonce_to_field)
 from .groth16 import Proof, VerifyingKey, prove, verify
 from .pairing import BilinearGroup, G1Element, toy_group
+from .rss_circuit import RSS_CIRCUIT
 
 __all__ = [
     "DomainSeparator",
@@ -46,46 +51,14 @@ __all__ = [
     "audit_open",
     "ProtocolError",
     "DEFAULT_FRESHNESS_WINDOW",
+    "CIRCUITS",
+    "CIRCUITS_BY_SIGN_DOMAIN",
 ]
 
 DEFAULT_FRESHNESS_WINDOW = 5  # seconds
 
-
-class ProtocolError(Exception):
-    pass
-
-
-class DomainSeparator:
-    """32-bit separator packed big-endian as [app][op][counter:2]."""
-
-    __slots__ = ("app", "op", "counter")
-
-    def __init__(self, app: int, op: int, counter: int = 0):
-        for name, v, hi in (("app", app, 0xFF), ("op", op, 0xFF),
-                            ("counter", counter, 0xFFFF)):
-            if not 0 <= v <= hi:
-                raise ProtocolError(f"domain separator {name}={v} out of range")
-        self.app, self.op, self.counter = app, op, counter
-
-    @property
-    def value(self) -> int:
-        return (self.app << 24) | (self.op << 16) | self.counter
-
-    def __int__(self):
-        return self.value
-
-    def __eq__(self, other):
-        return isinstance(other, DomainSeparator) and self.value == other.value
-
-    def __repr__(self):
-        return (f"DomainSeparator(app={self.app:#04x}, op={self.op:#04x}, "
-                f"counter={self.counter})")
-
-
-RSS_COMMIT_DOMAIN = DomainSeparator(0x00, 0x01)      # 65536
-RSS_SIGN_DOMAIN = DomainSeparator(0x00, 0x02)        # 131072
-AUDIT_COMMIT_DOMAIN = DomainSeparator(0x01, 0x01)    # 16842752
-AUDIT_SIGN_DOMAIN = DomainSeparator(0x01, 0x02)      # 16908288
+CIRCUITS = {c.name: c for c in (RSS_CIRCUIT, AUDIT_CIRCUIT)}
+CIRCUITS_BY_SIGN_DOMAIN = {c.sign_domain: c for c in CIRCUITS.values()}
 
 
 # -- Schnorr signatures over G1 ----------------------------------------------
@@ -374,6 +347,20 @@ class ProofPackage:
                    sign_domain)
 
 
+def _bound(package: ProofPackage) -> bool:
+    """The proof's public inputs restate the package's signed envelope, so
+    freshness and replay checks of the envelope cover the claim too."""
+    circuit = CIRCUITS_BY_SIGN_DOMAIN.get(package.sign_domain)
+    if (circuit is None
+            or len(package.public_inputs) != len(circuit.public_order)):
+        return False
+    publics = dict(zip(circuit.public_order, package.public_inputs))
+    return (publics["delta_commit"] == circuit.commit_domain.value
+            and publics["T"] == package.timestamp
+            and publics["nu"] == nonce_to_field(package.nonce)
+            and publics["c"] == package.commitment.value)
+
+
 def create_package(pk, qap, witness, commitment_value: FieldElement,
                    keypair: SignatureKeypair, cert: Certificate,
                    vk_bytes: bytes, r1cs_bytes: bytes, timestamp: int,
@@ -467,6 +454,8 @@ class VerifierState:
         if not schnorr_verify(package.vk_sig_bytes, message,
                               package.signature, self.group):
             return False, "signature"
+        if not _bound(package):
+            return False, "binding"
         if abs(now - package.timestamp) > self.freshness_window:
             return False, "freshness"
         self._prune(now)
@@ -486,7 +475,6 @@ def audit_open(package: ProofPackage, opening: dict,
                commitment_public_index: int, field=TEST_FIELD) -> bool:
     """Auditor-side check that a revealed opening matches the commitment the
     proof was bound to (both the package field and the public input)."""
-    from .commitment import verify_commitment
     c = package.commitment
     if package.public_inputs[commitment_public_index] != c.value:
         return False

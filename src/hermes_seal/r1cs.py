@@ -13,6 +13,7 @@ constraint-verified; the constraint system never trusts a solver.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import struct
 import warnings
@@ -30,6 +31,7 @@ __all__ = [
     "MissingInputError",
     "R1CS_MAGIC",
     "pad_to_power_of_two",
+    "CircuitDescriptor",
 ]
 
 R1CS_MAGIC = b"HSR1"
@@ -505,3 +507,26 @@ class CircuitBuilder:
     @property
     def n_constraints(self) -> int:
         return len(self._constraints)
+
+
+@dataclasses.dataclass(frozen=True)
+class CircuitDescriptor:
+    """What the command line and the verifier know of one circuit; each
+    circuit module defines one and `protocol.CIRCUITS` collects them.
+
+    opening(publics, witness) -> commitment.open_commitment of `c`
+    params(setup args, read(path)) -> (meta, {suffix: text}) written by setup
+    load(meta, read(suffix)) -> the circuit those files describe
+    inputs(circuit, text of --<input_option>, timestamp, nonce, s_sec)
+        -> (publics, witness, nonce); a None nonce or s_sec is drawn fresh
+    """
+    name: str
+    public_order: list        # public inputs in wire order
+    commit_domain: object     # DomainSeparator pinned to `delta_commit`
+    sign_domain: object       # DomainSeparator packages are signed under
+    outcome: str              # the public input that carries the claim
+    input_option: str
+    opening: object
+    params: object
+    load: object
+    inputs: object

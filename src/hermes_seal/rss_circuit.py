@@ -35,10 +35,10 @@ from __future__ import annotations
 import dataclasses
 import secrets
 
-from .commitment import commit, sponge_gadget
-from .field import NONCE_BYTES, PrimeModulus, TEST_FIELD, scale
-from .protocol import RSS_COMMIT_DOMAIN
-from .r1cs import CircuitBuilder, pad_to_power_of_two
+from .commitment import commit, open_commitment, sponge_gadget
+from .field import (NONCE_BYTES, PrimeModulus, RSS_COMMIT_DOMAIN,
+                    RSS_SIGN_DOMAIN, TEST_FIELD, nonce_to_field, scale)
+from .r1cs import CircuitBuilder, CircuitDescriptor, pad_to_power_of_two
 
 __all__ = [
     "RssParams",
@@ -58,6 +58,7 @@ __all__ = [
     "RHO_DIST",
     "PROB_BITS",
     "DIST_BITS",
+    "RSS_CIRCUIT",
 ]
 
 STOP_SIGN_ID = 11
@@ -116,18 +117,6 @@ def evaluate_predicate(pr: int, theta: int, d_current: int, d_safe: int) -> int:
     return 1 if (pr >= theta and d_current >= d_safe) else 0
 
 
-def nonce_to_field(nonce: bytes, field: PrimeModulus = TEST_FIELD) -> int:
-    if len(nonce) != NONCE_BYTES:
-        raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
-    return int.from_bytes(nonce, "little") % field.p
-
-
-# public wires in allocation order (the witness prefix after the 1-wire)
-PUBLIC_ORDER = [
-    "delta_commit", "ID", "d_S", "d_S_current", "phi_S", "lambda_S",
-    "rho_prob", "rho_geo", "rho_psi", "T", "nu", "c",
-    "w_cloud", "w_precip", "w_fog", "SAFE",
-]
 WITNESS_ORDER = ["Pr", "b0", "b1", "b2", "b3", "phi_V", "lambda_V",
                  "v", "psi", "s_sec"]
 
@@ -153,6 +142,10 @@ class RssPublicInputs:
     SAFE: int = 0
 
 
+# public wires in allocation order (the witness prefix after the 1-wire)
+PUBLIC_ORDER = [f.name for f in dataclasses.fields(RssPublicInputs)]
+
+
 @dataclasses.dataclass
 class RssWitness:
     """Scaled private values."""
@@ -176,37 +169,22 @@ class RssWitness:
                 self.psi, self.s_sec]
         return dict(zip(WITNESS_ORDER, vals))
 
-    def commitment_payload(self, T: int, nu: int):
-        """Sponge inputs after the domain tag, in the fixed absorb order."""
-        return [self.Pr, *self.b, self.phi_V, self.lambda_V, self.v,
-                self.psi, T, nu]
-
 
 class RssCircuit:
     """Built circuit plus wire handles; immutable after construction."""
 
     def __init__(self, cs, wires, theta: int, stop_sign_id: int,
-                 field: PrimeModulus, has_commitment: bool = True):
+                 field: PrimeModulus):
         self.cs = cs
         self.wires = wires
         self.theta = theta
         self.stop_sign_id = stop_sign_id
         self.field = field
-        self.has_commitment = has_commitment
 
     def generate_witness(self, publics: RssPublicInputs, witness: RssWitness):
-        assignments = {}
-        for name in PUBLIC_ORDER:
-            assignments[self.wires[name]] = getattr(publics, name)
-        for name, value in witness.as_dict().items():
-            assignments[self.wires[name]] = value
-        return self.cs.generate_witness(assignments)
-
-    def native_commitment(self, publics: RssPublicInputs,
-                          witness: RssWitness):
-        return commit(publics.delta_commit,
-                      witness.commitment_payload(publics.T, publics.nu),
-                      witness.s_sec, self.field)
+        values = {**vars(publics), **witness.as_dict()}
+        return self.cs.generate_witness(
+            {self.wires[name]: v for name, v in values.items()})
 
 
 def build_rss_circuit(theta: float = 0.75, stop_sign_id: int = STOP_SIGN_ID,
@@ -225,6 +203,8 @@ def build_rss_circuit(theta: float = 0.75, stop_sign_id: int = STOP_SIGN_ID,
     sponge stage (used by fast fixtures where only the predicate logic and
     package plumbing matter).  Production keys use the defaults.
     """
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must be within [0, 1], got {theta}")
     theta_scaled = round(theta * rho_prob)
     if not 0 <= theta_scaled < (1 << prob_bits):
         raise ValueError("scaled threshold out of comparator range")
@@ -265,8 +245,7 @@ def build_rss_circuit(theta: float = 0.75, stop_sign_id: int = STOP_SIGN_ID,
         b.enforce(wires[name], b.lc(0), b.lc(0), f"bind_{name}")
 
     cs = pad_to_power_of_two(b.finalize())
-    return RssCircuit(cs, wires, theta_scaled, stop_sign_id, field,
-                      has_commitment=include_commitment)
+    return RssCircuit(cs, wires, theta_scaled, stop_sign_id, field)
 
 
 @dataclasses.dataclass
@@ -340,10 +319,16 @@ def make_rss_inputs(scenario: RssScenario, nonce: bytes = None,
         w_fog=scale(scenario.w_fog, 100, field).value,
         SAFE=safe,
     )
-    publics.c = commit(publics.delta_commit,
-                       witness.commitment_payload(publics.T, publics.nu),
-                       witness.s_sec, field).value
+    publics.c = commit(**_opening(publics, witness), field=field).value
     return publics, witness, nonce
+
+
+def _opening(publics: RssPublicInputs, witness: RssWitness) -> dict:
+    """The opening of the commitment `c`: the tag, then the sponge inputs in
+    their fixed absorb order, then the blinder."""
+    payload = [witness.Pr, *witness.b, witness.phi_V, witness.lambda_V,
+               witness.v, witness.psi, publics.T, publics.nu]
+    return open_commitment(publics.delta_commit, payload, witness.s_sec)
 
 
 # -- scenario text format -----------------------------------------------------
@@ -382,3 +367,19 @@ def parse_scenario(text: str) -> RssScenario:
         else:
             kwargs[key] = float(value)
     return RssScenario(**kwargs)
+
+
+# -- the descriptor ------------------------------------------------------------
+
+
+RSS_CIRCUIT = CircuitDescriptor(
+    name="rss", public_order=PUBLIC_ORDER, commit_domain=RSS_COMMIT_DOMAIN,
+    sign_domain=RSS_SIGN_DOMAIN, outcome="SAFE", input_option="scenario",
+    opening=_opening,
+    params=lambda args, read: ({"theta": args.theta,
+                                "rho_prob": args.rho_prob}, {}),
+    load=lambda meta, read: build_rss_circuit(
+        theta=float(meta["theta"]), rho_prob=int(meta["rho_prob"])),
+    inputs=lambda circuit, text, timestamp, nonce, s_sec: make_rss_inputs(
+        dataclasses.replace(parse_scenario(text), timestamp=timestamp),
+        nonce=nonce, s_sec=s_sec, circuit=circuit, field=circuit.field))

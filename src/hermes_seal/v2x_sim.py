@@ -14,6 +14,8 @@ Adversary types:
     cross-context    rewrite the package's signing context (RSS <-> audit)
     tamper           flip one package field per delivery, cycling through
                      every field
+    re-envelope      the prover re-signs its own package, once stale, under a
+                     fresh timestamp, nonce and commitment
 
 Each adversarial delivery records the verifier's reject reason; an
 acceptance that violates protocol guarantees counts as an attack success
@@ -32,9 +34,9 @@ import random
 
 from .field import FieldElement, NONCE_BYTES, TEST_FIELD
 from .groth16 import setup
-from .protocol import (AUDIT_SIGN_DOMAIN, DomainSeparator, EnrollmentAuthority,
-                       ProofPackage, RSS_SIGN_DOMAIN, VerifierState,
-                       create_package, schnorr_keygen)
+from .protocol import (AUDIT_SIGN_DOMAIN, EnrollmentAuthority, ProofPackage,
+                       RSS_SIGN_DOMAIN, VerifierState, assemble_payload,
+                       create_package, schnorr_keygen, schnorr_sign)
 from .qap import r1cs_to_qap
 from .rss_circuit import RssScenario, build_rss_circuit, make_rss_inputs
 
@@ -51,10 +53,11 @@ __all__ = [
     "ADVERSARY_TYPES",
 ]
 
-ADVERSARY_TYPES = ("replay", "stale-timestamp", "cross-context", "tamper")
+ADVERSARY_TYPES = ("replay", "stale-timestamp", "cross-context", "tamper",
+                   "re-envelope")
 
-TAMPER_FIELDS = ["proof", "publics", "commit", "sig", "vk_sig", "cert",
-                 "r1cs_hash", "ts", "nonce", "ctx"]
+TAMPER_FIELDS = ["proof", "publics", "alias", "commit", "sig", "vk_sig",
+                 "cert", "r1cs_hash", "ts", "nonce", "ctx"]
 
 # which verifier reject reasons are protocol-correct for each attack; any
 # acceptance outside these expectations is an attack success
@@ -62,11 +65,13 @@ _EXPECTED_REASONS = {
     "replay": {"replay"},
     "stale-timestamp": {"freshness"},
     "cross-context": {"signature"},
+    "re-envelope": {"binding"},
     "tamper:proof": {"signature"},
     # a publics-only tamper keeps the signature valid, so at a verifier that
     # already accepted the original the nonce check fires first ("replay");
     # "proof" fires when the original never arrived there
     "tamper:publics": {"proof", "replay"},
+    "tamper:alias": {"proof", "replay"},    # SAFE + q: same value mod q
     "tamper:commit": {"signature"},
     "tamper:sig": {"signature"},
     "tamper:vk_sig": {"certificate"},
@@ -121,8 +126,7 @@ TEMPLATES = {
     # several provers and verifiers with every adversary type active
     "mixed-fleet": dict(n_provers=2, n_verifiers=3, n_broadcasts=3,
                         drop_prob=0.1,
-                        adversaries=("replay", "stale-timestamp",
-                                     "cross-context", "tamper")),
+                        adversaries=ADVERSARY_TYPES),
 }
 
 
@@ -255,23 +259,8 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        rows = ["metric,value",
-                f"template,{self.template}",
-                f"seed,{self.seed}",
-                f"broadcasts,{self.broadcasts}",
-                f"genuine-attempted,{self.genuine_attempted}",
-                f"adversarial-attempted,{self.adversarial_attempted}",
-                f"delivered,{self.delivered}",
-                f"dropped,{self.dropped}",
-                f"accepts,{self.accepts}",
-                f"rejects,{self.total_rejects}"]
-        rows += [f"reject[{r}],{self.rejects[r]}" for r in sorted(self.rejects)]
-        rows += [f"attack-attempts,{self.attack_attempts}",
-                 f"attack-successes,{self.attack_successes}",
-                 f"unexpected-reasons,{self.unexpected_reasons}",
-                 f"map-updates,{self.map_updates}",
-                 f"conserved,{self.conserved()}"]
-        return "\n".join(rows) + "\n"
+        rows = [ln.replace(" ", ",", 1) for ln in self.to_text().splitlines()]
+        return "\n".join(["metric,value"] + rows) + "\n"
 
     def to_bytes(self) -> bytes:
         return self.to_text().encode()
@@ -283,41 +272,34 @@ class SimReport:
 def _mutate_package(pkg: ProofPackage, what: str, field=TEST_FIELD) -> bytes:
     """Return package bytes with exactly one field altered."""
     p = ProofPackage.from_bytes(pkg.to_bytes(field), field)  # private copy
+
+    def flip(data: bytes, at: int) -> bytes:
+        return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
     if what == "proof":
-        b = bytearray(p.proof_bytes)
-        b[8] ^= 0x01
-        p.proof_bytes = bytes(b)
+        p.proof_bytes = flip(p.proof_bytes, 8)
     elif what == "publics":
         # flip the claimed outcome bit (last public input)
         p.public_inputs[-1] ^= 1
+    elif what == "alias":
+        p.public_inputs[-1] += field.p
     elif what == "commit":
         p.commitment = FieldElement(p.commitment.value + 1, field)
     elif what == "sig":
-        b = bytearray(p.signature)
-        b[0] ^= 0x01
-        p.signature = bytes(b)
+        p.signature = flip(p.signature, 0)
     elif what == "vk_sig":
-        b = bytearray(p.vk_sig_bytes)
-        b[1] ^= 0x01
-        p.vk_sig_bytes = bytes(b)
+        p.vk_sig_bytes = flip(p.vk_sig_bytes, 1)
     elif what == "cert":
-        b = bytearray(p.cert_bytes)
-        b[0] ^= 0x01               # vehicle ID
-        p.cert_bytes = bytes(b)
+        p.cert_bytes = flip(p.cert_bytes, 0)        # vehicle ID
     elif what == "r1cs_hash":
-        b = bytearray(p.r1cs_hash)
-        b[0] ^= 0x01
-        p.r1cs_hash = bytes(b)
+        p.r1cs_hash = flip(p.r1cs_hash, 0)
     elif what == "ts":
         p.timestamp += 1
     elif what == "nonce":
-        b = bytearray(p.nonce)
-        b[0] ^= 0x01
-        p.nonce = bytes(b)
+        p.nonce = flip(p.nonce, 0)
     elif what == "ctx":
-        other = (AUDIT_SIGN_DOMAIN if p.sign_domain.value
-                 == RSS_SIGN_DOMAIN.value else RSS_SIGN_DOMAIN)
-        p.sign_domain = DomainSeparator(other.app, other.op, other.counter)
+        p.sign_domain = (AUDIT_SIGN_DOMAIN if p.sign_domain == RSS_SIGN_DOMAIN
+                         else RSS_SIGN_DOMAIN)
     else:
         raise ValueError(f"unknown tamper field {what!r}")
     return p.to_bytes(field)
@@ -375,7 +357,7 @@ def run_scenario(scenario: SimScenario,
                 cert, art.vk_bytes, art.r1cs_bytes, t, RSS_SIGN_DOMAIN,
                 nonce=nonce, proof_seed=rng.getrandbits(64))
             raw = pkg.to_bytes(field)
-            broadcasts.append((t, raw))
+            broadcasts.append((t, raw, kp))
             report.broadcasts += 1
             for v in range(scenario.n_verifiers):
                 report.genuine_attempted += 1
@@ -389,7 +371,7 @@ def run_scenario(scenario: SimScenario,
     # adversaries observe every on-air broadcast and schedule injections
     tamper_cycle = 0
     for adv in scenario.adversaries:
-        for t, raw in broadcasts:
+        for t, raw, kp in broadcasts:
             if adv == "replay":
                 for v in range(scenario.n_verifiers):
                     report.adversarial_attempted += 1
@@ -414,6 +396,19 @@ def run_scenario(scenario: SimScenario,
                 report.adversarial_attempted += 1
                 push(t + scenario.latency_max + 3, "attack",
                      (v, _mutate_package(pkg, what, field), f"tamper:{what}"))
+            elif adv == "re-envelope":
+                v = rng.randrange(scenario.n_verifiers)
+                pkg = ProofPackage.from_bytes(raw, field)
+                pkg.timestamp = t + scenario.freshness_window + 10
+                pkg.nonce = rng.randbytes(NONCE_BYTES)
+                pkg.commitment = FieldElement(rng.randrange(field.p), field)
+                pkg.signature = schnorr_sign(kp, assemble_payload(
+                    pkg.sign_domain, art.r1cs_bytes, art.vk_bytes,
+                    pkg.cert_bytes, pkg.proof_bytes, pkg.commitment,
+                    pkg.timestamp, pkg.nonce))
+                report.adversarial_attempted += 1
+                push(pkg.timestamp, "attack",
+                     (v, pkg.to_bytes(field), "re-envelope"))
 
     # drain the bus in (time, insertion) order
     seen_nonces = [set() for _ in range(scenario.n_verifiers)]

@@ -11,6 +11,8 @@ from hermes_seal.audit_circuit import (AuditThresholds, ChallengeSet,
                                        Detection, GroundTruth,
                                        canonical_text, format_detections)
 from hermes_seal.cli import main
+from hermes_seal.protocol import (ProofPackage, SignatureKeypair,
+                                  assemble_payload, schnorr_sign, toy_group)
 from hermes_seal.rss_circuit import RssScenario, format_scenario
 
 
@@ -73,13 +75,42 @@ def test_prove_verify_accept_then_replay(workspace, capfd):
     assert out.splitlines()[-1] == "accept"
     assert all(f"{stage} PASS" in out for stage in
                ("context", "certificate", "circuit-registered", "signature",
-                "freshness", "nonce", "proof"))
+                "binding", "freshness", "nonce", "proof"))
     # the nonce store persisted: an identical re-send is a replay
     assert run(["verify", "--vk", workspace / "keys" / "rss.vk",
                 "--package", pkg, "--state-dir", workspace / "state",
                 "--now", "102"]) == 1
     out = capfd.readouterr().out
     assert "nonce FAIL nonce-replay" in out
+    assert out.splitlines()[-1] == "reject"
+
+
+def test_verify_rejects_re_signed_envelope(workspace, tmp_path, capfd):
+    # the vehicle re-signs an old proof under a later timestamp
+    keys = workspace / "keys"
+    assert run(["prove", "--circuit", "rss", "--circuit-dir", keys,
+                "--identity-dir", workspace / "id",
+                "--scenario", workspace / "scn.txt",
+                "--out", tmp_path / "old.bin", "--now", "500",
+                "--seed", "13"]) == 0
+    pkg = ProofPackage.from_bytes((tmp_path / "old.bin").read_bytes())
+    pkg.timestamp = 600
+    group = toy_group()
+    sk = int.from_bytes((workspace / "id" / "vehicle.sk").read_bytes(),
+                        "little")
+    keypair = SignatureKeypair(sk, group.scalar_mul_g1(sk, group.g1), group)
+    pkg.signature = schnorr_sign(keypair, assemble_payload(
+        pkg.sign_domain, (keys / "rss.r1cs").read_bytes(),
+        (keys / "rss.vk").read_bytes(), pkg.cert_bytes, pkg.proof_bytes,
+        pkg.commitment, pkg.timestamp, pkg.nonce))
+    (tmp_path / "new.bin").write_bytes(pkg.to_bytes())
+    capfd.readouterr()
+    assert run(["verify", "--vk", keys / "rss.vk",
+                "--package", tmp_path / "new.bin",
+                "--state-dir", workspace / "state", "--now", "601"]) == 1
+    out = capfd.readouterr().out
+    assert "signature PASS" in out
+    assert "binding FAIL envelope-mismatch" in out
     assert out.splitlines()[-1] == "reject"
 
 

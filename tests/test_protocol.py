@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermes_seal import protocol
+from hermes_seal.audit_circuit import make_audit_inputs
+from hermes_seal.cli import build_parser
 from hermes_seal.field import FieldElement, TEST_FIELD
 from hermes_seal.protocol import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN,
+                                  CIRCUITS, CIRCUITS_BY_SIGN_DOMAIN,
                                   Certificate, DomainSeparator,
                                   EnrollmentAuthority, ProofPackage,
                                   ProtocolError, RSS_COMMIT_DOMAIN,
                                   RSS_SIGN_DOMAIN, VerifierState, audit_open,
                                   create_package, schnorr_keygen,
                                   schnorr_sign, schnorr_verify)
-from hermes_seal.commitment import open_commitment
-from hermes_seal.rss_circuit import (PUBLIC_ORDER, RssScenario,
+from hermes_seal.rss_circuit import (PUBLIC_ORDER, RSS_CIRCUIT, RssScenario,
                                      make_rss_inputs)
 
 
@@ -40,6 +42,31 @@ def test_domain_separator_packing():
         DomainSeparator(256, 0)
     with pytest.raises(ProtocolError):
         DomainSeparator(0, 0, 1 << 16)
+
+
+# -- circuit descriptors ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_descriptor_matches_its_circuit(name):
+    # built the way `setup --circuit NAME` builds it, with default options
+    desc = CIRCUITS[name]
+    args = build_parser().parse_args(["setup", "--circuit", name,
+                                      "--out-dir", "unused"])
+    meta, files = desc.params(args, None)
+    cs = desc.load(meta, files.__getitem__).cs
+    assert cs.labels[1:1 + cs.n_public] == list(desc.public_order)
+    assert {"delta_commit", "T", "nu", "c"} <= set(desc.public_order)
+    assert desc.public_order[-1] == desc.outcome
+    assert CIRCUITS_BY_SIGN_DOMAIN[desc.sign_domain] is desc
+    assert CIRCUITS_BY_SIGN_DOMAIN[
+        DomainSeparator(desc.sign_domain.app, desc.sign_domain.op)] is desc
+
+
+def test_descriptor_domains_are_unique():
+    domains = [d.value for c in CIRCUITS.values()
+               for d in (c.commit_domain, c.sign_domain)]
+    assert len(set(domains)) == len(domains) == 2 * len(CIRCUITS)
 
 
 # -- Schnorr ------------------------------------------------------------------
@@ -301,17 +328,98 @@ def test_audit_open_roundtrip(rss_artifacts, identity):
     # full circuit: the commitment is a bound public input
     pkg, publics, witness = _fresh_package(rss_artifacts, identity)
     c_index = PUBLIC_ORDER.index("c")
-    opening = open_commitment(
-        publics.delta_commit,
-        witness.commitment_payload(publics.T, publics.nu), witness.s_sec)
+    opening = RSS_CIRCUIT.opening(publics, witness)
     assert audit_open(pkg, opening, c_index)
-    bad = open_commitment(
-        publics.delta_commit,
-        witness.commitment_payload(publics.T, publics.nu), witness.s_sec + 1)
+    bad = dict(opening, blinder=witness.s_sec + 1)
     assert not audit_open(pkg, bad, c_index)
     # package whose public input disagrees with its commitment field
     pkg.public_inputs[c_index] = (pkg.public_inputs[c_index] + 1) % TEST_FIELD.p
     assert not audit_open(pkg, opening, c_index)
+
+
+# -- envelope binding ---------------------------------------------------------
+
+
+def _re_signed(pkg, keypair, art, **envelope):
+    """A copy of `pkg` with envelope fields replaced, signed again by the
+    sender: the signature is valid, the proof is the old one."""
+    pkg = ProofPackage.from_bytes(pkg.to_bytes())
+    for name, value in envelope.items():
+        setattr(pkg, name, value)
+    pkg.signature = schnorr_sign(keypair, protocol.assemble_payload(
+        pkg.sign_domain, art.r1cs_bytes, art.vk_bytes, pkg.cert_bytes,
+        pkg.proof_bytes, pkg.commitment, pkg.timestamp, pkg.nonce))
+    return pkg
+
+
+@pytest.fixture(scope="module")
+def audit_package(audit_fixture_artifacts, identity):
+    art = audit_fixture_artifacts
+    _, keypair, cert = identity
+    rng = random.Random(4)
+    publics, witness, nonce, _ = make_audit_inputs(
+        art.challenge, art.thresholds, art.detections, timestamp=100,
+        nonce=rng.randbytes(16), s_sec=rng.randrange(TEST_FIELD.p))
+    w = art.circuit.generate_witness(publics, witness)
+    return create_package(
+        art.pk, art.qap, w, FieldElement(publics.c, TEST_FIELD), keypair,
+        cert, art.vk_bytes, art.r1cs_bytes, 100, AUDIT_SIGN_DOMAIN,
+        nonce=nonce, proof_seed=rng.getrandbits(64))
+
+
+ENVELOPE_CHANGES = {
+    "timestamp": lambda pkg: pkg.timestamp + 1,
+    "nonce": lambda pkg: bytes([pkg.nonce[0] ^ 1]) + pkg.nonce[1:],
+    "commitment": lambda pkg: pkg.commitment + 1,
+}
+
+
+@pytest.mark.parametrize("circuit", ["rss", "audit"])
+def test_re_signed_envelope_rejected_at_binding(circuit, identity, request):
+    if circuit == "rss":
+        art = request.getfixturevalue("small_rss_artifacts")
+        pkg, _, _ = _fresh_package(art, identity)
+    else:
+        art = request.getfixturevalue("audit_fixture_artifacts")
+        pkg = request.getfixturevalue("audit_package")
+    _, keypair, _ = identity
+    # re-signing the unchanged envelope is accepted, so each reject below
+    # is the binding check's
+    assert _fresh_state(art, identity).verify_package(
+        _re_signed(pkg, keypair, art), now=101) == (True, "ok")
+    for name, change in ENVELOPE_CHANGES.items():
+        moved = _re_signed(pkg, keypair, art, **{name: change(pkg)})
+        state = _fresh_state(art, identity)
+        assert state.verify_package(moved, now=101) == (False, "binding"), \
+            name
+        assert not state._nonces
+
+
+def test_unknown_or_foreign_sign_domain_rejected_at_binding(
+        small_rss_artifacts, identity):
+    art = small_rss_artifacts
+    _, keypair, _ = identity
+    pkg, _, _ = _fresh_package(art, identity)
+    state = _fresh_state(art, identity)
+    for domain in (DomainSeparator(0x02, 0x02), AUDIT_SIGN_DOMAIN,
+                   RSS_COMMIT_DOMAIN):
+        moved = _re_signed(pkg, keypair, art, sign_domain=domain)
+        assert state.verify_package(moved, now=101) == (False, "binding"), \
+            domain
+
+
+def test_publics_that_misstate_the_circuit_rejected_at_binding(
+        small_rss_artifacts, identity):
+    # public inputs are not signed: a wrong delta_commit or count is caught
+    # before the pairing
+    state = _fresh_state(small_rss_artifacts, identity)
+    pkg, _, _ = _fresh_package(small_rss_artifacts, identity)
+    pkg.public_inputs[PUBLIC_ORDER.index("delta_commit")] = \
+        AUDIT_COMMIT_DOMAIN.value
+    assert state.verify_package(pkg, now=101) == (False, "binding")
+    pkg, _, _ = _fresh_package(small_rss_artifacts, identity)
+    pkg.public_inputs.pop()
+    assert state.verify_package(pkg, now=101) == (False, "binding")
 
 
 # -- malformed bytes ----------------------------------------------------------

@@ -9,11 +9,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermes_seal.commitment import commit
 from hermes_seal.field import TEST_FIELD, scale, unscale
 from hermes_seal.r1cs import UnsatisfiableError
 from hermes_seal.rss_circuit import (DIST_BITS, PROB_BITS, RHO_DIST,
-                                     RssParams, RssScenario, STOP_SIGN_ID,
-                                     build_rss_circuit, evaluate_predicate,
+                                     RSS_CIRCUIT, RssParams, RssScenario,
+                                     STOP_SIGN_ID, build_rss_circuit,
+                                     evaluate_predicate,
                                      format_scenario, make_rss_inputs,
                                      nonce_to_field, parse_scenario,
                                      rss_safe_distance,
@@ -109,8 +111,9 @@ def test_full_circuit_binds_commitment(rss_artifacts):
     publics, witness, _ = make_rss_inputs(RssScenario(), nonce=bytes(16),
                                           s_sec=5, circuit=art.circuit)
     w = art.circuit.generate_witness(publics, witness)
-    native = art.circuit.native_commitment(publics, witness)
-    assert publics.c == native.value
+    opening = RSS_CIRCUIT.opening(publics, witness)
+    assert opening["payload"][-2:] == [publics.T, publics.nu]
+    assert publics.c == commit(**opening).value
     # wrong commitment public input -> unsatisfiable at the sponge binding
     publics.c = (publics.c + 1) % TEST_FIELD.p
     with pytest.raises(UnsatisfiableError, match="bind_commitment"):

@@ -18,7 +18,7 @@ def test_templates_shape():
     assert set(TEMPLATES) == {"occluded-stop-sign", "replay-storm",
                               "mixed-fleet"}
     assert set(ADVERSARY_TYPES) == {"replay", "stale-timestamp",
-                                    "cross-context", "tamper"}
+                                    "cross-context", "tamper", "re-envelope"}
     mixed = make_scenario("mixed-fleet", seed=1)
     assert set(mixed.adversaries) == set(ADVERSARY_TYPES)
 
@@ -84,6 +84,16 @@ def test_tamper_cycle_covers_every_field(sim_artifacts):
     assert report.attack_attempts == len(TAMPER_FIELDS)
     assert report.attack_successes == 0
     assert report.unexpected_reasons == 0
+    assert report.conserved()
+
+
+def test_re_envelope_rejected_at_binding(sim_artifacts):
+    s = make_scenario("mixed-fleet", seed=4, adversaries=("re-envelope",),
+                      drop_prob=0.0)
+    report = run_scenario(s, sim_artifacts)
+    assert report.attack_attempts == s.n_provers * s.n_broadcasts
+    assert report.rejects.get("binding") == report.attack_attempts
+    assert report.attack_successes == 0 and report.unexpected_reasons == 0
     assert report.conserved()
 
 
