@@ -15,7 +15,9 @@ On-disk layout produced by `setup --out-dir D --circuit NAME`:
 A verifier state directory (created by `provision`) holds:
     ea_root.pk         enrollment authority root public key
     registry/H.r1cs,H.vk   registered circuits, H = hex R1CS hash
-    nonces.txt         persisted replay cache ("nonce-hex timestamp" lines)
+    nonces.txt         persisted replay cache ("nu timestamp" lines, nu the
+                       nonce as a field element; older "nonce-hex timestamp"
+                       lines are read as nonce_to_field(nonce))
 The state directory for `verify` may also be supplied via the
 HERMES_SEAL_STATE_DIR environment variable.  `verify` prints one PASS/FAIL
 line per stage, in order: context, certificate, circuit-registered,
@@ -34,7 +36,7 @@ import time
 
 from .commitment import sponge_hash
 from .field import (DTypeTag, FieldElement, NONCE_BYTES, STANDARD_FIELD,
-                    TEST_FIELD, encode)
+                    TEST_FIELD, encode, nonce_to_field)
 from .groth16 import ProvingKey, VerifyingKey, prove, setup, verify
 from .protocol import (CIRCUITS, Certificate, EnrollmentAuthority,
                        ProofPackage, SignatureKeypair, VerifierState,
@@ -228,13 +230,15 @@ def _load_state(state_dir: str) -> VerifierState:
     if os.path.exists(nonce_path):
         for line in _read(nonce_path, "r").splitlines():
             if line.strip():
-                nhex, ts = line.split()
-                state._nonces[bytes.fromhex(nhex)] = int(ts)
+                key, ts = line.split()
+                nu = (nonce_to_field(bytes.fromhex(key))
+                      if len(key) == 2 * NONCE_BYTES else int(key))
+                state._nonces[nu] = max(int(ts), state._nonces.get(nu, 0))
     return state
 
 
 def _save_nonces(state_dir: str, state: VerifierState):
-    lines = [f"{n.hex()} {ts}" for n, ts in sorted(state._nonces.items())]
+    lines = [f"{nu} {ts}" for nu, ts in sorted(state._nonces.items())]
     _write(os.path.join(state_dir, "nonces.txt"),
            "\n".join(lines) + ("\n" if lines else ""), "w")
 

@@ -327,7 +327,7 @@ def prove(pk: ProvingKey, qap: QapInstance, witness, seed=None) -> Proof:
             f"witness length {len(values)} != key wire count {len(pk.a_g1)}")
     if qap.cs.digest() != pk.circuit_digest:
         raise Groth16Error("proving key was generated for a different circuit")
-    h = compute_quotient(qap, values)  # also rejects unsatisfying witnesses
+    h = compute_quotient(qap, witness)  # also rejects unsatisfying witnesses
 
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
     r = rng.randrange(q)
@@ -338,10 +338,10 @@ def prove(pk: ProvingKey, qap: QapInstance, witness, seed=None) -> Proof:
     b2 = pk.beta_g2 + msm(values, pk.b_g2) + group.scalar_mul_g2(s, pk.delta_g2)
     b1 = pk.beta_g1 + msm(values, pk.b_g1) + group.scalar_mul_g1(s, pk.delta_g1)
 
-    priv = values[pk.n_public + 1:]
-    c = msm(priv, pk.k_g1)
-    if h.coeffs:
-        c = c + msm(h.coeffs, pk.h_g1[:len(h.coeffs)])
+    # C's two sums, over the private wires and over H's coefficients, are
+    # one MSM over the two lists joined
+    c = msm([*values[pk.n_public + 1:], *h.coeffs],
+            pk.k_g1 + pk.h_g1[:len(h.coeffs)])
     c = (c + group.scalar_mul_g1(s, a) + group.scalar_mul_g1(r, b1)
          - group.scalar_mul_g1(r * s % q, pk.delta_g1))
     return Proof(a, b2, c, pk.circuit_digest)

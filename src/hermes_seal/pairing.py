@@ -38,10 +38,13 @@ equals a G2 point.  Each g1/g2 pair of group methods that takes a point
 is one body, and a point it returns has its argument's class.
 
 Internally points are affine int pairs; scalar multiplication runs in
-Jacobian coordinates.  MSM is Pippenger's bucket method with a window of
-max(3, n.bit_length() - 4) bits for n nonzero terms and the buckets summed
-in affine form, each round of independent additions sharing one modular
-inversion (Montgomery's trick); the fixed-base tables use the same
+Jacobian coordinates.  MSM is Pippenger's bucket method over signed c-bit
+digits in [-2^(c-1), 2^(c-1)), so a window has 2^(c-1) buckets and a
+negative digit puts the negated point in its bucket.  For n nonzero terms
+and b-bit scalars, c minimises (b // c + 1) * (n + 2^c): windows times
+about n additions plus two per bucket.  The buckets are summed in affine
+form, each round of independent additions sharing one modular inversion
+(Montgomery's trick); the fixed-base tables use the same
 batched addition, across all the bases built together.  Each generator has
 one such table per group, built on first use, which serves the setup and
 every multiple of g1 or g2 (Schnorr keys, nonces and checks); a verifying
@@ -225,14 +228,10 @@ class _Curve:
             for i, s in zip(todo, sums):
                 acc[i] = s
 
-    def _bucket_sums(self, pairs, shift, mask):
-        """Per digit k of the window at `shift`, the sum of the points whose
-        scalar has that digit (infinity for k = 0), summed as a tree one
-        level at a time with one batched inversion per level."""
-        buckets = [[] for _ in range(mask + 1)]
-        for s, pt in pairs:
-            buckets[(s >> shift) & mask].append(pt)
-        buckets[0] = []
+    def _bucket_sums(self, buckets):
+        """Per bucket, the sum of its finite points (infinity if empty),
+        summed as a tree one level at a time with one batched inversion per
+        level across all the buckets."""
         live = [b for b in buckets if len(b) > 1]
         while live:
             flat = []
@@ -251,26 +250,54 @@ class _Curve:
         return [b[0] if b else _INF for b in buckets]
 
     def msm(self, scalars, points):
-        """Pippenger multi-scalar multiplication with batch-affine buckets.
+        """Pippenger multi-scalar multiplication with signed-digit,
+        batch-affine buckets.
 
-        For n nonzero terms the window is c = n.bit_length() - 4 bits, at
-        least 3: that suits the prover's MSMs over 10^3 to 3*10^4 points,
-        and the floor suits the verifier's 17-point one.  Each window's
-        buckets are tree-summed in affine form (`_bucket_sums`).  The
-        running sums of all windows then advance together: step k =
-        mask..0 adds bucket k into each window's running sum and the
-        previous running sum into its window sum, one batched inversion per
-        step.  The window sums are combined with c Jacobian doublings each.
+        Scalars are recoded into c-bit digits in [-2^(c-1), 2^(c-1)), low
+        window first, a digit d >= 2^(c-1) becoming d - 2^c with a carry
+        into the next window.  For b-bit scalars there are b // c + 1
+        windows, so the top one holds at most c - 1 bits plus the carry and
+        its digit, never recoded, is at most 2^(c-1).  The recoding needs no
+        carry loop: window w's digit is the c-bit digit w of s + H minus
+        2^(c-1), where H has 2^(c-1) in every window (the top digit
+        unmasked).  A point goes into bucket |d| of its window, negated when
+        d < 0, so a window has 2^(c-1) buckets; c minimises `_msm_window`.
+
+        One window at a time, the buckets are filled and tree-summed in
+        affine form (`_bucket_sums`).  The running sums of all windows then
+        advance together: step k = 2^(c-1)..0 adds bucket k into each
+        window's running sum and the previous running sum into its window
+        sum, one batched inversion per step.  The window sums are combined
+        with c Jacobian doublings each.
         """
-        pairs = [(s, pt) for s, pt in zip(scalars, points) if s and pt is not _INF]
-        if not pairs:
+        ts, pts = [], []
+        for s, pt in zip(scalars, points):
+            if s and pt is not _INF:
+                ts.append(s)
+                pts.append(pt)
+        if not pts:
             return _INF
-        c = max(3, len(pairs).bit_length() - 4)
+        bits = max(ts).bit_length()
+        c = _msm_window(len(pts), bits)
+        windows = bits // c + 1
+        half = 1 << (c - 1)
         mask = (1 << c) - 1
-        windows = (max(s.bit_length() for s, _ in pairs) + c - 1) // c
-        sums = [self._bucket_sums(pairs, w * c, mask) for w in range(windows)]
+        offset = sum(half << (w * c) for w in range(windows))
+        ts = [s + offset for s in ts]
+        p = self.p
+        sums = []
+        for w in range(windows):
+            shift = w * c
+            digit_mask = mask if w < windows - 1 else -1
+            by_digit = [[] for _ in range(2 * half + 1)]  # digit + 2^(c-1)
+            for t, pt in zip(ts, pts):
+                by_digit[(t >> shift) & digit_mask].append(pt)
+            buckets = [[]] + [by_digit[half + k]
+                              + [(x, -y % p) for x, y in by_digit[half - k]]
+                              for k in range(1, half + 1)]
+            sums.append(self._bucket_sums(buckets))
         acc = [_INF] * (2 * windows)  # running sums, then window sums
-        for k in range(mask, -1, -1):
+        for k in range(half, -1, -1):
             self._add_into(acc, [b[k] for b in sums] + acc[:windows])
         total = (1, 1, 0)
         for ws in reversed(acc[windows:]):
@@ -279,6 +306,15 @@ class _Curve:
             if ws is not _INF:
                 total = self._jadd_mixed(total, ws)
         return self._to_affine(total)
+
+
+def _msm_window(n: int, bits: int) -> int:
+    """The signed-digit window c for n nonzero terms whose largest scalar
+    has `bits` bits: the c >= 2 that minimises (bits // c + 1) * (n + 2^c),
+    about n bucket additions per window plus two per bucket (tree and
+    running sums), the smaller c on a tie."""
+    return min(range(2, bits + 2),
+               key=lambda c: (bits // c + 1) * (n + (1 << c)))
 
 
 class _FixedBaseTable:

@@ -390,8 +390,10 @@ class VerifierState:
     certificates whose root signature checked out, so a repeated
     certificate skips decoding and the root-key Schnorr check; every
     package still has its certificate's validity window and key binding
-    checked.  Nonces and memo entries not seen for longer than twice the
-    freshness window are pruned together.
+    checked.  The replay cache is keyed by nu = nonce_to_field(nonce), the
+    value the proof binds, so two nonces that alias mod q are one nonce.
+    Nonces and memo entries not seen for longer than twice the freshness
+    window are pruned together.
     """
 
     def __init__(self, ea_root_pk_bytes: bytes,
@@ -401,7 +403,7 @@ class VerifierState:
         self.ea_root_pk_bytes = ea_root_pk_bytes
         self.freshness_window = freshness_window
         self.registry = {}       # r1cs_hash -> (VerifyingKey, artifact hashes)
-        self._nonces = {}        # nonce -> timestamp seen
+        self._nonces = {}        # nu -> timestamp seen
         self._certs = {}         # cert bytes -> [Certificate, time last seen]
 
     def register_circuit(self, r1cs_bytes: bytes, vk: VerifyingKey):
@@ -459,7 +461,8 @@ class VerifierState:
         if abs(now - package.timestamp) > self.freshness_window:
             return False, "freshness"
         self._prune(now)
-        if package.nonce in self._nonces:
+        nu = nonce_to_field(package.nonce)
+        if nu in self._nonces:
             return False, "replay"
         try:
             proof = Proof.from_bytes(package.proof_bytes, self.group)
@@ -467,7 +470,7 @@ class VerifierState:
             return False, "proof"
         if not verify(vk, proof, package.public_inputs):
             return False, "proof"
-        self._nonces[package.nonce] = now
+        self._nonces[nu] = now
         return True, "ok"
 
 

@@ -229,9 +229,15 @@ def r1cs_to_qap(cs, domain: EvaluationDomain = None) -> QapInstance:
 def compute_quotient(qap: QapInstance, witness) -> Polynomial:
     """H(x) with A(x)B(x) - C(x) = H(x) t(x) exactly; errors on a bad witness.
 
-    deg(H) <= n - 2 whenever the witness satisfies the system.
+    The row evaluations (aw, bw, cw) are the ones a `Witness` kept from
+    `generate_witness` when `qap.cs` itself solved it; any other witness,
+    or a plain value list, is evaluated here.  Either way every row's
+    aw * bw = cw is checked before the quotient, which makes
+    deg(H) <= n - 2.
     """
-    evaluations = qap.cs.evaluate(witness)
+    evaluations = getattr(witness, "evaluations", None)
+    if evaluations is None or witness.cs is not qap.cs:
+        evaluations = qap.cs.evaluate(witness)
     row = qap.cs.first_violation(evaluations)
     if row is not None:
         raise InvalidWitnessError(f"witness violates constraint {row}")

@@ -95,15 +95,28 @@ class LinearCombination:
 
 
 class Witness:
-    """Dense assignment vector; w[0] is always the constant 1."""
+    """Dense assignment vector; w[0] is always the constant 1.
 
-    __slots__ = ("values", "field")
+    `values` is a tuple and read-only.  A witness from `generate_witness`
+    also keeps the system `cs` that solved it and the row evaluations
+    `(aw, bw, cw)` it was checked with, so the prover's quotient need not
+    evaluate the rows again; both are None otherwise.
+    """
 
-    def __init__(self, values, field: PrimeModulus):
+    __slots__ = ("_values", "field", "cs", "evaluations")
+
+    def __init__(self, values, field: PrimeModulus, cs=None,
+                 evaluations=None):
         if not values or values[0] != 1:
             raise R1csError("witness must start with the constant-one entry")
-        self.values = list(values)
+        self._values = tuple(values)
         self.field = field
+        self.cs = cs
+        self.evaluations = evaluations
+
+    @property
+    def values(self) -> tuple:
+        return self._values
 
     def __len__(self):
         return len(self.values)
@@ -171,7 +184,7 @@ class ConstraintSystem:
 
         `assignments` maps input Wire handles to int/field values.  The
         returned witness always satisfies the system (verified before
-        returning).
+        returning) and keeps that check's row evaluations.
         """
         p = self.field.p
         prov = [None] * self.n_wires
@@ -197,17 +210,17 @@ class ConstraintSystem:
         final = [0] * self.n_wires
         for i, v in enumerate(prov):
             final[self._perm[i]] = v
-        witness = Witness(final, self.field)
-        ok, row = self.check(witness)
-        if not ok:
+        evaluations = self.evaluate(final)
+        row = self.first_violation(evaluations)
+        if row is not None:
             label = self.row_labels[row] or f"row {row}"
             raise UnsatisfiableError(
                 f"generated witness violates constraint {row} ({label})")
-        return witness
+        return Witness(final, self.field, self, evaluations)
 
     def public_inputs(self, witness) -> list:
         values = witness.values if isinstance(witness, Witness) else witness
-        return values[1:1 + self.n_public]
+        return list(values[1:1 + self.n_public])
 
     # -- serialization ------------------------------------------------------
 

@@ -4,6 +4,7 @@ and every documented exit code."""
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -11,6 +12,7 @@ from hermes_seal.audit_circuit import (AuditThresholds, ChallengeSet,
                                        Detection, GroundTruth,
                                        canonical_text, format_detections)
 from hermes_seal.cli import main
+from hermes_seal.field import nonce_to_field
 from hermes_seal.protocol import (ProofPackage, SignatureKeypair,
                                   assemble_payload, schnorr_sign, toy_group)
 from hermes_seal.rss_circuit import RssScenario, format_scenario
@@ -153,6 +155,33 @@ def test_verify_state_dir_from_environment(workspace, monkeypatch):
     monkeypatch.delenv("HERMES_SEAL_STATE_DIR")
     assert run(["verify", "--vk", workspace / "keys" / "rss.vk",
                 "--package", pkg, "--now", "401"]) == 2  # no state dir at all
+
+
+def test_nonce_store_keys_on_nu_and_reads_old_lines(workspace, tmp_path,
+                                                    capfd):
+    pkg_path = tmp_path / "pkg.bin"
+    assert run(["prove", "--circuit", "rss",
+                "--circuit-dir", workspace / "keys",
+                "--identity-dir", workspace / "id",
+                "--scenario", workspace / "scn.txt",
+                "--out", pkg_path, "--now", "800", "--seed", "14"]) == 0
+    nonce = ProofPackage.from_bytes(pkg_path.read_bytes()).nonce
+    verify = ["verify", "--vk", workspace / "keys" / "rss.vk",
+              "--package", pkg_path, "--now", "801", "--state-dir"]
+    # an accept writes the nonce as "nu timestamp"
+    state = tmp_path / "state"
+    shutil.copytree(workspace / "state", state)
+    (state / "nonces.txt").write_text("")
+    assert run(verify + [state]) == 0
+    assert (state / "nonces.txt").read_text() == \
+        f"{nonce_to_field(nonce)} 801\n"
+    # a store written as "nonce-hex timestamp" lines still blocks a replay
+    old = tmp_path / "old_state"
+    shutil.copytree(workspace / "state", old)
+    (old / "nonces.txt").write_text(f"{nonce.hex()} 799\n")
+    capfd.readouterr()
+    assert run(verify + [old]) == 1
+    assert "nonce FAIL nonce-replay" in capfd.readouterr().out
 
 
 def test_prove_unsatisfiable_names_constraint(workspace, tmp_path, capfd):

@@ -12,7 +12,8 @@ from hermes_seal.groth16 import (Groth16Error, Proof, ProvingKey,
 from hermes_seal.pairing import BilinearGroup, G2Element, toy_group
 from hermes_seal.protocol import VerifierState
 from hermes_seal.qap import r1cs_to_qap
-from hermes_seal.r1cs import CircuitBuilder, pad_to_power_of_two
+from hermes_seal.r1cs import (CircuitBuilder, ConstraintSystem,
+                              pad_to_power_of_two)
 from hermes_seal.rss_circuit import PUBLIC_ORDER, RssScenario, make_rss_inputs
 
 P = TEST_FIELD.p
@@ -51,6 +52,25 @@ def test_completeness(cubic):
         w = cs.generate_witness({x: xv, y: yv})
         proof = prove(pk, qap, w, seed=rng.getrandbits(64))
         assert verify(vk, proof, cs.public_inputs(w))
+
+
+def test_one_row_evaluation_per_create(cubic, monkeypatch):
+    # generate_witness evaluates the rows once; prove's quotient reuses
+    # those evaluations
+    cs, qap, pk, vk, x, y = cubic
+    calls = []
+    real = ConstraintSystem.evaluate
+
+    def spy(self, witness):
+        calls.append(self)
+        return real(self, witness)
+    monkeypatch.setattr(ConstraintSystem, "evaluate", spy)
+    w = cs.generate_witness({x: 30, y: 3})
+    proof = prove(pk, qap, w, seed=1)
+    assert calls == [cs]
+    monkeypatch.undo()
+    assert proof.to_bytes() == prove(pk, qap, list(w.values), seed=1).to_bytes()
+    assert verify(vk, proof, cs.public_inputs(w))
 
 
 def test_proofs_are_randomized(cubic):

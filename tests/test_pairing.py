@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schoolbook
-from hermes_seal.pairing import G1Element, G2Element, _Curve, toy_group
+from hermes_seal.pairing import (G1Element, G2Element, _Curve, _msm_window,
+                                 toy_group)
 
 G = toy_group()
 Q = G.q
@@ -91,16 +92,22 @@ def _naive_msm(group, scalars_, points):
     return acc
 
 
-def _distinct_points(group, n, seed):
-    """n distinct points k*B, (k+d)*B, ... built by repeated addition."""
+def _points_and_logs(group, n, seed):
+    """n distinct points k*B, (k+d)*B, ... built by repeated addition, and
+    their discrete logs k, k+d, ... to the base B."""
     rng = random.Random(seed)
-    step = MUL[group](rng.randrange(1, Q), BASE[group])
-    pt = MUL[group](rng.randrange(1, Q), BASE[group])
+    d, k = rng.randrange(1, Q), rng.randrange(1, Q)
+    step = MUL[group](d, BASE[group])
+    pt = MUL[group](k, BASE[group])
     out = []
-    for _ in range(n):
+    for i in range(n):
         out.append(pt)
         pt = pt + step
-    return out
+    return out, [(k + i * d) % Q for i in range(n)]
+
+
+def _distinct_points(group, n, seed):
+    return _points_and_logs(group, n, seed)[0]
 
 
 def _check(group, scalars_, points):
@@ -124,6 +131,20 @@ def inf_results(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def doublings(monkeypatch):
+    """The points P of `_Curve.add(P, P)` calls."""
+    seen = []
+    real = _Curve.add
+
+    def spy(self, a, b):
+        if a is not None and a == b:
+            seen.append(a)
+        return real(self, a, b)
+    monkeypatch.setattr(_Curve, "add", spy)
+    return seen
+
+
 @pytest.mark.parametrize("group", ["G1", "G2"])
 def test_msm_repeated_point_doubles_in_bucket(group):
     p1, p2 = _distinct_points(group, 2, seed=1)
@@ -139,10 +160,13 @@ def test_msm_opposite_points_cancel(group, inf_results):
     p, r = _distinct_points(group, 2, seed=3)
     filler = _distinct_points(group, 36, seed=4)
     rng = random.Random(5)
-    # In window 0 only the first four terms have nonzero digits: bucket 5
-    # holds R and -R (infinity mid-tree), buckets 3 and 2 hold P and -P, so
-    # the running sum over buckets 3 and 2 is infinity.
-    scalars_ = [3, 2, 5, 5] + [8 * rng.randrange(Q // 8) for _ in filler]
+    # The filler's scalars are multiples of 64, so for any window of c <= 6
+    # bits (40 terms get c = 4) only the first four terms have nonzero
+    # digits in window 0: bucket 5 holds R and -R (infinity mid-tree),
+    # buckets 3 and 2 hold P and -P, so the running sum over buckets 3 and
+    # 2 is infinity.
+    assert _msm_window(40, Q.bit_length()) <= 6
+    scalars_ = [3, 2, 5, 5] + [64 * rng.randrange(Q // 64) for _ in filler]
     points = [p, -p, r, -r] + filler
     _check(group, scalars_, points)
     assert len(inf_results) >= 2
@@ -177,8 +201,7 @@ def test_msm_single_nonzero_pair(group):
     _check(group, [Q - 1], [pts[1]])
 
 
-# the window is n.bit_length() - 4 bits, at least 3, for n nonzero terms:
-# it grows at n = 128, 256, ..., 4096
+# sizes at powers of two, on both sides
 WINDOW_EDGES = [2, 3, 16, 17, 63, 64, 127, 128, 255, 256, 511, 512, 1023,
                 1024, 2047, 2048, 4095, 4096]
 
@@ -192,6 +215,160 @@ def test_msm_sizes_around_window_changes(n):
 
 @pytest.mark.parametrize("n", [2, 17, 127, 128])
 def test_msm_sizes_around_window_changes_g2(n):
+    rng = random.Random(n)
+    pts = _distinct_points("G2", n, seed=n)
+    _check("G2", [rng.randrange(Q) for _ in range(n)], pts)
+
+
+# -- signed-digit windows ----------------------------------------------------
+
+BITS = Q.bit_length()
+
+
+def _shape(scalars_):
+    """(c, windows) of the MSM of these scalars over finite points."""
+    nonzero = [s % Q for s in scalars_ if s % Q]
+    bits = max(nonzero).bit_length()
+    c = _msm_window(len(nonzero), bits)
+    return c, bits // c + 1
+
+
+def _signed_digits(s, c, windows):
+    """Reference recoding of s: c-bit digits in [-2^(c-1), 2^(c-1)), low
+    window first, the top digit not recoded."""
+    half = 1 << (c - 1)
+    out = []
+    for w in range(windows):
+        d = s & ((1 << c) - 1)
+        s >>= c
+        if d >= half and w < windows - 1:
+            d -= 1 << c
+            s += 1
+        out.append(d)
+    assert s == 0 and out[-1] <= half
+    return out
+
+
+# the window for 62-bit scalars changes at these n
+SIGNED_WINDOW_EDGES = [4, 18, 54, 145, 225, 897, 1537, 8705, 28673]
+
+
+def test_msm_window_rule():
+    changes = [n for n in range(2, SIGNED_WINDOW_EDGES[-1] + 2)
+               if _msm_window(n, BITS) != _msm_window(n - 1, BITS)]
+    assert changes == SIGNED_WINDOW_EDGES
+    # (c, windows) at 17 terms, the RSS MSMs (470 live terms in b1 and b2,
+    # 910 to 1023 in a, k and h), 2047 terms and 26622
+    shapes = [(c, BITS // c + 1) for c in (_msm_window(n, BITS) for n in
+                                           (17, 470, 910, 1023, 2047, 26622))]
+    assert shapes == [(3, 21), (7, 9), (8, 8), (8, 8), (9, 7), (11, 6)]
+    assert _msm_window(1, 1) == 2
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+@pytest.mark.parametrize("n", [1, 17, 40, 300])
+def test_msm_every_digit_most_negative(group, n):
+    # scalars whose digits below the top one are all -2^(c-1): for the
+    # largest bit length b <= 62 where such a scalar below q has b bits
+    for bits in range(BITS, 2, -1):
+        c = _msm_window(n, bits)
+        windows = bits // c + 1
+        half = 1 << (c - 1)
+        low = half * sum(1 << (w * c) for w in range(windows - 1))
+        cands = [(top << ((windows - 1) * c)) - low
+                 for top in range(1, half + 1)]
+        cands = [s for s in cands if s < Q and s.bit_length() == bits]
+        if cands:
+            break
+    rng = random.Random(n)
+    scalars_ = [rng.choice(cands) for _ in range(n)]
+    assert _shape(scalars_) == (c, windows)
+    for s in scalars_:
+        assert _signed_digits(s, c, windows)[:-1] == [-half] * (windows - 1)
+    _check(group, scalars_, _distinct_points(group, n, seed=n))
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+def test_msm_top_carry_fills_the_extra_window(group):
+    # q - 1 alone gets c = 2, which divides its 62 bits: the carry out of
+    # window 30 is the digit 1 of window 31
+    assert _shape([Q - 1]) == (2, 32)
+    assert _signed_digits(Q - 1, 2, 32)[-1] == 1
+    pts = _distinct_points(group, 300, seed=11)
+    _check(group, [Q - 1], pts[:1])
+    _check(group, [Q - 1, Q - 1, 1], pts[:3])
+    # all ones below 2^b (< q) for each n and a b that the window c
+    # divides, the rest random below 2^b: every all-ones scalar carries into
+    # window b/c
+    rng = random.Random(12)
+    for n in (1, 2, 17, 40, 300):
+        bits = next(b for b in range(BITS - 1, 1, -1)
+                    if b % _msm_window(n, b) == 0)
+        ones = (1 << bits) - 1
+        scalars_ = [ones] * (n // 2 + 1) + [rng.randrange(1, 1 << bits)
+                                           for _ in range(n - n // 2 - 1)]
+        c, windows = _shape(scalars_)
+        assert windows == bits // c + 1 and bits % c == 0
+        assert _signed_digits(ones, c, windows)[-1] == 1
+        _check(group, scalars_, pts[:n])
+
+
+def _window0_pair(group, d, negate_second):
+    """Scalars d and 64k - d on P and on P (or -P) among 38 filler terms
+    whose scalars are multiples of 64: in window 0 (c <= 6 at 40 terms)
+    the pair's digits are +d and -d and every other digit is 0."""
+    assert _msm_window(40, BITS) <= 6
+    p, = _distinct_points(group, 1, seed=13)
+    filler = _distinct_points(group, 38, seed=14)
+    rng = random.Random(d)
+    scalars_ = [d, 64 * rng.randrange(1, Q // 64) - d] + \
+        [64 * rng.randrange(Q // 64) for _ in filler]
+    c, windows = _shape(scalars_)
+    assert [_signed_digits(s, c, windows)[0] for s in scalars_[:2]] == [d, -d]
+    return scalars_, [p, -p if negate_second else p] + filler
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_msm_plus_and_minus_digit_on_one_point_cancel(group, d,
+                                                     inf_results):
+    # P with digit +d and P with digit -d: bucket d holds P and -P
+    scalars_, points = _window0_pair(group, d, negate_second=False)
+    G.multi_scalar_mul(scalars_, points)
+    p = points[0].point
+    assert (p, G.curve.neg(p)) in inf_results
+    _check(group, scalars_, points)
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_msm_minus_digit_on_negated_point_doubles(group, d, doublings):
+    # P with digit +d and -P with digit -d: bucket d holds P twice
+    scalars_, points = _window0_pair(group, d, negate_second=True)
+    G.multi_scalar_mul(scalars_, points)
+    assert points[0].point in doublings
+    _check(group, scalars_, points)
+
+
+SIGNED_SIZES = sorted({m for n in SIGNED_WINDOW_EDGES for m in (n - 1, n)}
+                      | {17, 1043, 2047, 26622})
+
+
+@pytest.mark.parametrize("n", SIGNED_SIZES)
+def test_msm_sizes_around_signed_window_changes(n):
+    rng = random.Random(n)
+    scalars_ = [rng.randrange(Q) for _ in range(n)]
+    pts, logs = _points_and_logs("G1", n, seed=n)
+    fast = G.multi_scalar_mul(scalars_, pts)
+    if n <= 4096:
+        assert fast.point == _naive_msm("G1", scalars_, pts).point
+    # the naive sum in the exponent: sum of s_i k_i for P_i = k_i B
+    total = sum(s * k for s, k in zip(scalars_, logs)) % Q
+    assert fast.point == G.scalar_mul_g1(total, G.g1).point
+
+
+@pytest.mark.parametrize("n", [3, 4, 17, 18, 53, 54])
+def test_msm_sizes_around_signed_window_changes_g2(n):
     rng = random.Random(n)
     pts = _distinct_points("G2", n, seed=n)
     _check("G2", [rng.randrange(Q) for _ in range(n)], pts)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hermes_seal import protocol
 from hermes_seal.audit_circuit import make_audit_inputs
 from hermes_seal.cli import build_parser
-from hermes_seal.field import FieldElement, TEST_FIELD
+from hermes_seal.field import FieldElement, TEST_FIELD, nonce_to_field
 from hermes_seal.protocol import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN,
                                   CIRCUITS, CIRCUITS_BY_SIGN_DOMAIN,
                                   Certificate, DomainSeparator,
@@ -316,12 +316,12 @@ def test_nonce_store_pruning(small_rss_artifacts, identity):
     state = _fresh_state(small_rss_artifacts, identity)
     pkg, _, _ = _fresh_package(small_rss_artifacts, identity)
     assert state.verify_package(pkg, now=101)[0]
-    assert len(state._nonces) == 1
+    assert list(state._nonces) == [nonce_to_field(pkg.nonce)]
     # advance beyond 2x window via an unrelated verification attempt
     late, _, _ = _fresh_package(small_rss_artifacts, identity, timestamp=200,
                                 seed=1)
     assert state.verify_package(late, now=201)[0]
-    assert pkg.nonce not in state._nonces
+    assert list(state._nonces) == [nonce_to_field(late.nonce)]
 
 
 def test_audit_open_roundtrip(rss_artifacts, identity):
@@ -393,6 +393,30 @@ def test_re_signed_envelope_rejected_at_binding(circuit, identity, request):
         assert state.verify_package(moved, now=101) == (False, "binding"), \
             name
         assert not state._nonces
+
+
+def test_nonce_alias_rejected_at_replay(small_rss_artifacts, identity):
+    # the sender re-sends its accepted proof inside the window under the
+    # nonce n + q, re-signed: same nu, so the binding stage passes it and
+    # the replay cache, keyed by nu, must not
+    art = small_rss_artifacts
+    _, keypair, _ = identity
+    pkg, _, _ = _fresh_package(art, identity)
+    n = int.from_bytes(pkg.nonce, "little")
+    q = TEST_FIELD.p
+    alias = (n + q if n + q < 1 << 128 else n - q).to_bytes(16, "little")
+    assert alias != pkg.nonce
+    assert nonce_to_field(alias) == nonce_to_field(pkg.nonce)
+    moved = _re_signed(pkg, keypair, art, nonce=alias)
+    assert _fresh_state(art, identity).verify_package(moved, now=101) == \
+        (True, "ok")
+    state = _fresh_state(art, identity)
+    assert state.verify_package(pkg, now=101) == (True, "ok")
+    assert state.verify_package(moved, now=102) == (False, "replay")
+    # and in the other order
+    state = _fresh_state(art, identity)
+    assert state.verify_package(moved, now=101) == (True, "ok")
+    assert state.verify_package(pkg, now=102) == (False, "replay")
 
 
 def test_unknown_or_foreign_sign_domain_rejected_at_binding(

@@ -182,6 +182,28 @@ def test_qap_invalid_witness_names_row():
         compute_quotient(qap, bad)
 
 
+def test_quotient_evaluates_a_witness_of_another_system():
+    # same wires, another last row (x = y^2 + 2y): the witness's kept
+    # evaluations satisfy its own system, so they must not stand in here
+    cs, x, y = _toy_circuit()
+    bld = CircuitBuilder()
+    x2, y2 = bld.alloc_public("x"), bld.alloc_private("y")
+    sq = bld.gadget_mul(y2, y2, "y_sq")
+    bld.enforce(bld.lc(sq) + bld.lc((y2, 2)), bld.lc(1), bld.lc(x2),
+                "x=y2+2y")
+    other = bld.finalize()
+    assert other.n_wires == cs.n_wires
+    w = cs.generate_witness({x: 30, y: 5})
+    qap = r1cs_to_qap(other)
+    for witness in (w, list(w.values)):
+        with pytest.raises(InvalidWitnessError,
+                           match=r"violates constraint 1$"):
+            compute_quotient(qap, witness)
+    # a witness of `other` itself, and the same values as a plain list
+    w2 = other.generate_witness({x2: 35, y2: 5})
+    assert compute_quotient(qap, w2) == compute_quotient(qap, list(w2.values))
+
+
 def test_quotient_ntt_matches_generic():
     # same circuit and points: the coset NTT quotient against the oracle's
     # dense wire polynomials and long division

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hermes_seal.field import TEST_FIELD
 from hermes_seal.r1cs import (CircuitBuilder, ConstraintSystem,
                               MissingInputError, R1csError,
-                              UnsatisfiableError, pad_to_power_of_two)
+                              UnsatisfiableError, Witness,
+                              pad_to_power_of_two)
 
 P = TEST_FIELD.p
 
@@ -145,6 +146,26 @@ def test_check_validates_each_row():
     bad = list(w.values)
     bad[cs.wire_index(out)] = (bad[cs.wire_index(out)] + 1) % P
     assert not cs.is_satisfied(bad)
+
+
+def test_witness_keeps_its_system_and_checked_evaluations():
+    bld = CircuitBuilder()
+    x, y = bld.alloc_private("x"), bld.alloc_private("y")
+    bld.gadget_mul(x, y, "prod")
+    cs = bld.finalize()
+    w = cs.generate_witness({x: 2, y: 3})
+    assert w.cs is cs
+    assert w.evaluations == cs.evaluate(w) == ([2], [3], [6])
+    # the values the evaluations belong to cannot change
+    assert w.values == (1, 2, 3, 6)
+    with pytest.raises(TypeError):
+        w.values[3] = 7
+    with pytest.raises(AttributeError):
+        w.values = (1, 2, 3, 7)
+    assert w.values == (1, 2, 3, 6)
+    # a witness built by hand has neither
+    plain = Witness([1, 2, 3, 6], cs.field)
+    assert plain.cs is None and plain.evaluations is None
 
 
 def test_evaluate_feeds_check():
