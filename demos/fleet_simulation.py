@@ -11,7 +11,7 @@ from hermes_seal.v2x_sim import (TEMPLATES, default_artifacts, make_scenario,
 
 
 def main():
-    artifacts = default_artifacts(full_circuit=False)
+    artifacts = default_artifacts()
     for template in sorted(TEMPLATES):
         t0 = time.perf_counter()
         report = run_scenario(make_scenario(template, seed=42), artifacts)

@@ -23,8 +23,8 @@ from .pairing import BilinearGroup, G1Element, G2Element, GtElement, toy_group
 from .r1cs import (CircuitBuilder, ConstraintSystem, LinearCombination,
                    MissingInputError, R1csError, UnsatisfiableError, Wire,
                    Witness, pad_to_power_of_two)
-from .qap import (EvaluationDomain, InvalidWitnessError, Polynomial,
-                  QapInstance, compute_quotient, r1cs_to_qap)
+from .qap import (EvaluationDomain, InvalidWitnessError, QapInstance,
+                  compute_quotient, r1cs_to_qap)
 from .groth16 import (Groth16Error, Proof, ProvingKey, VerifyingKey, prove,
                       setup, verify)
 from .commitment import (byte_hash, commit, open_commitment, sponge_gadget,

@@ -18,7 +18,6 @@ __all__ = [
     "DTypeTag",
     "TEST_FIELD",
     "STANDARD_FIELD",
-    "FIELD_PROFILES",
     "batch_inverse",
     "scale",
     "unscale",
@@ -103,8 +102,6 @@ STANDARD_FIELD = PrimeModulus(
     21888242871839275222246405745257275088548364400416034343698204186575808495617,
     5,
 )
-
-FIELD_PROFILES = {"test": TEST_FIELD, "standard": STANDARD_FIELD}
 
 
 class FieldElement:

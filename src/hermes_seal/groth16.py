@@ -54,6 +54,27 @@ class Groth16Error(Exception):
     pass
 
 
+def _check_header(data: bytes, magic: bytes, size: int, what: str):
+    """A key's fixed header: `size` bytes, its magic, version and curve."""
+    if len(data) < size:
+        raise Groth16Error(f"{what} is {len(data)} bytes, shorter than its "
+                           f"{size}-byte header")
+    if data[:4] != magic:
+        raise Groth16Error(f"bad {what} magic")
+    if data[4] != KEY_VERSION:
+        raise Groth16Error(f"unsupported {what} version {data[4]}")
+    if data[5] != TOY_CURVE_PROFILE:
+        raise Groth16Error(f"unknown curve profile {data[5]:#x}")
+
+
+def _check_length(data: bytes, size: int, what: str):
+    """The exact length the header's point counts give, before any point
+    is decoded."""
+    if len(data) != size:
+        raise Groth16Error(f"{what} is {len(data)} bytes; its header "
+                           f"counts give {size}")
+
+
 class ToxicWaste:
     """The five setup trapdoor scalars; zeroize() after use."""
 
@@ -105,16 +126,12 @@ class ProvingKey:
     @classmethod
     def from_bytes(cls, data: bytes, group: BilinearGroup = None) -> "ProvingKey":
         group = group or toy_group()
-        if data[:4] != PK_MAGIC:
-            raise Groth16Error("bad proving-key magic")
-        if data[4] != KEY_VERSION:
-            raise Groth16Error(f"unsupported proving-key version {data[4]}")
-        if data[5] != TOY_CURVE_PROFILE:
-            raise Groth16Error(f"unknown curve profile {data[5]:#x}")
+        off = 54
+        _check_header(data, PK_MAGIC, off, "proving key")
         digest = data[6:38]
         n_public, m1, nk, nh = struct.unpack_from("<IIII", data, 38)
-        off = 54
         pb = group.point_bytes
+        _check_length(data, off + (5 + 3 * m1 + nk + nh) * pb, "proving key")
 
         g1, g2 = group.g1_from_bytes, group.g2_from_bytes
 
@@ -132,8 +149,6 @@ class ProvingKey:
         b_g2 = points(g2, m1)
         k_g1 = points(g1, nk)
         h_g1 = points(g1, nh)
-        if off != len(data):
-            raise Groth16Error("trailing bytes in proving-key encoding")
         return cls(group, digest, n_public, alpha_g1, beta_g1, delta_g1,
                    beta_g2, delta_g2, a_g1, b_g1, b_g2, k_g1, h_g1)
 
@@ -181,16 +196,12 @@ class VerifyingKey:
     @classmethod
     def from_bytes(cls, data: bytes, group: BilinearGroup = None) -> "VerifyingKey":
         group = group or toy_group()
-        if data[:4] != VK_MAGIC:
-            raise Groth16Error("bad verifying-key magic")
-        if data[4] != KEY_VERSION:
-            raise Groth16Error(f"unsupported verifying-key version {data[4]}")
-        if data[5] != TOY_CURVE_PROFILE:
-            raise Groth16Error(f"unknown curve profile {data[5]:#x}")
+        off = 42
+        _check_header(data, VK_MAGIC, off, "verifying key")
         digest = data[6:38]
         (ic_len,) = struct.unpack_from("<I", data, 38)
-        off = 42
         pb = group.point_bytes
+        _check_length(data, off + (4 + ic_len) * pb, "verifying key")
         alpha_g1 = group.g1_from_bytes(data[off:off + pb]); off += pb
         beta_g2 = group.g2_from_bytes(data[off:off + pb]); off += pb
         gamma_g2 = group.g2_from_bytes(data[off:off + pb]); off += pb
@@ -199,8 +210,6 @@ class VerifyingKey:
         for _ in range(ic_len):
             ic.append(group.g1_from_bytes(data[off:off + pb]))
             off += pb
-        if off != len(data):
-            raise Groth16Error("trailing bytes in verifying-key encoding")
         return cls(group, digest, alpha_g1, beta_g2, gamma_g2, delta_g2, ic)
 
 
@@ -340,8 +349,7 @@ def prove(pk: ProvingKey, qap: QapInstance, witness, seed=None) -> Proof:
 
     # C's two sums, over the private wires and over H's coefficients, are
     # one MSM over the two lists joined
-    c = msm([*values[pk.n_public + 1:], *h.coeffs],
-            pk.k_g1 + pk.h_g1[:len(h.coeffs)])
+    c = msm([*values[pk.n_public + 1:], *h], pk.k_g1 + pk.h_g1)
     c = (c + group.scalar_mul_g1(s, a) + group.scalar_mul_g1(r, b1)
          - group.scalar_mul_g1(r * s % q, pk.delta_g1))
     return Proof(a, b2, c, pk.circuit_digest)

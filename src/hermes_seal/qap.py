@@ -27,7 +27,6 @@ from __future__ import annotations
 from .field import PrimeModulus, TEST_FIELD, batch_inverse
 
 __all__ = [
-    "Polynomial",
     "EvaluationDomain",
     "QapInstance",
     "r1cs_to_qap",
@@ -38,39 +37,6 @@ __all__ = [
 
 class InvalidWitnessError(ValueError):
     """Witness does not satisfy the originating R1CS (nonzero remainder)."""
-
-
-class Polynomial:
-    """Dense polynomial over F_p, low-degree coefficient first."""
-
-    __slots__ = ("coeffs", "field")
-
-    def __init__(self, coeffs, field: PrimeModulus):
-        p = field.p
-        c = [x % p for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = c
-        self.field = field
-
-    @property
-    def degree(self) -> int:
-        """Degree, or -1 for the zero polynomial (the -inf sentinel)."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, Polynomial) and self.coeffs == other.coeffs
-                and self.field.p == other.field.p)
-
-    def eval(self, x: int) -> int:
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
 
 
 class EvaluationDomain:
@@ -106,15 +72,6 @@ class EvaluationDomain:
         k = t_x * pow(len(self.points), -1, p) % p
         invs = batch_inverse([(x - pt) % p for pt in self.points], p)
         return [k * pt % p * inv % p for pt, inv in zip(self.points, invs)]
-
-    def interpolate(self, values) -> Polynomial:
-        """Unique polynomial of degree < n through (w^i, values_i)."""
-        if len(values) != len(self.points):
-            raise ValueError("value count must match domain size")
-        p = self.field.p
-        ninv = pow(len(self.points), -1, p)
-        return Polynomial(
-            [v * ninv % p for v in self._ntt(values, inverse=True)], self.field)
 
     # -- NTT -----------------------------------------------------------------
 
@@ -226,8 +183,9 @@ def r1cs_to_qap(cs, domain: EvaluationDomain = None) -> QapInstance:
     return QapInstance(cs, domain)
 
 
-def compute_quotient(qap: QapInstance, witness) -> Polynomial:
-    """H(x) with A(x)B(x) - C(x) = H(x) t(x) exactly; errors on a bad witness.
+def compute_quotient(qap: QapInstance, witness) -> list:
+    """The n - 1 coefficients of H(x), low first, with A(x)B(x) - C(x) =
+    H(x) t(x) exactly; errors on a bad witness.
 
     The row evaluations (aw, bw, cw) are the ones a `Witness` kept from
     `generate_witness` when `qap.cs` itself solved it; any other witness,
@@ -244,7 +202,7 @@ def compute_quotient(qap: QapInstance, witness) -> Polynomial:
     return _quotient_ntt(qap, *evaluations)
 
 
-def _quotient_ntt(qap: QapInstance, aw, bw, cw) -> Polynomial:
+def _quotient_ntt(qap: QapInstance, aw, bw, cw) -> list:
     """Quotient on the coset gH of the size-n domain H.
 
     A, B, C go to coefficients (iNTT) and onto gH (coset scale, NTT).  On gH
@@ -271,4 +229,4 @@ def _quotient_ntt(qap: QapInstance, aw, bw, cw) -> Polynomial:
     coeffs = [h * s % p for h, s in zip(hv, unscale)]
     if coeffs[n - 1]:
         raise InvalidWitnessError("quotient degree bound exceeded")
-    return Polynomial(coeffs[:n - 1], qap.field)
+    return coeffs[:n - 1]

@@ -2,10 +2,11 @@
 
 A circuit is built against a `CircuitBuilder`: allocate input wires, call
 gadgets (which add constraints plus solver hooks for their internal wires),
-then `finalize()` into an immutable `ConstraintSystem`.  Finalization
-reorders wires so the constant-one wire is index 0, public wires occupy
-1..l, and private wires l+1..m; Groth16's public-input slice is then simply
-a witness prefix.
+then `finalize()` into an immutable `ConstraintSystem`.  Every wire gets its
+final index when it is allocated: the constant-one wire is index 0, public
+wires take 1..l in allocation order (all of them before any private or
+internal wire), and the rest follow in allocation order, so Groth16's
+public-input slice is a witness prefix.
 
 Hint wires (inverse trick, bit decompositions) are solver-provided and
 constraint-verified; the constraint system never trusts a solver.
@@ -51,21 +52,20 @@ class UnsatisfiableError(R1csError):
 
 
 class Wire:
-    """Handle to a circuit wire; `index` is provisional until finalization."""
+    """Handle to a circuit wire: its index in the witness and a debug label."""
 
-    __slots__ = ("index", "visibility", "label")
+    __slots__ = ("index", "label")
 
-    def __init__(self, index: int, visibility: str, label: str):
+    def __init__(self, index: int, label: str):
         self.index = index
-        self.visibility = visibility
         self.label = label
 
     def __repr__(self):
-        return f"Wire({self.index}, {self.visibility}, {self.label!r})"
+        return f"Wire({self.index}, {self.label!r})"
 
 
 class LinearCombination:
-    """Sparse sum of coefficient*wire terms over builder wire indices."""
+    """Sparse sum of coefficient*wire terms over wire indices."""
 
     __slots__ = ("terms", "p")
 
@@ -89,9 +89,6 @@ class LinearCombination:
 
     def scaled(self, k: int) -> "LinearCombination":
         return LinearCombination({i: c * k for i, c in self.terms.items()}, self.p)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 class Witness:
@@ -128,29 +125,21 @@ class Witness:
 class ConstraintSystem:
     """Finalized immutable R1CS with witness-generation solvers attached."""
 
-    def __init__(self, field, rows, n_wires, n_public, labels, perm, solvers,
+    def __init__(self, field, rows, n_wires, n_public, labels, solvers,
                  input_wires, row_labels):
         self.field = field
-        self.rows = rows            # list of (a, b, c) dicts: final index -> coeff
+        self.rows = rows            # list of (a, b, c) dicts: wire index -> coeff
         self.n_wires = n_wires      # m + 1 including the constant wire
         self.n_public = n_public    # l
-        self.labels = labels        # final index -> label
-        self._perm = perm           # provisional index -> final index
-        self._solvers = solvers     # [(target provisional idxs, fn)]
-        self._input_wires = input_wires  # [Wire] (provisional handles)
+        self.labels = labels        # wire index -> label
+        self._solvers = solvers     # [(target wire indices, fn)]
+        self._input_wires = input_wires  # [Wire]
         self.row_labels = row_labels
         self._digest = None         # SHA-256 of to_bytes(), on first use
 
     @property
     def n_constraints(self) -> int:
         return len(self.rows)
-
-    def wire_index(self, wire: Wire) -> int:
-        return self._perm[wire.index]
-
-    def is_satisfied(self, witness) -> bool:
-        ok, _ = self.check(witness)
-        return ok
 
     def evaluate(self, witness):
         """(aw, bw, cw): per row, the sparse inner products <a,w>, <b,w>,
@@ -174,11 +163,6 @@ class ConstraintSystem:
                 return i
         return None
 
-    def check(self, witness):
-        """(satisfied, first_failing_row_or_None)."""
-        row = self.first_violation(self.evaluate(witness))
-        return row is None, row
-
     def generate_witness(self, assignments: dict) -> Witness:
         """Solve all wires from the input assignment; error if unsolvable.
 
@@ -187,8 +171,8 @@ class ConstraintSystem:
         returning) and keeps that check's row evaluations.
         """
         p = self.field.p
-        prov = [None] * self.n_wires
-        prov[0] = 1
+        values = [None] * self.n_wires
+        values[0] = 1
         assigned = {}
         for wire, value in assignments.items():
             if not isinstance(wire, Wire):
@@ -198,25 +182,22 @@ class ConstraintSystem:
         for wire in self._input_wires:
             if wire.index not in assigned:
                 raise MissingInputError(f"missing assignment for input wire {wire.label!r}")
-            prov[wire.index] = assigned[wire.index]
+            values[wire.index] = assigned[wire.index]
         for targets, fn in self._solvers:
-            fn(prov)
+            fn(values)
             for t in targets:
-                if prov[t] is None:
+                if values[t] is None:
                     raise R1csError(f"solver failed to assign wire {t}")
-        for i, v in enumerate(prov):
-            if v is None:
-                raise R1csError(f"wire {i} left unassigned after solving")
-        final = [0] * self.n_wires
-        for i, v in enumerate(prov):
-            final[self._perm[i]] = v
-        evaluations = self.evaluate(final)
+        if None in values:
+            raise R1csError(
+                f"wire {values.index(None)} left unassigned after solving")
+        evaluations = self.evaluate(values)
         row = self.first_violation(evaluations)
         if row is not None:
             label = self.row_labels[row] or f"row {row}"
             raise UnsatisfiableError(
                 f"generated witness violates constraint {row} ({label})")
-        return Witness(final, self.field, self, evaluations)
+        return Witness(values, self.field, self, evaluations)
 
     def public_inputs(self, witness) -> list:
         values = witness.values if isinstance(witness, Witness) else witness
@@ -238,37 +219,6 @@ class ConstraintSystem:
                     out.append(coeff.to_bytes(width, "little"))
         return b"".join(out)
 
-    @classmethod
-    def from_bytes(cls, data: bytes, field: PrimeModulus):
-        if data[:4] != R1CS_MAGIC:
-            raise R1csError("bad R1CS magic")
-        if data[4] != R1CS_VERSION:
-            raise R1csError(f"unsupported R1CS version {data[4]}")
-        n, n_wires, n_public = struct.unpack_from("<III", data, 5)
-        off = 17
-        width = field.byte_width
-        rows = []
-        for _ in range(n):
-            triple = []
-            for _ in range(3):
-                (count,) = struct.unpack_from("<I", data, off)
-                off += 4
-                row = {}
-                for _ in range(count):
-                    (j,) = struct.unpack_from("<I", data, off)
-                    off += 4
-                    coeff = int.from_bytes(data[off:off + width], "little")
-                    if coeff >= field.p:
-                        raise R1csError("coefficient out of field range")
-                    off += width
-                    row[j] = coeff
-                triple.append(row)
-            rows.append(tuple(triple))
-        if off != len(data):
-            raise R1csError("trailing bytes in R1CS encoding")
-        return cls(field, rows, n_wires, n_public, [None] * n_wires,
-                   list(range(n_wires)), [], [], [None] * n)
-
     def digest(self) -> bytes:
         """SHA-256 of `to_bytes()`, hashed once: the system is immutable."""
         if self._digest is None:
@@ -289,8 +239,7 @@ def pad_to_power_of_two(cs: ConstraintSystem) -> ConstraintSystem:
     rows = list(cs.rows) + [({}, {}, {})] * (size - n)
     labels = list(cs.row_labels) + [None] * (size - n)
     return ConstraintSystem(cs.field, rows, cs.n_wires, cs.n_public,
-                            cs.labels, cs._perm, cs._solvers,
-                            cs._input_wires, labels)
+                            cs.labels, cs._solvers, cs._input_wires, labels)
 
 
 class CircuitBuilder:
@@ -299,37 +248,44 @@ class CircuitBuilder:
     def __init__(self, field: PrimeModulus = TEST_FIELD):
         self.field = field
         self.p = field.p
-        self._wires = [Wire(0, "constant_one", "one")]
-        self._constraints = []      # (a_terms, b_terms, c_terms, label)
+        self._wires = [Wire(0, "one")]
+        self._n_public = 0
+        self._rows = []             # (a_terms, b_terms, c_terms)
+        self._row_labels = []
         self._solvers = []
         self._input_wires = []
         self._labels_seen = set()
         self._finalized = False
-        self._gadget_constraint_log = {}
 
     # -- allocation ---------------------------------------------------------
 
-    def _alloc(self, visibility: str, label: str, is_input: bool) -> Wire:
+    def _alloc(self, label: str, is_input: bool) -> Wire:
         if self._finalized:
             raise R1csError("cannot allocate wires after finalize()")
         if label in self._labels_seen:
             warnings.warn(f"duplicate wire label {label!r} (labels are debug-only)")
         self._labels_seen.add(label)
-        wire = Wire(len(self._wires), visibility, label)
+        wire = Wire(len(self._wires), label)
         self._wires.append(wire)
         if is_input:
             self._input_wires.append(wire)
         return wire
 
     def alloc_public(self, label: str) -> Wire:
-        return self._alloc("public", label, is_input=True)
+        """Public wire 1 + (publics so far); only before any other wire."""
+        if len(self._wires) != 1 + self._n_public:
+            raise R1csError(f"public wire {label!r} allocated after a "
+                            "private or internal wire")
+        wire = self._alloc(label, is_input=True)
+        self._n_public += 1
+        return wire
 
     def alloc_private(self, label: str) -> Wire:
-        return self._alloc("private", label, is_input=True)
+        return self._alloc(label, is_input=True)
 
     def alloc_internal(self, label: str) -> Wire:
         """Private wire whose value a gadget solver supplies."""
-        return self._alloc("private", label, is_input=False)
+        return self._alloc(label, is_input=False)
 
     @property
     def one(self) -> Wire:
@@ -368,7 +324,8 @@ class CircuitBuilder:
             for i in lc.terms:
                 if i >= len(self._wires):
                     raise R1csError(f"constraint references unallocated wire {i}")
-        self._constraints.append((a.terms, b.terms, c.terms, label))
+        self._rows.append((a.terms, b.terms, c.terms))
+        self._row_labels.append(label)
 
     def assert_equal(self, a, b, label: str = None):
         self.enforce(self._as_lc(a) - self._as_lc(b), self.lc(1), self.lc(0),
@@ -492,34 +449,17 @@ class CircuitBuilder:
     def finalize(self) -> ConstraintSystem:
         if self._finalized:
             raise R1csError("builder already finalized")
-        if not self._constraints:
+        if not self._rows:
             raise R1csError("cannot finalize an empty constraint system")
         self._finalized = True
-        publics = [w for w in self._wires if w.visibility == "public"]
-        privates = [w for w in self._wires if w.visibility == "private"]
-        perm = [None] * len(self._wires)
-        perm[0] = 0
-        for new, w in enumerate(publics, start=1):
-            perm[w.index] = new
-        for new, w in enumerate(privates, start=1 + len(publics)):
-            perm[w.index] = new
-        rows = []
-        row_labels = []
-        for a, b, c, label in self._constraints:
-            rows.append(({perm[j]: k for j, k in a.items()},
-                         {perm[j]: k for j, k in b.items()},
-                         {perm[j]: k for j, k in c.items()}))
-            row_labels.append(label)
-        labels = [None] * len(self._wires)
-        for w in self._wires:
-            labels[perm[w.index]] = w.label
-        return ConstraintSystem(self.field, rows, len(self._wires), len(publics),
-                                labels, perm, self._solvers, self._input_wires,
-                                row_labels)
+        return ConstraintSystem(self.field, self._rows, len(self._wires),
+                                self._n_public,
+                                [w.label for w in self._wires], self._solvers,
+                                self._input_wires, self._row_labels)
 
     @property
     def n_constraints(self) -> int:
-        return len(self._constraints)
+        return len(self._rows)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -29,6 +29,7 @@ The simulator drives the library APIs directly (no subprocesses).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import random
 
@@ -98,7 +99,6 @@ class SimScenario:
     freshness_window: int = 5000   # ms
     adversaries: tuple = ()
     local_map_update: bool = False  # accepted claims update a toy local map
-    full_circuit: bool = False      # use production-width keys (slower)
 
     def __post_init__(self):
         if self.latency_min > self.latency_max:
@@ -172,7 +172,7 @@ def parse_sim_scenario(text: str) -> SimScenario:
             kwargs[key] = tuple(a for a in value.split(",") if a)
         elif key == "drop_prob":
             kwargs[key] = float(value)
-        elif key in ("local_map_update", "full_circuit"):
+        elif key == "local_map_update":
             kwargs[key] = value in ("True", "true", "1")
         else:
             kwargs[key] = int(value)
@@ -183,13 +183,13 @@ def parse_sim_scenario(text: str) -> SimScenario:
 
 
 class SimArtifacts:
-    """Circuit, keys, and QAP shared across simulation runs (the circuit and
-    ceremony are scenario-independent, so building them once is sound)."""
+    """Reduced RSS circuit, keys, and QAP shared across simulation runs (the
+    circuit and ceremony are scenario-independent, so building them once is
+    sound)."""
 
-    def __init__(self, full_circuit: bool = False, seed: int = 2024):
+    def __init__(self, seed: int = 2024):
         self.field = TEST_FIELD
-        self.circuit = build_rss_circuit(
-            include_commitment=full_circuit)
+        self.circuit = build_rss_circuit(include_commitment=False)
         cs = self.circuit.cs
         self.qap = r1cs_to_qap(cs)
         self.pk, self.vk = setup(self.qap, seed=seed)
@@ -197,13 +197,9 @@ class SimArtifacts:
         self.vk_bytes = self.vk.to_bytes()
 
 
-_artifact_cache = {}
-
-
-def default_artifacts(full_circuit: bool = False) -> SimArtifacts:
-    if full_circuit not in _artifact_cache:
-        _artifact_cache[full_circuit] = SimArtifacts(full_circuit)
-    return _artifact_cache[full_circuit]
+@functools.lru_cache(maxsize=1)
+def default_artifacts() -> SimArtifacts:
+    return SimArtifacts()
 
 
 # -- report --------------------------------------------------------------------
@@ -310,7 +306,7 @@ def _mutate_package(pkg: ProofPackage, what: str, field=TEST_FIELD) -> bytes:
 
 def run_scenario(scenario: SimScenario,
                  artifacts: SimArtifacts = None) -> SimReport:
-    art = artifacts or default_artifacts(scenario.full_circuit)
+    art = artifacts or default_artifacts()
     field = art.field
     rng = random.Random(scenario.seed)
     report = SimReport(scenario.template, scenario.seed)

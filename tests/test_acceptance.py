@@ -337,7 +337,7 @@ def test_criterion_07_exhaustive_equivalence():
 
 
 def test_criterion_08_protocol_defenses():
-    art = default_artifacts(full_circuit=False)
+    art = default_artifacts()
     t0 = perf_counter()
     runs = attacks = successes = unexpected = not_conserved = 0
     for template in sorted(TEMPLATES):

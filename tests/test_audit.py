@@ -205,7 +205,7 @@ def test_small_circuit_matches_native(small_audit):
             challenge, thresholds, per_image, s_sec=rng.randrange(1 << 30),
             nonce=bytes(16))
         w = circuit.generate_witness(publics, witness)
-        assert circuit.cs.is_satisfied(w)
+        assert circuit.cs.first_violation(circuit.cs.evaluate(w)) is None
         assert circuit.cs.public_inputs(w)[-1] == report["PASS"]
         # the opposite verdict must be unsatisfiable
         publics.PASS ^= 1

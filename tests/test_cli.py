@@ -157,6 +157,24 @@ def test_verify_state_dir_from_environment(workspace, monkeypatch):
                 "--package", pkg, "--now", "401"]) == 2  # no state dir at all
 
 
+def test_verify_truncated_vk_exits_2(workspace, tmp_path, capfd):
+    pkg = tmp_path / "pkg.bin"
+    assert run(["prove", "--circuit", "rss",
+                "--circuit-dir", workspace / "keys",
+                "--identity-dir", workspace / "id",
+                "--scenario", workspace / "scn.txt",
+                "--out", pkg, "--now", "900", "--seed", "15"]) == 0
+    raw = (workspace / "keys" / "rss.vk").read_bytes()
+    capfd.readouterr()
+    for cut in (5, 30, 42 + 19 + 7, len(raw) - 1):
+        vk = tmp_path / f"cut{cut}.vk"
+        vk.write_bytes(raw[:cut])
+        assert run(["verify", "--vk", vk, "--package", pkg,
+                    "--state-dir", workspace / "state", "--now", "901"]) == 2
+        assert "error: Groth16Error: verifying key is" in \
+            capfd.readouterr().err
+
+
 def test_nonce_store_keys_on_nu_and_reads_old_lines(workspace, tmp_path,
                                                     capfd):
     pkg_path = tmp_path / "pkg.bin"

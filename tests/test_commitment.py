@@ -111,7 +111,7 @@ def test_gadget_matches_native(n_inputs):
     digest = sponge_hash(values).value
     assignment = dict(zip(wires, values))
     w = cs.generate_witness({**assignment, out: digest})
-    assert w[cs.wire_index(out)] == digest
+    assert w[out.index] == digest
     assert cs.row_labels.count("bind_h") == 1
     with pytest.raises(UnsatisfiableError, match=r"\(bind_h\)"):
         cs.generate_witness({**assignment, out: (digest + 1) % P})

@@ -131,6 +131,19 @@ def test_key_serialization(cubic):
     assert verify(vk2, proof, cs.public_inputs(w))
 
 
+def test_truncated_keys_raise_groth16_error(cubic):
+    # the header is checked first, then the exact length its point counts
+    # give, before any point is decoded: every cut is one typed error
+    _, _, pk, vk, _, _ = cubic
+    for raw, decode in ((vk.to_bytes(), VerifyingKey.from_bytes),
+                        (pk.to_bytes(), ProvingKey.from_bytes)):
+        for cut in range(len(raw)):
+            with pytest.raises(Groth16Error):
+                decode(raw[:cut])
+        with pytest.raises(Groth16Error, match="header counts give"):
+            decode(raw + b"\x00")
+
+
 def test_setup_determinism(cubic):
     cs, qap, pk, vk, x, y = cubic
     pk2, vk2 = setup(qap, seed=42)

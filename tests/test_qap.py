@@ -22,6 +22,14 @@ def _oracle_domain(dom):
     return schoolbook.Domain(dom.points, P)
 
 
+def _interpolate(dom, values):
+    """The polynomial of degree < n through (w^i, values_i), by the domain's
+    inverse NTT."""
+    ninv = pow(len(dom), -1, P)
+    return schoolbook.Poly([v * ninv for v in dom._ntt(values, inverse=True)],
+                           P)
+
+
 # -- the oracle's polynomials -------------------------------------------------
 
 
@@ -70,7 +78,7 @@ def test_interpolation_roundtrip(size):
     rng = random.Random(size)
     dom = EvaluationDomain(size, TEST_FIELD)
     values = [rng.randrange(P) for _ in range(size)]
-    poly = dom.interpolate(values)
+    poly = _interpolate(dom, values)
     assert poly.degree < size or poly.is_zero()
     for pt, v in zip(dom.points, values):
         assert poly.eval(pt) == v
@@ -82,7 +90,7 @@ def test_interpolation_ntt_vs_schoolbook():
     size = 16
     sub = EvaluationDomain(size, TEST_FIELD)
     values = [rng.randrange(P) for _ in range(size)]
-    assert sub.interpolate(values).coeffs == \
+    assert _interpolate(sub, values).coeffs == \
         _oracle_domain(sub).interpolate(values).coeffs
 
 
@@ -107,9 +115,10 @@ def test_lagrange_at():
     x = 424242
     basis = dom.lagrange_at(x)
     # oracle: interpolation of indicator vectors
+    oracle = _oracle_domain(dom)
     for i in range(8):
         indicator = [1 if j == i else 0 for j in range(8)]
-        assert dom.interpolate(indicator).eval(x) == basis[i]
+        assert oracle.interpolate(indicator).eval(x) == basis[i]
     assert dom.lagrange_at(dom.points[3]) == [int(i == 3) for i in range(8)]
 
 
@@ -137,7 +146,7 @@ def test_qap_divisibility_iff_satisfied():
     qap = r1cs_to_qap(cs)
     dom = qap.domain
     w = cs.generate_witness({x: 30, y: 5})
-    h = compute_quotient(qap, w)
+    h = schoolbook.Poly(compute_quotient(qap, w), P)
     # check A(t)*B(t) - C(t) == H(t)*Z(t) at a random off-domain point, with
     # A, B, C from the oracle's dense wire polynomials
     t = 987654321987
@@ -177,7 +186,7 @@ def test_qap_invalid_witness_names_row():
     qap = r1cs_to_qap(cs)
     w = cs.generate_witness({x: 30, y: 5})
     bad = list(w.values)
-    bad[cs.wire_index(x)] = 31
+    bad[x.index] = 31
     with pytest.raises(InvalidWitnessError, match="constraint"):
         compute_quotient(qap, bad)
 
@@ -212,7 +221,8 @@ def test_quotient_ntt_matches_generic():
     w = cs.generate_witness({x: 12, y: 3})
     h_fast = compute_quotient(qap, w)
     h_slow = schoolbook.quotient(cs, _oracle_domain(qap.domain), w)
-    assert h_fast.coeffs == h_slow.coeffs
+    assert len(h_fast) == len(qap.domain) - 1
+    assert schoolbook.Poly(h_fast, P).coeffs == h_slow.coeffs
 
 
 def _chain_circuit(rng, n):
@@ -243,8 +253,8 @@ def test_coset_quotient_matches_schoolbook(n):
         cs, w, _ = _chain_circuit(rng, n)
         h_fast = compute_quotient(r1cs_to_qap(cs, sub), w)
         h_slow = schoolbook.quotient(cs, generic, w)
-        assert h_fast.coeffs == h_slow.coeffs
-        assert h_fast.degree <= n - 2
+        assert len(h_fast) == n - 1  # deg H <= n - 2
+        assert schoolbook.Poly(h_fast, P).coeffs == h_slow.coeffs
 
 
 @pytest.mark.parametrize("n", [4, 64])
@@ -253,7 +263,7 @@ def test_unsatisfying_chain_witness_names_row(n):
     cs, w, products = _chain_circuit(rng, n)
     row = rng.randrange(len(products))   # product i is row i's output wire
     bad = list(w.values)
-    bad[cs.wire_index(products[row])] += 1
+    bad[products[row].index] += 1
     with pytest.raises(InvalidWitnessError,
                        match=rf"violates constraint {row}$"):
         compute_quotient(r1cs_to_qap(cs), bad)

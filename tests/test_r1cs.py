@@ -1,21 +1,15 @@
-"""Constraint system builder, gadget semantics, solver pipeline, and the
-R1CS wire encoding."""
+"""Constraint system builder, gadget semantics, solver pipeline, the wire
+index space, and the R1CS encoding's digests."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermes_seal.field import TEST_FIELD
-from hermes_seal.r1cs import (CircuitBuilder, ConstraintSystem,
-                              MissingInputError, R1csError,
+from hermes_seal.r1cs import (CircuitBuilder, MissingInputError, R1csError,
                               UnsatisfiableError, Witness,
                               pad_to_power_of_two)
 
 P = TEST_FIELD.p
-
-
-def val(cs, w, wire):
-    """Witness value of a builder wire, after the public-input permutation."""
-    return w[cs.wire_index(wire)]
 
 
 # -- gadgets vs native oracle -------------------------------------------------
@@ -30,7 +24,7 @@ def test_gadget_mul(a, b):
     out = bld.gadget_mul(x, y)
     cs = bld.finalize()
     w = cs.generate_witness({x: a, y: b})
-    assert val(cs, w, out) == a * b % P
+    assert w[out.index] == a * b % P
 
 
 @given(st.integers(min_value=0, max_value=P - 1))
@@ -41,7 +35,7 @@ def test_gadget_is_zero(a):
     out = bld.gadget_is_zero(x)
     cs = bld.finalize()
     w = cs.generate_witness({x: a})
-    assert val(cs, w, out) == (1 if a == 0 else 0)
+    assert w[out.index] == (1 if a == 0 else 0)
 
 
 @given(st.integers(min_value=0, max_value=255),
@@ -53,7 +47,7 @@ def test_gadget_geq(a, b):
     out = bld.gadget_geq(x, y, bits=8)
     cs = bld.finalize()
     w = cs.generate_witness({x: a, y: b})
-    assert val(cs, w, out) == (1 if a >= b else 0)
+    assert w[out.index] == (1 if a >= b else 0)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 12) - 1))
@@ -64,7 +58,7 @@ def test_bit_decompose(a):
     bits = bld.gadget_bit_decompose(x, 12)
     cs = bld.finalize()
     w = cs.generate_witness({x: a})
-    assert [val(cs, w, b) for b in bits] == [(a >> i) & 1 for i in range(12)]
+    assert [w[b.index] for b in bits] == [(a >> i) & 1 for i in range(12)]
 
 
 def test_bit_decompose_range_enforced():
@@ -85,10 +79,10 @@ def test_boolean_gadgets(a, b):
     not_x = bld.gadget_not(x)
     cs = bld.finalize()
     w = cs.generate_witness({x: a, y: b})
-    assert val(cs, w, a_and) == (a & b)
-    assert val(cs, w, a_or) == (a | b)
-    # NOT returns a linear combination over provisional indices; evaluate it
-    lc_val = sum(w[cs._perm[i]] * k for i, k in not_x.terms.items()) % P
+    assert w[a_and.index] == (a & b)
+    assert w[a_or.index] == (a | b)
+    # NOT returns a linear combination over wire indices; evaluate it
+    lc_val = sum(w[i] * k for i, k in not_x.terms.items()) % P
     assert lc_val == 1 - a
 
 
@@ -126,14 +120,30 @@ def test_missing_input_named():
 def test_public_inputs_ordering():
     bld = CircuitBuilder()
     pub_a = bld.alloc_public("a")
-    priv = bld.alloc_private("w")
     pub_b = bld.alloc_public("b")
-    bld.enforce(bld.lc(pub_a), bld.lc(priv), bld.lc(pub_b), "a*w=b")
+    priv = bld.alloc_private("w")
+    prod = bld.gadget_mul(pub_a, priv, "a*w")
+    bld.assert_equal(prod, pub_b, "a*w=b")
     cs = bld.finalize()
+    # every wire keeps the index it was allocated with: the constant, the
+    # publics 1..l in allocation order, then the rest in allocation order
+    assert [pub_a.index, pub_b.index, priv.index, prod.index] == [1, 2, 3, 4]
+    assert cs.n_public == 2
+    assert cs.labels == ["one", "a", "b", "w", "a*w"]
     w = cs.generate_witness({pub_a: 3, priv: 4, pub_b: 12})
-    # publics occupy indices 1..l in declaration order; w[0] == 1
-    assert w[0] == 1
+    assert w.values == (1, 3, 12, 4, 12)
     assert cs.public_inputs(w) == [3, 12]
+
+
+@pytest.mark.parametrize("first", ["alloc_private", "alloc_internal"])
+def test_alloc_public_after_private_raises(first):
+    bld = CircuitBuilder()
+    bld.alloc_public("a")
+    getattr(bld, first)("w")
+    with pytest.raises(R1csError, match="'b' allocated after a private"):
+        bld.alloc_public("b")
+    # the refused wire was not allocated
+    assert bld.alloc_internal("next").index == 3
 
 
 def test_check_validates_each_row():
@@ -142,10 +152,10 @@ def test_check_validates_each_row():
     out = bld.gadget_mul(x, y, "prod")
     cs = bld.finalize()
     w = cs.generate_witness({x: 2, y: 3})
-    assert cs.is_satisfied(w)
+    assert cs.first_violation(cs.evaluate(w)) is None
     bad = list(w.values)
-    bad[cs.wire_index(out)] = (bad[cs.wire_index(out)] + 1) % P
-    assert not cs.is_satisfied(bad)
+    bad[out.index] = (bad[out.index] + 1) % P
+    assert cs.first_violation(cs.evaluate(bad)) == 0
 
 
 def test_witness_keeps_its_system_and_checked_evaluations():
@@ -176,36 +186,36 @@ def test_evaluate_feeds_check():
     cs = bld.finalize()
     w = cs.generate_witness({x: 2, y: 3})
     assert cs.evaluate(w) == ([2, 6], [3, 3], [6, 18])
-    assert cs.check(w) == (True, None)
+    assert cs.first_violation(cs.evaluate(w)) is None
     bad = list(w.values)
-    bad[cs.wire_index(out)] += 1
+    bad[out.index] += 1
     assert cs.first_violation(cs.evaluate(bad)) == 1
-    assert cs.check(bad) == (False, 1)
     with pytest.raises(R1csError, match=r"witness length 3 != wire count 5"):
-        cs.check(bad[:3])
+        cs.evaluate(bad[:3])
 
 
-# -- serialization ------------------------------------------------------------
+# -- the encoding's digests ----------------------------------------------------
+
+# SHA-256 of `to_bytes()`: (rows, wires, digest).  The wire index space and
+# the row encoding are fixed by these; keys and proofs bind the digest.
+R1CS_DIGESTS = {
+    "rss": (1024, 1034, "c533822ac9169d6677a369505a28be92"
+                        "278acd1190b6f42733f575626da523bc"),
+    "reduced-rss": (256, 157, "c61eb24ba13eb4725e22c4a3eb6e44c6"
+                              "d92a292412d7370ef5b3b5c51b52f463"),
+    "audit-fixture": (32768, 26618, "0eb0cf872e3b1cf99b886fff116f611e"
+                                    "38c114347ca4683d51675df1d6384cf5"),
+}
 
 
-def test_r1cs_bytes_roundtrip():
-    bld = CircuitBuilder()
-    x = bld.alloc_public("x")
-    y = bld.alloc_private("y")
-    bld.gadget_geq(x, y, bits=6, label="cmp")
-    cs = bld.finalize()
-    raw = cs.to_bytes()
-    back = ConstraintSystem.from_bytes(raw, TEST_FIELD)
-    assert back.n_constraints == cs.n_constraints
-    assert back.n_wires == cs.n_wires
-    assert back.n_public == cs.n_public
-    assert back.to_bytes() == raw
-    assert back.digest() == cs.digest()
-
-
-def test_r1cs_bytes_rejects_garbage():
-    with pytest.raises(R1csError):
-        ConstraintSystem.from_bytes(b"not-an-r1cs-blob-000", TEST_FIELD)
+def test_r1cs_digests_pinned(rss_artifacts, small_rss_artifacts,
+                             audit_fixture_artifacts):
+    for name, art in (("rss", rss_artifacts),
+                      ("reduced-rss", small_rss_artifacts),
+                      ("audit-fixture", audit_fixture_artifacts)):
+        cs = art.cs
+        assert (cs.n_constraints, cs.n_wires, cs.digest().hex()) == \
+            R1CS_DIGESTS[name], name
 
 
 def test_pad_to_power_of_two():
@@ -216,4 +226,4 @@ def test_pad_to_power_of_two():
     cs = pad_to_power_of_two(bld.finalize())
     assert cs.n_constraints == 8
     w = cs.generate_witness({x: 3})
-    assert cs.is_satisfied(w)
+    assert cs.first_violation(cs.evaluate(w)) is None

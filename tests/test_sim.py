@@ -11,7 +11,7 @@ from hermes_seal.v2x_sim import (ADVERSARY_TYPES, SimScenario, TAMPER_FIELDS,
 
 @pytest.fixture(scope="module")
 def sim_artifacts():
-    return default_artifacts(full_circuit=False)
+    return default_artifacts()
 
 
 def test_templates_shape():
