@@ -6,7 +6,7 @@ Layering (each module depends only on those before it):
     field       prime fields, fixed-point scaling, wire encodings, domain tags
     pairing     toy supersingular pairing group, MSM
     r1cs        constraint systems, circuit builder, gadgets, descriptors
-    qap         radix-2 evaluation domain, NTT, R1CS -> QAP reduction
+    qap         radix-2 evaluation domain, inverse NTT, R1CS -> QAP quotient
     groth16     trusted setup, prover, verifier
     commitment  algebraic sponge hash, commitments, security games
     rss_circuit safe-stopping-distance case study

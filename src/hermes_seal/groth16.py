@@ -21,10 +21,12 @@ one table entry per nonzero digit; the key builds them on first use.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import random
 import struct
 
+from .field import EncodingError
 from .pairing import (BilinearGroup, G1Element, G2Element, TOY_CURVE_PROFILE,
                       toy_group)
 from .qap import QapInstance, compute_quotient
@@ -65,6 +67,16 @@ def _check_header(data: bytes, magic: bytes, size: int, what: str):
         raise Groth16Error(f"unsupported {what} version {data[4]}")
     if data[5] != TOY_CURVE_PROFILE:
         raise Groth16Error(f"unknown curve profile {data[5]:#x}")
+
+
+@contextlib.contextmanager
+def _decoding_points(what: str):
+    """A malformed point in `what` is a Groth16Error like any other fault
+    of its encoding."""
+    try:
+        yield
+    except EncodingError as exc:
+        raise Groth16Error(f"bad point in {what}: {exc}") from exc
 
 
 def _check_length(data: bytes, size: int, what: str):
@@ -142,13 +154,14 @@ class ProvingKey:
             off += count * pb
             return out
 
-        alpha_g1, beta_g1, delta_g1 = points(g1, 3)
-        beta_g2, delta_g2 = points(g2, 2)
-        a_g1 = points(g1, m1)
-        b_g1 = points(g1, m1)
-        b_g2 = points(g2, m1)
-        k_g1 = points(g1, nk)
-        h_g1 = points(g1, nh)
+        with _decoding_points("proving key"):
+            alpha_g1, beta_g1, delta_g1 = points(g1, 3)
+            beta_g2, delta_g2 = points(g2, 2)
+            a_g1 = points(g1, m1)
+            b_g1 = points(g1, m1)
+            b_g2 = points(g2, m1)
+            k_g1 = points(g1, nk)
+            h_g1 = points(g1, nh)
         return cls(group, digest, n_public, alpha_g1, beta_g1, delta_g1,
                    beta_g2, delta_g2, a_g1, b_g1, b_g2, k_g1, h_g1)
 
@@ -202,14 +215,15 @@ class VerifyingKey:
         (ic_len,) = struct.unpack_from("<I", data, 38)
         pb = group.point_bytes
         _check_length(data, off + (4 + ic_len) * pb, "verifying key")
-        alpha_g1 = group.g1_from_bytes(data[off:off + pb]); off += pb
-        beta_g2 = group.g2_from_bytes(data[off:off + pb]); off += pb
-        gamma_g2 = group.g2_from_bytes(data[off:off + pb]); off += pb
-        delta_g2 = group.g2_from_bytes(data[off:off + pb]); off += pb
-        ic = []
-        for _ in range(ic_len):
-            ic.append(group.g1_from_bytes(data[off:off + pb]))
-            off += pb
+        with _decoding_points("verifying key"):
+            alpha_g1 = group.g1_from_bytes(data[off:off + pb]); off += pb
+            beta_g2 = group.g2_from_bytes(data[off:off + pb]); off += pb
+            gamma_g2 = group.g2_from_bytes(data[off:off + pb]); off += pb
+            delta_g2 = group.g2_from_bytes(data[off:off + pb]); off += pb
+            ic = []
+            for _ in range(ic_len):
+                ic.append(group.g1_from_bytes(data[off:off + pb]))
+                off += pb
         return cls(group, digest, alpha_g1, beta_g2, gamma_g2, delta_g2, ic)
 
 
@@ -247,9 +261,10 @@ class Proof:
             raise Groth16Error(f"unknown curve profile {data[5]:#x}")
         digest = data[6:38]
         pb = group.point_bytes
-        a = group.g1_from_bytes(data[38:38 + pb])
-        b = group.g2_from_bytes(data[38 + pb:38 + 2 * pb])
-        c = group.g1_from_bytes(data[38 + 2 * pb:])
+        with _decoding_points("proof"):
+            a = group.g1_from_bytes(data[38:38 + pb])
+            b = group.g2_from_bytes(data[38 + pb:38 + 2 * pb])
+            c = group.g1_from_bytes(data[38 + 2 * pb:])
         return cls(a, b, c, digest)
 
 

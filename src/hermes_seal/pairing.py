@@ -53,7 +53,8 @@ key builds one per IC point (`fixed_base_tables`, `fixed_base_msm`).
 
 from __future__ import annotations
 
-from .field import FieldElement, PrimeModulus, TEST_FIELD, batch_inverse
+from .field import (EncodingError, FieldElement, PrimeModulus, TEST_FIELD,
+                    batch_inverse)
 
 __all__ = [
     "BilinearGroup",
@@ -204,14 +205,6 @@ class _Curve:
                 x3 = (lam * lam - x1 - x2) % p
                 out.append((x3, (lam * (x1 - x3) - y1) % p))
         return out
-
-    def sum_tree(self, pts):
-        """The sum of finite affine points, added as a tree one level at a
-        time with one batched inversion per level."""
-        while len(pts) > 1:
-            sums = self._add_pairs(pts[0::2], pts[1::2])
-            pts = [pt for pt in sums if pt is not _INF] + pts[len(sums) * 2:]
-        return pts[0] if pts else _INF
 
     def _add_into(self, acc, terms):
         """acc[i] += terms[i] for every i, with one batched inversion."""
@@ -567,12 +560,6 @@ class BilinearGroup:
     def identity_g1(self) -> G1Element:
         return G1Element(_INF, self)
 
-    def identity_g2(self) -> G2Element:
-        return G2Element(_INF, self)
-
-    def identity_gt(self) -> GtElement:
-        return GtElement((1, 0), self)
-
     def multi_scalar_mul(self, scalars, points):
         """MSM over a homogeneous list of G1 or G2 elements."""
         if len(scalars) != len(points):
@@ -601,7 +588,7 @@ class BilinearGroup:
         terms = []
         for s, table in zip(scalars, tables):
             terms += table.entries(self._scalar_int(s))
-        return type(points[0])(self.curve.sum_tree(terms), self)
+        return type(points[0])(self.curve._bucket_sums([terms])[0], self)
 
     def in_subgroup_g1(self, P: _Point) -> bool:
         return self.curve.on_curve(P.point) and \
@@ -742,21 +729,21 @@ class BilinearGroup:
     def _point_from_bytes(self, data: bytes):
         w = self.coord_bytes
         if len(data) != 1 + 2 * w:
-            raise ValueError(f"point encoding must be {1 + 2 * w} bytes")
+            raise EncodingError(f"point encoding must be {1 + 2 * w} bytes")
         flag = data[0]
         if flag == 0:
             if any(data[1:]):
-                raise ValueError("nonzero coordinates on infinity encoding")
+                raise EncodingError("nonzero coordinates on infinity encoding")
             return _INF
         if flag != 1:
-            raise ValueError(f"bad point flag byte {flag:#x}")
+            raise EncodingError(f"bad point flag byte {flag:#x}")
         x = int.from_bytes(data[1:1 + w], "little")
         y = int.from_bytes(data[1 + w:], "little")
         if x >= self.p or y >= self.p:
-            raise ValueError("point coordinate out of field range")
+            raise EncodingError("point coordinate out of field range")
         pt = (x, y)
         if not self.curve.on_curve(pt):
-            raise ValueError("point not on curve")
+            raise EncodingError("point not on curve")
         return pt
 
     @property

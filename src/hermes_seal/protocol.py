@@ -28,7 +28,7 @@ from .field import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN, DTypeTag,
                     DomainSeparator, EncodingError, FieldElement, NONCE_BYTES,
                     ProtocolError, RSS_COMMIT_DOMAIN, RSS_SIGN_DOMAIN,
                     TEST_FIELD, decode, encode, nonce_to_field)
-from .groth16 import Proof, VerifyingKey, prove, verify
+from .groth16 import Groth16Error, Proof, VerifyingKey, prove, verify
 from .pairing import BilinearGroup, G1Element, toy_group
 from .rss_circuit import RSS_CIRCUIT
 
@@ -466,7 +466,7 @@ class VerifierState:
             return False, "replay"
         try:
             proof = Proof.from_bytes(package.proof_bytes, self.group)
-        except Exception:
+        except Groth16Error:
             return False, "proof"
         if not verify(vk, proof, package.public_inputs):
             return False, "proof"

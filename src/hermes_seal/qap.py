@@ -2,27 +2,32 @@
 
 The domain H = {1, w, ..., w^(n-1)} is the multiplicative subgroup of
 power-of-two order n, and constraint row i sits at the point w^i.  Its
-vanishing polynomial is t(x) = x^n - 1, interpolation and evaluation on H
-are NTTs, and the Lagrange values at a point x off H have the closed form
+vanishing polynomial is t(x) = x^n - 1, interpolation on H is an inverse
+NTT, and the Lagrange values at a point x off H have the closed form
 L_i(x) = t(x) w^i / (n (x - w^i)).  The wire polynomials A_j, B_j, C_j are
 never formed: the setup needs them only at one point tau, which
 `QapInstance.wire_evals_at` sums over the sparse rows, and the prover only
 their witness-weighted sums on H, which are the rows' inner products.
 
-The prover's quotient H(x) = (A(x)B(x) - C(x)) / t(x) is computed on one
-coset gH of H (the witness map of libsnark's reduction): t(x) is the
-nonzero constant g^n - 1 on gH, so the division is a single scalar.  n
-points determine only a polynomial of degree < n, which is enough because
-`compute_quotient` first checks A(w^i)B(w^i) = C(w^i) on every row: t then
-divides AB - C, whose degree is at most 2n - 2, so deg H <= n - 2.  The
-interpolated coefficient n - 1 must therefore be zero, and a nonzero one
-is rejected.
+The prover's quotient H(x) = (A(x)B(x) - C(x)) / t(x) is the top half of
+one product.  `compute_quotient` first checks A(w^i)B(w^i) = C(w^i) on
+every row, so t divides AB - C, whose degree is at most 2n - 2, and
+deg H <= n - 2.  Then A(x)B(x) = H(x) x^n + (C(x) - H(x)) with
+deg(C - H) < n, so coefficients n .. 2n - 2 of AB are exactly H's, and C
+is never needed.  A and B come from one inverse NTT each, and AB is one
+integer product by Kronecker substitution: each coefficient list is packed
+into a number, one zero-padded decimal slot per coefficient, wide enough
+for a coefficient of the unreduced product, at most n (p - 1)^2.  The
+product is taken in `decimal`, whose libmpdec multiplies large operands by
+a number-theoretic transform where int multiplication is Karatsuba.
 
 Each domain builds its transform tables (bit-reversal permutation,
-per-stage twiddles for w and w^-1, coset scales) once, on first use.
+per-stage twiddles for w^-1) once, on first use.
 """
 
 from __future__ import annotations
+
+import decimal
 
 from .field import PrimeModulus, TEST_FIELD, batch_inverse
 
@@ -75,36 +80,23 @@ class EvaluationDomain:
 
     # -- NTT -----------------------------------------------------------------
 
-    def _ntt_tables(self):
-        """(bit-reversal permutation, per-stage twiddles for w, for w^-1,
-        coset scale, coset unscale); built on first use, once per domain.
-
-        The stage of half-length h uses the h powers of w^(n/2h).  The coset
-        scale g^j / n turns unnormalised iNTT output into the coefficients
-        of P(gx); the unscale g^-j / (n (g^n - 1)) undoes the shift, the
-        iNTT's factor n and the division by t on gH.
-        """
+    def _intt_tables(self):
+        """(bit-reversal permutation, per-stage twiddles for w^-1); built on
+        first use, once per domain.  The stage of half-length h uses the h
+        powers of w^-(n/2h)."""
         if self._tables is None:
-            p = self.field.p
             n = len(self.points)
             bits = n.bit_length() - 1
             rev = [int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
                    for i in range(n)]
-            fwd = self.points[:n // 2]
             inv = [self.points[-k] for k in range(n // 2)]  # w^-k = w^(n-k)
-            strides = [n >> (s + 1) for s in range(bits)]
-            g = self.field._generator  # coset representative off the subgroup
-            ninv = pow(n, -1, p)
-            t_inv = pow(pow(g, n, p) - 1, -1, p)
-            self._tables = (rev, [fwd[::k] for k in strides],
-                            [inv[::k] for k in strides],
-                            _powers(ninv, g, n, p),
-                            _powers(ninv * t_inv % p, pow(g, -1, p), n, p))
+            self._tables = (rev, [inv[::n >> (s + 1)] for s in range(bits)])
         return self._tables
 
-    def _ntt(self, values, inverse: bool = False) -> list:
-        """Unnormalised DFT over the subgroup: out_i = sum_j values_j w^(ij),
-        with w^-1 in place of w when `inverse` is set.
+    def _intt(self, values) -> list:
+        """Unnormalised inverse DFT over the subgroup: out_i = sum_j values_j
+        w^(-ij), which is n times the coefficients of the polynomial through
+        (w^j, values_j).
 
         Iterative radix-2 Cooley-Tukey on a bit-reversed copy.  A stage whose
         half-length is at least its block count butterflies one block per
@@ -113,12 +105,12 @@ class EvaluationDomain:
         value grows by less than p per stage and one pass at the end
         reduces them all.
         """
-        rev, fwd, inv, _, _ = self._ntt_tables()
+        rev, twiddles = self._intt_tables()
         p = self.field.p
         n = len(rev)
         a = [values[r] for r in rev]
         h = 1
-        for tw in (inv if inverse else fwd):
+        for tw in twiddles:
             step = 2 * h
             if h >= n // step:
                 for s in range(0, n, step):
@@ -199,34 +191,32 @@ def compute_quotient(qap: QapInstance, witness) -> list:
     row = qap.cs.first_violation(evaluations)
     if row is not None:
         raise InvalidWitnessError(f"witness violates constraint {row}")
-    return _quotient_ntt(qap, *evaluations)
+    aw, bw, _ = evaluations
+    return _quotient(qap.domain, aw, bw)
 
 
-def _quotient_ntt(qap: QapInstance, aw, bw, cw) -> list:
-    """Quotient on the coset gH of the size-n domain H.
+def _quotient(domain: EvaluationDomain, aw, bw) -> list:
+    """Coefficients n .. 2n - 2 of A(x)B(x), which are H's once the rows
+    hold (see the module docstring), from A's and B's values on `domain`.
 
-    A, B, C go to coefficients (iNTT) and onto gH (coset scale, NTT).  On gH
-    t(x) = x^n - 1 is the one constant g^n - 1, so dividing the pointwise
-    A*B - C by t is a scalar, folded with the iNTT's 1/n and the undoing of
-    the shift into the domain's unscale table.  Interpolating H from n
-    points is exact because the caller's row check makes t divide
-    AB - C (degree <= 2n - 2), so deg H <= n - 2; coefficient n - 1 must
-    then be zero, and a nonzero one is rejected.  Seven size-n transforms
-    in all, on tables cached per domain.
+    The iNTTs give n A and n B; packed with the top coefficient first, one
+    `width`-digit slot each, they multiply in a context that keeps every
+    digit, and slot k of the product is, mod p, n^2 times coefficient k of
+    AB.
     """
-    domain = qap.domain
-    p = qap.field.p
+    p = domain.field.p
     n = len(domain)
-    *_, scale, unscale = domain._ntt_tables()
-    ntt = domain._ntt
+    width = len(str(n * (p - 1) ** 2))
 
-    def on_coset(values):
-        coeffs = ntt(values, inverse=True)
-        return ntt([c * s % p for c, s in zip(coeffs, scale)])
+    def pack(values):
+        coeffs = domain._intt(values)
+        return decimal.Decimal("".join(f"{c:0{width}d}"
+                                       for c in reversed(coeffs)))
 
-    av, bv, cv = on_coset(aw), on_coset(bw), on_coset(cw)
-    hv = ntt([(a * b - c) % p for a, b, c in zip(av, bv, cv)], inverse=True)
-    coeffs = [h * s % p for h, s in zip(hv, unscale)]
-    if coeffs[n - 1]:
-        raise InvalidWitnessError("quotient degree bound exceeded")
-    return coeffs[:n - 1]
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        product = pack(aw) * pack(bw)
+    top = str(product)[:-n * width].zfill((n - 1) * width)
+    scale = pow(n, -2, p)
+    return [int(top[i:i + width]) * scale % p
+            for i in range((n - 2) * width, -1, -width)]

@@ -429,21 +429,6 @@ class CircuitBuilder:
     def gadget_and(self, x, y, label: str = "and") -> Wire:
         return self.gadget_mul(x, y, label)
 
-    def gadget_or(self, x, y, label: str = "or") -> Wire:
-        xl, yl = self._as_lc(x), self._as_lc(y)
-        out = self.alloc_internal(label)
-        # x + y - out = x*y  =>  out = x + y - x*y
-        self.enforce(xl, yl, xl + yl - self.lc(out), label)
-        p = self.p
-        xt, yt = dict(xl.terms), dict(yl.terms)
-
-        def solve(v, xt=xt, yt=yt, oi=out.index, p=p):
-            xv = sum(v[j] * k for j, k in xt.items()) % p
-            yv = sum(v[j] * k for j, k in yt.items()) % p
-            v[oi] = (xv + yv - xv * yv) % p
-        self.add_solver([out], solve)
-        return out
-
     # -- finalization -------------------------------------------------------
 
     def finalize(self) -> ConstraintSystem:

@@ -14,8 +14,8 @@ The circuit enforces, over scaled integers (rows at production widths):
      0 of the first permutation cubes only Pr.
 With one binding row for each of the 8 public wires that carry no logic
 (see below), that is exactly 1024 rows, the whole radix-2 domain: one
-more row doubles every quotient transform and C's MSM terms over H, and
-`tests/test_rss.py` pins the count.
+more row doubles the quotient's transforms and product and C's MSM terms
+over H, and `tests/test_rss.py` pins the count.
 
 The safe distance itself is computed off-circuit (it involves real division)
 and enters as a public input; the circuit only checks the comparison.

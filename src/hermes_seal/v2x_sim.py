@@ -254,10 +254,6 @@ class SimReport:
         ]
         return "\n".join(lines) + "\n"
 
-    def to_csv(self) -> str:
-        rows = [ln.replace(" ", ",", 1) for ln in self.to_text().splitlines()]
-        return "\n".join(["metric,value"] + rows) + "\n"
-
     def to_bytes(self) -> bytes:
         return self.to_text().encode()
 

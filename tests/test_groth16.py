@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hermes_seal.field import TEST_FIELD
+from hermes_seal.field import EncodingError, TEST_FIELD
 from hermes_seal.groth16 import (Groth16Error, Proof, ProvingKey,
                                  VerifyingKey, prove, setup, verify)
 from hermes_seal.pairing import BilinearGroup, G2Element, toy_group
@@ -144,6 +144,28 @@ def test_truncated_keys_raise_groth16_error(cubic):
             decode(raw + b"\x00")
 
 
+def test_malformed_points_raise_groth16_error(cubic):
+    # right length, but a point's flag byte is 7, or its x is off the
+    # curve: the group's EncodingError, re-raised as the key's or proof's
+    cs, qap, pk, vk, x, y = cubic
+    group = toy_group()
+    proof = prove(pk, qap, cs.generate_witness({x: 30, y: 3}), seed=1)
+    pb = group.point_bytes
+    for raw, decode, first in ((vk.to_bytes(), VerifyingKey.from_bytes, 42),
+                               (pk.to_bytes(), ProvingKey.from_bytes, 54),
+                               (proof.to_bytes(), Proof.from_bytes, 38)):
+        flag = bytearray(raw)
+        flag[first] = 7
+        off_curve = bytearray(raw)
+        off_curve[first + 2] ^= 1
+        for bad, why in ((flag, "bad point flag byte 0x7"),
+                         (off_curve, "point not on curve")):
+            with pytest.raises(EncodingError, match=why):
+                group.g1_from_bytes(bytes(bad[first:first + pb]))
+            with pytest.raises(Groth16Error, match=why):
+                decode(bytes(bad))
+
+
 def test_setup_determinism(cubic):
     cs, qap, pk, vk, x, y = cubic
     pk2, vk2 = setup(qap, seed=42)
@@ -212,7 +234,7 @@ def test_verify_rejects_identity_and_rearranged_elements(cubic):
     assert verify(vk, proof, publics)
     d = proof.circuit_digest
     for bad in (Proof(group.identity_g1(), proof.b, proof.c, d),
-                Proof(proof.a, group.identity_g2(), proof.c, d),
+                Proof(proof.a, G2Element(None, group), proof.c, d),
                 Proof(proof.a, proof.b, group.identity_g1(), d),
                 Proof(proof.c, proof.b, proof.a, d),      # A and C swapped
                 Proof(proof.a, proof.b, -proof.c, d)):

@@ -10,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 from hermes_seal import protocol
 from hermes_seal.audit_circuit import make_audit_inputs
 from hermes_seal.cli import build_parser
-from hermes_seal.field import FieldElement, TEST_FIELD, nonce_to_field
+from hermes_seal.field import (EncodingError, FieldElement, TEST_FIELD,
+                               nonce_to_field)
+from hermes_seal.groth16 import (Groth16Error, Proof, ProvingKey,
+                                 VerifyingKey)
+from hermes_seal.pairing import toy_group
 from hermes_seal.protocol import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN,
                                   CIRCUITS, CIRCUITS_BY_SIGN_DOMAIN,
                                   Certificate, DomainSeparator,
@@ -516,6 +520,62 @@ def test_fuzzed_package_bytes(small_rss_artifacts, identity, package_bytes,
     ok, reason = state.verify_package(pkg, now=101)
     assert type(ok) is bool and isinstance(reason, str)
     assert not ok or reason == "ok"
+
+
+@pytest.fixture(scope="module")
+def encodings(small_rss_artifacts, identity, package_bytes):
+    """Decoder name -> (decoder, the one error it may raise, a valid
+    encoding)."""
+    art, group = small_rss_artifacts, toy_group()
+    return {
+        "g1": (group.g1_from_bytes, EncodingError,
+               group.g1_to_bytes(group.g1)),
+        "g2": (group.g2_from_bytes, EncodingError,
+               group.g2_to_bytes(group.g2)),
+        "proof": (Proof.from_bytes, Groth16Error,
+                  ProofPackage.from_bytes(package_bytes).proof_bytes),
+        "proving key": (ProvingKey.from_bytes, Groth16Error,
+                        art.pk.to_bytes()),
+        "verifying key": (VerifyingKey.from_bytes, Groth16Error,
+                          art.vk_bytes),
+        "certificate": (Certificate.from_bytes, ProtocolError,
+                        identity[2].to_bytes()),
+        "package": (ProofPackage.from_bytes, ProtocolError, package_bytes),
+    }
+
+
+DECODERS = ["g1", "g2", "proof", "proving key", "verifying key",
+            "certificate", "package"]
+
+
+def _decode_or_typed_reject(encodings, name, data):
+    decode, error, _ = encodings[name]
+    try:
+        decode(bytes(data))
+    except error:
+        pass
+
+
+@given(name=st.sampled_from(DECODERS), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_decoders_raise_only_their_error_on_random_bytes(encodings, name,
+                                                          data):
+    # any length, or the valid encoding's own length when that is short
+    size = len(encodings[name][2])
+    blob = data.draw(st.binary(max_size=200) if size > 200 else
+                     st.binary(max_size=200) |
+                     st.binary(min_size=size, max_size=size))
+    _decode_or_typed_reject(encodings, name, blob)
+
+
+@given(name=st.sampled_from(DECODERS), at=st.integers(min_value=0),
+       value=st.integers(min_value=0, max_value=255))
+@settings(max_examples=300, deadline=None)
+def test_decoders_raise_only_their_error_on_byte_mutations(encodings, name,
+                                                           at, value):
+    raw = bytearray(encodings[name][2])
+    raw[at % len(raw)] = value
+    _decode_or_typed_reject(encodings, name, raw)
 
 
 # -- certificate memo ---------------------------------------------------------

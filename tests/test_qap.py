@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import schoolbook
 from hermes_seal.field import TEST_FIELD
 from hermes_seal.qap import (EvaluationDomain, InvalidWitnessError,
-                             _quotient_ntt, compute_quotient, r1cs_to_qap)
+                             _quotient, compute_quotient, r1cs_to_qap)
 from hermes_seal.r1cs import CircuitBuilder, pad_to_power_of_two
 
 P = TEST_FIELD.p
@@ -26,8 +26,7 @@ def _interpolate(dom, values):
     """The polynomial of degree < n through (w^i, values_i), by the domain's
     inverse NTT."""
     ninv = pow(len(dom), -1, P)
-    return schoolbook.Poly([v * ninv for v in dom._ntt(values, inverse=True)],
-                           P)
+    return schoolbook.Poly([v * ninv for v in dom._intt(values)], P)
 
 
 # -- the oracle's polynomials -------------------------------------------------
@@ -96,7 +95,7 @@ def test_interpolation_ntt_vs_schoolbook():
 
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32, 64, 128, 256])
 def test_ntt_matches_naive_dft(size):
-    # oracle: out_i = sum_j v_j w^(+-ij), straight from the definition
+    # oracle: out_i = sum_j v_j w^(-ij), straight from the definition
     rng = random.Random(size)
     dom = EvaluationDomain(size, TEST_FIELD)
     pts = dom.points
@@ -105,9 +104,8 @@ def test_ntt_matches_naive_dft(size):
            for i in range(size)]
     inv = [sum(v * pts[-i * j % size] for j, v in enumerate(values)) % P
            for i in range(size)]
-    assert dom._ntt(values) == fwd
-    assert dom._ntt(values, inverse=True) == inv
-    assert dom._ntt(fwd, inverse=True) == [v * size % P for v in values]
+    assert dom._intt(values) == inv
+    assert dom._intt(fwd) == [v * size % P for v in values]
 
 
 def test_lagrange_at():
@@ -214,7 +212,7 @@ def test_quotient_evaluates_a_witness_of_another_system():
 
 
 def test_quotient_ntt_matches_generic():
-    # same circuit and points: the coset NTT quotient against the oracle's
+    # same circuit and points: the product quotient against the oracle's
     # dense wire polynomials and long division
     cs, x, y = _toy_circuit()
     qap = r1cs_to_qap(cs)
@@ -271,16 +269,30 @@ def test_unsatisfying_chain_witness_names_row(n):
         schoolbook.quotient(cs, _oracle_domain(EvaluationDomain(n)), bad)
 
 
-def test_coset_quotient_rejects_top_coefficient():
-    # rows that break a*b = c leave A*B - C indivisible by t; past the row
-    # check, the interpolated coefficient n - 1 is what gives it away
-    rng = random.Random(3)
-    cs, w, _ = _chain_circuit(rng, 8)
-    qap = r1cs_to_qap(cs)
-    aw, bw, cw = cs.evaluate(w)
-    cw[0] = (cw[0] + 1) % P
-    with pytest.raises(InvalidWitnessError, match="degree bound"):
-        _quotient_ntt(qap, aw, bw, cw)
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_quotient_slot_holds_worst_case(n):
+    # A and B with every coefficient n^-1 (p - 1), so that the iNTT hands the
+    # packing all p - 1 and coefficient n - 1 of the unreduced product is
+    # n (p - 1)^2, the most a slot must hold; a carry out of any slot would
+    # change the top half
+    dom = EvaluationDomain(n, TEST_FIELD)
+    spike = [P - 1] + [0] * (n - 1)
+    assert dom._intt(spike) == [P - 1] * n
+    a = _interpolate(dom, spike)
+    assert _quotient(dom, spike, spike) == (a * a).coeffs[n:]
+
+
+def test_rss_quotient_at_random_point(rss_artifacts):
+    art = rss_artifacts
+    from hermes_seal.rss_circuit import RssScenario, make_rss_inputs
+    publics, witness, _ = make_rss_inputs(RssScenario(), nonce=bytes(16),
+                                          s_sec=1, circuit=art.circuit)
+    w = art.circuit.generate_witness(publics, witness)
+    h = schoolbook.Poly(compute_quotient(art.qap, w), P)
+    r = random.Random(1024).randrange(P)
+    a, b, c = (sum(e * v for e, v in zip(evals, w.values)) % P
+               for evals in art.qap.wire_evals_at(r))
+    assert (a * b - c) % P == h.eval(r) * art.qap.domain.eval_vanishing(r) % P
 
 
 def test_constraint_evaluations_match_rows(small_rss_artifacts):
