@@ -154,7 +154,7 @@ def _load_identity(identity_dir: str):
     group = toy_group()
     sk = int.from_bytes(_read(os.path.join(identity_dir, "vehicle.sk")),
                         "little")
-    keypair = SignatureKeypair(sk, group.scalar_mul_g1(sk, group.g1), group)
+    keypair = SignatureKeypair(sk, group.scalar_mul_g1(sk, group.g1))
     cert = Certificate.from_bytes(
         _read(os.path.join(identity_dir, "vehicle.cert")))
     return keypair, cert

@@ -271,7 +271,7 @@ def open_commitment(domain_sep: int, payload, blinder):
     return {"domain_sep": domain_sep, "payload": list(payload),
             "blinder": blinder}
 
-def verify_commitment(c: FieldElement, opening: dict,
-                      field: PrimeModulus = TEST_FIELD) -> bool:
+def verify_commitment(c: FieldElement, opening: dict) -> bool:
+    """The opening is the preimage of c, over c's field."""
     return commit(opening["domain_sep"], opening["payload"],
-                  opening["blinder"], field) == c
+                  opening["blinder"], c.modulus) == c

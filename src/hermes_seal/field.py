@@ -140,6 +140,8 @@ class FieldElement:
 
     def __rsub__(self, other):
         v = self._coerce(other)
+        if v is NotImplemented:
+            return NotImplemented
         return FieldElement((v - self.value) % self.modulus.p, self.modulus)
 
     def __mul__(self, other):
@@ -267,7 +269,7 @@ _BLOB_TAGS = frozenset({DTypeTag.R1CS, DTypeTag.VK, DTypeTag.CERT, DTypeTag.PROO
 NONCE_BYTES = 16
 
 
-def encode(value, dtype: DTypeTag, field: PrimeModulus = TEST_FIELD) -> bytes:
+def encode(value, dtype: DTypeTag) -> bytes:
     """Canonical byte encoding of a value under a datatype tag.
 
     Deterministic and injective per tag over the tag's declared domain.

@@ -6,6 +6,13 @@ polynomials), and commits everything to the curve with fixed-base window
 tables plus Montgomery batch inversion.  Proofs are three group elements;
 their byte encoding is constant-length regardless of circuit size.
 
+Everything is over the one pairing group (`pairing.toy_group()`): keys and
+proofs hold no group, and `setup` rejects a circuit whose field is not the
+group's scalar field F_q.  The prover makes four MSMs: A, B in G2, B in
+G1 (which only C uses) and C.  The key's constant points and the blinding
+terms are further bases of those MSMs, so a proof needs no separate scalar
+multiplication or point addition.
+
 The verifier takes public inputs only in canonical form (each in [0, q)),
 runs subgroup checks on all three proof elements, and then checks the
 Groth16 equation
@@ -27,8 +34,7 @@ import random
 import struct
 
 from .field import EncodingError
-from .pairing import (BilinearGroup, G1Element, G2Element, TOY_CURVE_PROFILE,
-                      toy_group)
+from .pairing import G1Element, G2Element, Q, TOY_CURVE_PROFILE, toy_group
 from .qap import QapInstance, compute_quotient
 
 __all__ = [
@@ -50,6 +56,8 @@ VK_MAGIC = b"HSVK"
 PROOF_MAGIC = b"HSPF"
 KEY_VERSION = 1
 IC_WINDOW = 4  # bits per digit of a public input in the IC tables
+
+_GROUP = toy_group()
 
 
 class Groth16Error(Exception):
@@ -103,10 +111,9 @@ class ToxicWaste:
 class ProvingKey:
     """All G1/G2 commitments the prover needs, bound to one circuit digest."""
 
-    def __init__(self, group, circuit_digest, n_public,
+    def __init__(self, circuit_digest, n_public,
                  alpha_g1, beta_g1, delta_g1, beta_g2, delta_g2,
                  a_g1, b_g1, b_g2, k_g1, h_g1):
-        self.group = group
         self.circuit_digest = circuit_digest
         self.n_public = n_public
         self.alpha_g1 = alpha_g1
@@ -121,31 +128,26 @@ class ProvingKey:
         self.h_g1 = h_g1    # [g1 * tau^k t(tau)/delta], k = 0..n-2
 
     def to_bytes(self) -> bytes:
-        g = self.group
         out = [PK_MAGIC, bytes([KEY_VERSION, TOY_CURVE_PROFILE]),
                self.circuit_digest,
                struct.pack("<IIII", self.n_public, len(self.a_g1),
                            len(self.k_g1), len(self.h_g1))]
-        out += [g.g1_to_bytes(self.alpha_g1), g.g1_to_bytes(self.beta_g1),
-                g.g1_to_bytes(self.delta_g1), g.g2_to_bytes(self.beta_g2),
-                g.g2_to_bytes(self.delta_g2)]
-        for lst, ser in ((self.a_g1, g.g1_to_bytes), (self.b_g1, g.g1_to_bytes),
-                         (self.b_g2, g.g2_to_bytes), (self.k_g1, g.g1_to_bytes),
-                         (self.h_g1, g.g1_to_bytes)):
-            out += [ser(el) for el in lst]
+        out += map(_GROUP.g1_to_bytes,  # G1 and G2 points encode alike
+                   [self.alpha_g1, self.beta_g1, self.delta_g1, self.beta_g2,
+                    self.delta_g2, *self.a_g1, *self.b_g1, *self.b_g2,
+                    *self.k_g1, *self.h_g1])
         return b"".join(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes, group: BilinearGroup = None) -> "ProvingKey":
-        group = group or toy_group()
+    def from_bytes(cls, data: bytes) -> "ProvingKey":
         off = 54
         _check_header(data, PK_MAGIC, off, "proving key")
         digest = data[6:38]
         n_public, m1, nk, nh = struct.unpack_from("<IIII", data, 38)
-        pb = group.point_bytes
+        pb = _GROUP.point_bytes
         _check_length(data, off + (5 + 3 * m1 + nk + nh) * pb, "proving key")
 
-        g1, g2 = group.g1_from_bytes, group.g2_from_bytes
+        g1, g2 = _GROUP.g1_from_bytes, _GROUP.g2_from_bytes
 
         def points(decode, count):
             nonlocal off
@@ -162,7 +164,7 @@ class ProvingKey:
             b_g2 = points(g2, m1)
             k_g1 = points(g1, nk)
             h_g1 = points(g1, nh)
-        return cls(group, digest, n_public, alpha_g1, beta_g1, delta_g1,
+        return cls(digest, n_public, alpha_g1, beta_g1, delta_g1,
                    beta_g2, delta_g2, a_g1, b_g1, b_g2, k_g1, h_g1)
 
 
@@ -172,25 +174,24 @@ class VerifyingKey:
     delta.  The fixed-base tables of the IC points are built on first use
     (`ic_tables`), not here, so decoding or generating a key stays cheap."""
 
-    def __init__(self, group, circuit_digest, alpha_g1, beta_g2, gamma_g2,
-                 delta_g2, ic):
-        self.group = group
+    def __init__(self, circuit_digest, alpha_g1, beta_g2, gamma_g2, delta_g2,
+                 ic):
         self.circuit_digest = circuit_digest
         self.alpha_g1 = alpha_g1
         self.beta_g2 = beta_g2
         self.gamma_g2 = gamma_g2
         self.delta_g2 = delta_g2
         self.ic = ic  # [g1 * (beta A_j + alpha B_j + C_j)/gamma], j = 0..l
-        self.alpha_beta = group.pair(alpha_g1, beta_g2)
-        self.gamma_lines = group.lines(gamma_g2)
-        self.delta_lines = group.lines(delta_g2)
+        self.alpha_beta = _GROUP.pair(alpha_g1, beta_g2)
+        self.gamma_lines = _GROUP.lines(gamma_g2)
+        self.delta_lines = _GROUP.lines(delta_g2)
         self._ic_tables = None
 
     def ic_tables(self) -> list:
         """The fixed-base tables of `ic` (IC_WINDOW bits), built on first
         use and kept with the key."""
         if self._ic_tables is None:
-            self._ic_tables = self.group.fixed_base_tables(self.ic, IC_WINDOW)
+            self._ic_tables = _GROUP.fixed_base_tables(self.ic, IC_WINDOW)
         return self._ic_tables
 
     @property
@@ -198,33 +199,31 @@ class VerifyingKey:
         return len(self.ic) - 1
 
     def to_bytes(self) -> bytes:
-        g = self.group
         out = [VK_MAGIC, bytes([KEY_VERSION, TOY_CURVE_PROFILE]),
-               self.circuit_digest, struct.pack("<I", len(self.ic)),
-               g.g1_to_bytes(self.alpha_g1), g.g2_to_bytes(self.beta_g2),
-               g.g2_to_bytes(self.gamma_g2), g.g2_to_bytes(self.delta_g2)]
-        out += [g.g1_to_bytes(el) for el in self.ic]
+               self.circuit_digest, struct.pack("<I", len(self.ic))]
+        out += map(_GROUP.g1_to_bytes,  # G1 and G2 points encode alike
+                   [self.alpha_g1, self.beta_g2, self.gamma_g2, self.delta_g2,
+                    *self.ic])
         return b"".join(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes, group: BilinearGroup = None) -> "VerifyingKey":
-        group = group or toy_group()
+    def from_bytes(cls, data: bytes) -> "VerifyingKey":
         off = 42
         _check_header(data, VK_MAGIC, off, "verifying key")
         digest = data[6:38]
         (ic_len,) = struct.unpack_from("<I", data, 38)
-        pb = group.point_bytes
+        pb = _GROUP.point_bytes
         _check_length(data, off + (4 + ic_len) * pb, "verifying key")
         with _decoding_points("verifying key"):
-            alpha_g1 = group.g1_from_bytes(data[off:off + pb]); off += pb
-            beta_g2 = group.g2_from_bytes(data[off:off + pb]); off += pb
-            gamma_g2 = group.g2_from_bytes(data[off:off + pb]); off += pb
-            delta_g2 = group.g2_from_bytes(data[off:off + pb]); off += pb
+            alpha_g1 = _GROUP.g1_from_bytes(data[off:off + pb]); off += pb
+            beta_g2 = _GROUP.g2_from_bytes(data[off:off + pb]); off += pb
+            gamma_g2 = _GROUP.g2_from_bytes(data[off:off + pb]); off += pb
+            delta_g2 = _GROUP.g2_from_bytes(data[off:off + pb]); off += pb
             ic = []
             for _ in range(ic_len):
-                ic.append(group.g1_from_bytes(data[off:off + pb]))
+                ic.append(_GROUP.g1_from_bytes(data[off:off + pb]))
                 off += pb
-        return cls(group, digest, alpha_g1, beta_g2, gamma_g2, delta_g2, ic)
+        return cls(digest, alpha_g1, beta_g2, gamma_g2, delta_g2, ic)
 
 
 class Proof:
@@ -238,21 +237,18 @@ class Proof:
         self.circuit_digest = circuit_digest
 
     def to_bytes(self) -> bytes:
-        g = self.a.group
         return b"".join([PROOF_MAGIC, bytes([KEY_VERSION, TOY_CURVE_PROFILE]),
-                         self.circuit_digest, g.g1_to_bytes(self.a),
-                         g.g2_to_bytes(self.b), g.g1_to_bytes(self.c)])
+                         self.circuit_digest,
+                         *map(_GROUP.g1_to_bytes, (self.a, self.b, self.c))])
 
     @classmethod
-    def byte_length(cls, group: BilinearGroup = None) -> int:
-        group = group or toy_group()
-        return 6 + 32 + 3 * group.point_bytes
+    def byte_length(cls) -> int:
+        return 6 + 32 + 3 * _GROUP.point_bytes
 
     @classmethod
-    def from_bytes(cls, data: bytes, group: BilinearGroup = None) -> "Proof":
-        group = group or toy_group()
-        if len(data) != cls.byte_length(group):
-            raise Groth16Error(f"proof must be {cls.byte_length(group)} bytes")
+    def from_bytes(cls, data: bytes) -> "Proof":
+        if len(data) != cls.byte_length():
+            raise Groth16Error(f"proof must be {cls.byte_length()} bytes")
         if data[:4] != PROOF_MAGIC:
             raise Groth16Error("bad proof magic")
         if data[4] != KEY_VERSION:
@@ -260,24 +256,26 @@ class Proof:
         if data[5] != TOY_CURVE_PROFILE:
             raise Groth16Error(f"unknown curve profile {data[5]:#x}")
         digest = data[6:38]
-        pb = group.point_bytes
+        pb = _GROUP.point_bytes
         with _decoding_points("proof"):
-            a = group.g1_from_bytes(data[38:38 + pb])
-            b = group.g2_from_bytes(data[38 + pb:38 + 2 * pb])
-            c = group.g1_from_bytes(data[38 + 2 * pb:])
+            a = _GROUP.g1_from_bytes(data[38:38 + pb])
+            b = _GROUP.g2_from_bytes(data[38 + pb:38 + 2 * pb])
+            c = _GROUP.g1_from_bytes(data[38 + 2 * pb:])
         return cls(a, b, c, digest)
 
 
-def setup(qap: QapInstance, seed=None, group: BilinearGroup = None,
-          return_toxic: bool = False):
+def setup(qap: QapInstance, seed=None, return_toxic: bool = False):
     """Sample toxic waste and produce (pk, vk) for the circuit behind `qap`.
 
-    A seed gives a reproducible ceremony for tests; omit it for fresh
-    randomness.  The toxic waste is zeroized before returning unless
-    `return_toxic` is set (test hook only).
+    The circuit must be over the group's scalar field F_q.  A seed gives a
+    reproducible ceremony for tests; omit it for fresh randomness.  The
+    toxic waste is zeroized before returning unless `return_toxic` is set
+    (test hook only).
     """
-    group = group or toy_group()
-    q = group.q
+    if qap.field.p != Q:
+        raise Groth16Error(f"circuit is over the {qap.field.name} field, not "
+                           f"the group's scalar field")
+    q = Q
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
     while True:
         tau = rng.randrange(1, q)
@@ -309,12 +307,12 @@ def setup(qap: QapInstance, seed=None, group: BilinearGroup = None,
 
     g1_scalars = ([alpha, beta, delta] + a_tau + b_tau + priv_scalars
                   + h_scalars + ic_scalars)
-    g1_points = group.generator_table(group.g1).exp_many(g1_scalars)
-    g2_points = group.generator_table(group.g2).exp_many([beta, delta, gamma]
+    g1_points = _GROUP.generator_table(_GROUP.g1).exp_many(g1_scalars)
+    g2_points = _GROUP.generator_table(_GROUP.g2).exp_many([beta, delta, gamma]
                                                          + b_tau)
 
-    g1_points = [G1Element(pt, group) for pt in g1_points]
-    g2_points = [G2Element(pt, group) for pt in g2_points]
+    g1_points = [G1Element(pt) for pt in g1_points]
+    g2_points = [G2Element(pt) for pt in g2_points]
 
     def take(count):
         nonlocal off
@@ -332,9 +330,9 @@ def setup(qap: QapInstance, seed=None, group: BilinearGroup = None,
     b_g2 = g2_points[3:]
 
     digest = qap.cs.digest()
-    pk = ProvingKey(group, digest, l, alpha_g1, beta_g1, delta_g1, beta_g2,
+    pk = ProvingKey(digest, l, alpha_g1, beta_g1, delta_g1, beta_g2,
                     delta_g2, a_g1, b_g1, b_g2, k_g1, h_g1)
-    vk = VerifyingKey(group, digest, alpha_g1, beta_g2, gamma_g2, delta_g2, ic)
+    vk = VerifyingKey(digest, alpha_g1, beta_g2, gamma_g2, delta_g2, ic)
     if return_toxic:
         return pk, vk, toxic
     toxic.zeroize()
@@ -343,8 +341,7 @@ def setup(qap: QapInstance, seed=None, group: BilinearGroup = None,
 
 def prove(pk: ProvingKey, qap: QapInstance, witness, seed=None) -> Proof:
     """Produce a randomized proof; raises if the witness is unsatisfying."""
-    group = pk.group
-    q = group.q
+    q = Q
     values = witness.values if hasattr(witness, "values") else list(witness)
     if len(values) != len(pk.a_g1):
         raise Groth16Error(
@@ -357,16 +354,15 @@ def prove(pk: ProvingKey, qap: QapInstance, witness, seed=None) -> Proof:
     r = rng.randrange(q)
     s = rng.randrange(q)
 
-    msm = group.multi_scalar_mul
-    a = pk.alpha_g1 + msm(values, pk.a_g1) + group.scalar_mul_g1(r, pk.delta_g1)
-    b2 = pk.beta_g2 + msm(values, pk.b_g2) + group.scalar_mul_g2(s, pk.delta_g2)
-    b1 = pk.beta_g1 + msm(values, pk.b_g1) + group.scalar_mul_g1(s, pk.delta_g1)
-
-    # C's two sums, over the private wires and over H's coefficients, are
-    # one MSM over the two lists joined
-    c = msm([*values[pk.n_public + 1:], *h], pk.k_g1 + pk.h_g1)
-    c = (c + group.scalar_mul_g1(s, a) + group.scalar_mul_g1(r, b1)
-         - group.scalar_mul_g1(r * s % q, pk.delta_g1))
+    # each proof element is one MSM: the key's constant points join the
+    # wire bases with scalar 1, delta with the blinding scalar, and C's
+    # terms s*A + r*B1 - rs*delta with A and B1 as bases
+    msm = _GROUP.multi_scalar_mul
+    a = msm([1, *values, r], [pk.alpha_g1, *pk.a_g1, pk.delta_g1])
+    b2 = msm([1, *values, s], [pk.beta_g2, *pk.b_g2, pk.delta_g2])
+    b1 = msm([1, *values, s], [pk.beta_g1, *pk.b_g1, pk.delta_g1])
+    c = msm([*values[pk.n_public + 1:], *h, s, r, -r * s % q],
+            [*pk.k_g1, *pk.h_g1, a, b1, pk.delta_g1])
     return Proof(a, b2, c, pk.circuit_digest)
 
 
@@ -377,22 +373,21 @@ def verify(vk: VerifyingKey, proof: Proof, public_inputs) -> bool:
     A and C get `in_subgroup_g1`; B's check comes from the Miller loop over
     B (`checked_lines`), which ends at q*B.  IC(x) is summed from the key's
     fixed-base tables."""
-    group = vk.group
     inputs = [x.value if hasattr(x, "value") else int(x)
               for x in public_inputs]
     if len(inputs) != vk.n_public:
         return False
-    if not all(0 <= x < group.q for x in inputs):
+    if not all(0 <= x < Q for x in inputs):
         return False  # an input >= q would alias x mod q
     if proof.circuit_digest != vk.circuit_digest:
         return False
-    if not (group.in_subgroup_g1(proof.a) and group.in_subgroup_g1(proof.c)):
+    if not (_GROUP.in_subgroup_g1(proof.a) and _GROUP.in_subgroup_g1(proof.c)):
         return False
-    b_lines, b_in_subgroup = group.checked_lines(proof.b)
+    b_lines, b_in_subgroup = _GROUP.checked_lines(proof.b)
     if not b_in_subgroup:
         return False
-    ic = group.fixed_base_msm([1] + inputs, vk.ic, vk.ic_tables())
-    product = group.pairing_product([(proof.a, b_lines),
+    ic = _GROUP.fixed_base_msm([1] + inputs, vk.ic, vk.ic_tables())
+    product = _GROUP.pairing_product([(proof.a, b_lines),
                                      (-ic, vk.gamma_lines),
                                      (-proof.c, vk.delta_lines)])
     return product == vk.alpha_beta

@@ -1,4 +1,4 @@
-"""Bilinear group (G1, G2, GT) with a self-contained toy instantiation.
+"""The one bilinear group (G1, G2, GT) of the toolkit, a toy instantiation.
 
 The toy curve is the supersingular curve y^2 = x^3 + x over F_p with
 p = 36*q - 1 and p = 3 (mod 4), where q is the 62-bit "test" field prime.
@@ -9,6 +9,11 @@ phi(x, y) = (-x, i*y); G2 elements store the preimage point over F_p and the
 map is applied inside the pairing.  The modified Tate pairing
 e(P, Q) = f_{q,Q}(phi(P))^((p^2-1)/q) is bilinear and non-degenerate here,
 and symmetric, since G1 and G2 are one cyclic subgroup of E(F_p).
+
+There is one such group.  Its parameters are module constants: Q, COFACTOR,
+P, and the curve and F_{p^2} arithmetic over P.  `toy_group()` returns the
+one `BilinearGroup`, built at import; points and GT elements hold no
+reference to a group.
 
 The Miller loop comes in two parts: `lines(Q)` walks the loop over Q and
 records each step's line, and `pairing_product` evaluates the lines of
@@ -45,16 +50,15 @@ and b-bit scalars, c minimises (b // c + 1) * (n + 2^c): windows times
 about n additions plus two per bucket.  The buckets are summed in affine
 form, each round of independent additions sharing one modular inversion
 (Montgomery's trick); the fixed-base tables use the same
-batched addition, across all the bases built together.  Each generator has
-one such table per group, built on first use, which serves the setup and
-every multiple of g1 or g2 (Schnorr keys, nonces and checks); a verifying
-key builds one per IC point (`fixed_base_tables`, `fixed_base_msm`).
+batched addition, across all the bases built together.  g1 and g2 each have
+one such table, built on first use, which serves the setup and every
+multiple of g1 or g2 (Schnorr keys, nonces and checks); a verifying key
+builds one per IC point (`fixed_base_tables`, `fixed_base_msm`).
 """
 
 from __future__ import annotations
 
-from .field import (EncodingError, FieldElement, PrimeModulus, TEST_FIELD,
-                    batch_inverse)
+from .field import EncodingError, FieldElement, TEST_FIELD, batch_inverse
 
 __all__ = [
     "BilinearGroup",
@@ -66,6 +70,10 @@ __all__ = [
 ]
 
 TOY_CURVE_PROFILE = 0x00  # profile byte: toy / insecure curve
+
+Q = TEST_FIELD.p          # prime order of G1, G2 and GT
+COFACTOR = 36             # #E(F_p) = p + 1 = COFACTOR * Q
+P = COFACTOR * Q - 1      # base field prime, 3 (mod 4)
 
 _INF = None  # affine point at infinity sentinel
 
@@ -318,38 +326,38 @@ class _FixedBaseTable:
     additions and zero doublings.
     """
 
-    def __init__(self, curve: _Curve, tables, window: int):
-        self.curve = curve
+    def __init__(self, tables, window: int):
         self.window = window
         self.mask = (1 << window) - 1
         self.tables = tables
 
     @classmethod
-    def build(cls, curve: _Curve, bases, bits: int, window: int) -> list:
+    def build(cls, bases, window: int) -> list:
         """One table per affine point of `bases` (which may hold infinity),
-        all built together.  Each base's blocks 2^(w*t) * P and their doubles
-        come from Jacobian doublings and go affine with one shared
-        inversion; then digit k = 3 .. 2^w - 1 of every window of every base
-        is one batched affine addition, entry k - 1 plus the block."""
-        windows = (bits + window - 1) // window
+        for scalars below q, all built together.  Each base's blocks
+        2^(w*t) * P and their doubles come from Jacobian doublings and go
+        affine with one shared inversion; then digit k = 3 .. 2^w - 1 of
+        every window of every base is one batched affine addition, entry
+        k - 1 plus the block."""
+        windows = (Q.bit_length() + window - 1) // window
         jac = []  # per base, per window: the block, then its double
         for pt in bases:
             block = (1, 1, 0) if pt is _INF else (pt[0], pt[1], 1)
             for _ in range(windows):
-                dbl = curve._jdbl(block)
+                dbl = _CURVE._jdbl(block)
                 jac += [block, dbl]
                 for _ in range(window - 1):
-                    dbl = curve._jdbl(dbl)
+                    dbl = _CURVE._jdbl(dbl)
                 block = dbl
-        aff = curve._to_affine_many(jac)
+        aff = _CURVE._to_affine_many(jac)
         blocks = aff[0::2]
         cols = [[_INF] * len(blocks), blocks, aff[1::2]]
         for _ in range(3, 1 << window):
             col = list(cols[-1])
-            curve._add_into(col, blocks)
+            _CURVE._add_into(col, blocks)
             cols.append(col)
-        return [cls(curve, [[col[i * windows + t] for col in cols]
-                            for t in range(windows)], window)
+        return [cls([[col[i * windows + t] for col in cols]
+                     for t in range(windows)], window)
                 for i in range(len(bases))]
 
     def exp_many(self, scalars):
@@ -358,8 +366,8 @@ class _FixedBaseTable:
         acc = [_INF] * len(scalars)
         for t, row in enumerate(self.tables):
             shift = t * self.window
-            self.curve._add_into(acc, [row[(s >> shift) & self.mask]
-                                       for s in scalars])
+            _CURVE._add_into(acc, [row[(s >> shift) & self.mask]
+                                   for s in scalars])
         return acc
 
     def entries(self, s: int) -> list:
@@ -413,26 +421,28 @@ class _Fp2:
         return (a0 * ninv % p, (-a1) * ninv % p)
 
 
+_CURVE = _Curve(P)
+_FP2 = _Fp2(P)
+
+
 class _Point:
     """Point in the order-q subgroup of the toy curve (or the identity), as
     an affine int pair.  A subclass names the group by its `tag`; points of
     different groups neither add nor compare equal."""
 
-    __slots__ = ("point", "group")
+    __slots__ = ("point",)
     tag = None
 
-    def __init__(self, point, group: "BilinearGroup"):
+    def __init__(self, point):
         self.point = point
-        self.group = group
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(self.group.curve.add(self.point, other.point),
-                          self.group)
+        return type(self)(_CURVE.add(self.point, other.point))
 
     def __neg__(self):
-        return type(self)(self.group.curve.neg(self.point), self.group)
+        return type(self)(_CURVE.neg(self.point))
 
     def __sub__(self, other):
         return self + (-other)
@@ -463,23 +473,21 @@ class G2Element(_Point):
 class GtElement:
     """Element of the order-q subgroup of F_{p^2}^*."""
 
-    __slots__ = ("value", "group")
+    __slots__ = ("value",)
 
-    def __init__(self, value, group: "BilinearGroup"):
+    def __init__(self, value):
         self.value = value
-        self.group = group
 
     def __mul__(self, other):
         if not isinstance(other, GtElement):
             return NotImplemented
-        return GtElement(self.group.fp2.mul(self.value, other.value), self.group)
+        return GtElement(_FP2.mul(self.value, other.value))
 
     def __pow__(self, e: int):
-        e %= self.group.scalar_field.p
-        return GtElement(self.group.fp2.pow(self.value, e), self.group)
+        return GtElement(_FP2.pow(self.value, e % Q))
 
     def inv(self):
-        return GtElement(self.group.fp2.inv(self.value), self.group)
+        return GtElement(_FP2.inv(self.value))
 
     def __eq__(self, other):
         return isinstance(other, GtElement) and self.value == other.value
@@ -495,21 +503,19 @@ class GtElement:
 
 
 class BilinearGroup:
-    """Toy bilinear group triple with generators, MSM, and the pairing map."""
+    """The toy bilinear group: generators, MSM, and the pairing map."""
 
-    def __init__(self, scalar_field: PrimeModulus = TEST_FIELD, cofactor: int = 36):
-        self.scalar_field = scalar_field
-        self.q = scalar_field.p
-        self.cofactor = cofactor
-        self.p = cofactor * self.q - 1
-        if self.p % 4 != 3:
-            raise ValueError("toy curve needs p = 3 (mod 4)")
-        self.curve = _Curve(self.p)
-        self.fp2 = _Fp2(self.p)
-        self.coord_bytes = (self.p.bit_length() + 7) // 8
+    q = Q
+    p = P
+    curve = _CURVE
+    fp2 = _FP2
+    coord_bytes = (P.bit_length() + 7) // 8
+    point_bytes = 1 + 2 * coord_bytes
+
+    def __init__(self):
         self._tables = {}  # generator point -> _FixedBaseTable
-        self.g1 = G1Element(self._find_generator(start_x=1), self)
-        self.g2 = G2Element(self._find_generator(start_x=self.g1.point[0] + 1), self)
+        self.g1 = G1Element(self._find_generator(start_x=1))
+        self.g2 = G2Element(self._find_generator(start_x=self.g1.point[0] + 1))
         self.gt_generator = self.pair(self.g1, self.g2)
         if self.gt_generator.is_identity():
             raise ValueError("degenerate pairing on generators")
@@ -521,7 +527,7 @@ class BilinearGroup:
             rhs = (x * x % p * x + x) % p
             y = _sqrt_3mod4(rhs, p)
             if y is not None:
-                pt = self.curve.scalar_mul(self.cofactor, (x, min(y, p - y)))
+                pt = self.curve.scalar_mul(COFACTOR, (x, min(y, p - y)))
                 if pt is not _INF:
                     return pt
             x += 1
@@ -538,8 +544,7 @@ class BilinearGroup:
         first use and kept for the life of the group."""
         table = self._tables.get(gen.point)
         if table is None:
-            table = _FixedBaseTable.build(self.curve, [gen.point],
-                                          self.q.bit_length(), 8)[0]
+            table = _FixedBaseTable.build([gen.point], 8)[0]
             self._tables[gen.point] = table
         return table
 
@@ -553,12 +558,12 @@ class BilinearGroup:
 
     def scalar_mul_g1(self, s, P: _Point) -> _Point:
         """s * P, in P's group."""
-        return type(P)(self._mul(s, P.point), self)
+        return type(P)(self._mul(s, P.point))
 
     scalar_mul_g2 = scalar_mul_g1
 
     def identity_g1(self) -> G1Element:
-        return G1Element(_INF, self)
+        return G1Element(_INF)
 
     def multi_scalar_mul(self, scalars, points):
         """MSM over a homogeneous list of G1 or G2 elements."""
@@ -571,13 +576,12 @@ class BilinearGroup:
             raise ValueError("mixed G1/G2 points in MSM")
         raw = self.curve.msm([self._scalar_int(s) for s in scalars],
                              [pt.point for pt in points])
-        return cls(raw, self)
+        return cls(raw)
 
     def fixed_base_tables(self, points, window: int) -> list:
         """One `_FixedBaseTable` of `window` bits per point of `points`, for
         `fixed_base_msm`; built together, with batched additions."""
-        return _FixedBaseTable.build(self.curve, [pt.point for pt in points],
-                                     self.q.bit_length(), window)
+        return _FixedBaseTable.build([pt.point for pt in points], window)
 
     def fixed_base_msm(self, scalars, points, tables) -> _Point:
         """multi_scalar_mul(scalars, points) from the points' tables
@@ -588,7 +592,7 @@ class BilinearGroup:
         terms = []
         for s, table in zip(scalars, tables):
             terms += table.entries(self._scalar_int(s))
-        return type(points[0])(self.curve._bucket_sums([terms])[0], self)
+        return type(points[0])(self.curve._bucket_sums([terms])[0])
 
     def in_subgroup_g1(self, P: _Point) -> bool:
         return self.curve.on_curve(P.point) and \
@@ -690,7 +694,7 @@ class BilinearGroup:
                 for lam, c in step:
                     a0 = (lam * xp + c) % p
                     f0, f1 = (f0 * a0 - f1 * yp) % p, (f0 * yp + f1 * a0) % p
-        return GtElement(self._final_exp((f0, f1)), self)
+        return GtElement(self._final_exp((f0, f1)))
 
     def pair(self, P: G1Element, Q: G2Element) -> GtElement:
         """Modified Tate pairing e(P, Q) = f_{q,Q}(phi(P))^((p^2-1)/q).
@@ -713,7 +717,7 @@ class BilinearGroup:
             return (0, 0)
         ninv = pow(norm, -1, p)
         g = ((f0 * f0 - f1 * f1) * ninv % p, -2 * f0 * f1 * ninv % p)
-        return self.fp2.pow(g, self.cofactor)
+        return self.fp2.pow(g, COFACTOR)
 
     # -- serialization ------------------------------------------------------
 
@@ -746,23 +750,16 @@ class BilinearGroup:
             raise EncodingError("point not on curve")
         return pt
 
-    @property
-    def point_bytes(self) -> int:
-        return 1 + 2 * self.coord_bytes
-
     def g1_from_bytes(self, data: bytes) -> G1Element:
-        return G1Element(self._point_from_bytes(data), self)
+        return G1Element(self._point_from_bytes(data))
 
     def g2_from_bytes(self, data: bytes) -> G2Element:
-        return G2Element(self._point_from_bytes(data), self)
+        return G2Element(self._point_from_bytes(data))
 
 
-_toy_group_cache = None
+_GROUP = BilinearGroup()
 
 
 def toy_group() -> BilinearGroup:
-    """The shared toy instantiation (construction is moderately expensive)."""
-    global _toy_group_cache
-    if _toy_group_cache is None:
-        _toy_group_cache = BilinearGroup()
-    return _toy_group_cache
+    """The one bilinear group, built when the module is imported."""
+    return _GROUP

@@ -9,6 +9,10 @@ binds, by hash, every artifact in the package plus context, commitment,
 timestamp, and nonce, so any tampering breaks the signature before the
 (more expensive) pairing check runs.
 
+Signatures are Schnorr over G1 of the toolkit's one pairing group
+(`pairing.toy_group()`), so keypairs, the enrollment authority and the
+verifier state hold no group of their own.
+
 Verification order (cheapest/most-diagnostic first):
     1. certificate chain,  2. circuit registered,  3. signature,
     4. binding: public delta_commit, T, nu, c restate the signed envelope,
@@ -29,7 +33,7 @@ from .field import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN, DTypeTag,
                     ProtocolError, RSS_COMMIT_DOMAIN, RSS_SIGN_DOMAIN,
                     TEST_FIELD, decode, encode, nonce_to_field)
 from .groth16 import Groth16Error, Proof, VerifyingKey, prove, verify
-from .pairing import BilinearGroup, G1Element, toy_group
+from .pairing import G1Element, Q, toy_group
 from .rss_circuit import RSS_CIRCUIT
 
 __all__ = [
@@ -60,81 +64,76 @@ DEFAULT_FRESHNESS_WINDOW = 5  # seconds
 CIRCUITS = {c.name: c for c in (RSS_CIRCUIT, AUDIT_CIRCUIT)}
 CIRCUITS_BY_SIGN_DOMAIN = {c.sign_domain: c for c in CIRCUITS.values()}
 
+_GROUP = toy_group()
+
 
 # -- Schnorr signatures over G1 ----------------------------------------------
 
 
 class SignatureKeypair:
-    __slots__ = ("sk", "pk", "group")
+    __slots__ = ("sk", "pk")
 
-    def __init__(self, sk: int, pk: G1Element, group: BilinearGroup):
+    def __init__(self, sk: int, pk: G1Element):
         self.sk = sk
         self.pk = pk
-        self.group = group
 
     def pk_bytes(self) -> bytes:
-        return self.group.g1_to_bytes(self.pk)
+        return _GROUP.g1_to_bytes(self.pk)
 
 
-def schnorr_keygen(rng=None, group: BilinearGroup = None) -> SignatureKeypair:
-    group = group or toy_group()
-    sk = (rng.randrange(1, group.q) if rng is not None
-          else secrets.randbelow(group.q - 1) + 1)
-    return SignatureKeypair(sk, group.scalar_mul_g1(sk, group.g1), group)
+def schnorr_keygen(rng=None) -> SignatureKeypair:
+    sk = (rng.randrange(1, Q) if rng is not None
+          else secrets.randbelow(Q - 1) + 1)
+    return SignatureKeypair(sk, _GROUP.scalar_mul_g1(sk, _GROUP.g1))
 
 
-def _challenge(r_bytes: bytes, pk_bytes: bytes, message: bytes, q: int) -> int:
+def _challenge(r_bytes: bytes, pk_bytes: bytes, message: bytes) -> int:
     return int.from_bytes(
         hashlib.sha256(b"HS-SCHNORR-e" + r_bytes + pk_bytes + message).digest(),
-        "big") % q
+        "big") % Q
 
 
 def schnorr_sign(keypair: SignatureKeypair, message: bytes) -> bytes:
     """Deterministic-nonce Schnorr; signature is e||s, 8 bytes each."""
-    group = keypair.group
-    q = group.q
     k = int.from_bytes(
         hashlib.sha256(b"HS-SCHNORR-k" + keypair.sk.to_bytes(8, "little")
-                       + message).digest(), "big") % q
+                       + message).digest(), "big") % Q
     k = k or 1
-    r_bytes = group.g1_to_bytes(group.scalar_mul_g1(k, group.g1))
-    e = _challenge(r_bytes, keypair.pk_bytes(), message, q)
-    s = (k + e * keypair.sk) % q
+    r_bytes = _GROUP.g1_to_bytes(_GROUP.scalar_mul_g1(k, _GROUP.g1))
+    e = _challenge(r_bytes, keypair.pk_bytes(), message)
+    s = (k + e * keypair.sk) % Q
     return e.to_bytes(8, "little") + s.to_bytes(8, "little")
 
 
 @functools.lru_cache(maxsize=1024)
-def _schnorr_key(pk_bytes: bytes, group: BilinearGroup):
+def _schnorr_key(pk_bytes: bytes):
     """The public key that `pk_bytes` encodes if it is a point of the
     order-q subgroup, else None.  Memoized on the bytes, since a verifier
     sees the same few root and vehicle keys on package after package."""
     try:
-        pk = group.g1_from_bytes(pk_bytes)
+        pk = _GROUP.g1_from_bytes(pk_bytes)
     except ValueError:
         return None
-    return pk if group.in_subgroup_g1(pk) else None
+    return pk if _GROUP.in_subgroup_g1(pk) else None
 
 
-def schnorr_verify(pk_bytes: bytes, message: bytes, signature: bytes,
-                   group: BilinearGroup = None) -> bool:
+def schnorr_verify(pk_bytes: bytes, message: bytes, signature: bytes) -> bool:
     """Accept iff `signature` is a Schnorr signature on `message` under the
     key `pk_bytes`.  The key is decoded and subgroup-checked once per
     distinct encoding (`_schnorr_key`, a bounded memo); bytes that are no
     valid key are remembered as such and rejected."""
-    group = group or toy_group()
     if len(signature) != 16:
         return False
-    q = group.q
     e = int.from_bytes(signature[:8], "little")
     s = int.from_bytes(signature[8:], "little")
-    if not (0 <= e < q and 0 <= s < q):
+    if not (0 <= e < Q and 0 <= s < Q):
         return False
-    pk = _schnorr_key(bytes(pk_bytes), group)
+    pk = _schnorr_key(bytes(pk_bytes))
     if pk is None:
         return False
     # R' = s*G - e*PK; accept iff H(R', PK, m) == e
-    r_pt = group.scalar_mul_g1(s, group.g1) - group.scalar_mul_g1(e, pk)
-    return _challenge(group.g1_to_bytes(r_pt), pk_bytes, message, q) == e
+    r_pt = _GROUP.scalar_mul_g1(s, _GROUP.g1) - _GROUP.scalar_mul_g1(e, pk)
+    return _challenge(_GROUP.g1_to_bytes(r_pt), pk_bytes, message) == e
 
 
 # -- certificates ------------------------------------------------------------
@@ -186,9 +185,8 @@ class Certificate:
 class EnrollmentAuthority:
     """Issues vehicle certificates under one root signature key."""
 
-    def __init__(self, rng=None, group: BilinearGroup = None):
-        self.group = group or toy_group()
-        self.root = schnorr_keygen(rng, self.group)
+    def __init__(self, rng=None):
+        self.root = schnorr_keygen(rng)
 
     @property
     def root_pk_bytes(self) -> bytes:
@@ -202,11 +200,10 @@ class EnrollmentAuthority:
 
     @staticmethod
     def verify_certificate(cert: Certificate, root_pk_bytes: bytes,
-                           now: int, group: BilinearGroup = None) -> bool:
+                           now: int) -> bool:
         if not cert.valid_from <= now <= cert.valid_to:
             return False
-        return schnorr_verify(root_pk_bytes, cert.body_bytes(),
-                              cert.signature, group)
+        return schnorr_verify(root_pk_bytes, cert.body_bytes(), cert.signature)
 
 
 # -- signed payload ----------------------------------------------------------
@@ -285,7 +282,7 @@ class ProofPackage:
         return {
             "proof": self.proof_bytes,
             "publics": pubs,
-            "commit": encode(self.commitment, DTypeTag.COMMIT, field),
+            "commit": encode(self.commitment, DTypeTag.COMMIT),
             "sig": self.signature,
             "vk_sig": self.vk_sig_bytes,
             "cert": self.cert_bytes,
@@ -397,9 +394,7 @@ class VerifierState:
     """
 
     def __init__(self, ea_root_pk_bytes: bytes,
-                 freshness_window: int = DEFAULT_FRESHNESS_WINDOW,
-                 group: BilinearGroup = None):
-        self.group = group or toy_group()
+                 freshness_window: int = DEFAULT_FRESHNESS_WINDOW):
         self.ea_root_pk_bytes = ea_root_pk_bytes
         self.freshness_window = freshness_window
         self.registry = {}       # r1cs_hash -> (VerifyingKey, artifact hashes)
@@ -431,7 +426,7 @@ class VerifierState:
             except ProtocolError:
                 return False
             if not EnrollmentAuthority.verify_certificate(
-                    cert, self.ea_root_pk_bytes, now, self.group):
+                    cert, self.ea_root_pk_bytes, now):
                 return False
             entry = self._certs[package.cert_bytes] = [cert, now]
         cert = entry[0]
@@ -454,7 +449,7 @@ class VerifierState:
             package.proof_bytes, package.commitment, package.timestamp,
             package.nonce, artifact_hashes=hashes)
         if not schnorr_verify(package.vk_sig_bytes, message,
-                              package.signature, self.group):
+                              package.signature):
             return False, "signature"
         if not _bound(package):
             return False, "binding"
@@ -465,7 +460,7 @@ class VerifierState:
         if nu in self._nonces:
             return False, "replay"
         try:
-            proof = Proof.from_bytes(package.proof_bytes, self.group)
+            proof = Proof.from_bytes(package.proof_bytes)
         except Groth16Error:
             return False, "proof"
         if not verify(vk, proof, package.public_inputs):
@@ -475,10 +470,10 @@ class VerifierState:
 
 
 def audit_open(package: ProofPackage, opening: dict,
-               commitment_public_index: int, field=TEST_FIELD) -> bool:
+               commitment_public_index: int) -> bool:
     """Auditor-side check that a revealed opening matches the commitment the
     proof was bound to (both the package field and the public input)."""
     c = package.commitment
     if package.public_inputs[commitment_public_index] != c.value:
         return False
-    return verify_commitment(c, opening, field)
+    return verify_commitment(c, opening)

@@ -100,7 +100,7 @@ def test_verify_rejects_re_signed_envelope(workspace, tmp_path, capfd):
     group = toy_group()
     sk = int.from_bytes((workspace / "id" / "vehicle.sk").read_bytes(),
                         "little")
-    keypair = SignatureKeypair(sk, group.scalar_mul_g1(sk, group.g1), group)
+    keypair = SignatureKeypair(sk, group.scalar_mul_g1(sk, group.g1))
     pkg.signature = schnorr_sign(keypair, assemble_payload(
         pkg.sign_domain, (keys / "rss.r1cs").read_bytes(),
         (keys / "rss.vk").read_bytes(), pkg.cert_bytes, pkg.proof_bytes,

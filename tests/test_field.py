@@ -49,6 +49,12 @@ def test_int_coercion_and_pow():
     assert (fa + 3).value == 8
     assert (2 * fa).value == 10
     assert (fa ** 3).value == 125
+    # a non-int operand is NotImplemented on either side, so Python raises
+    # its own TypeError naming both types
+    for op in (lambda: fa - 1.5, lambda: 1.5 - fa, lambda: 1.5 * fa):
+        with pytest.raises(TypeError, match="'FieldElement'"):
+            op()
+    assert fa.__rsub__(1.5) is NotImplemented
 
 
 def test_roots_of_unity():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hermes_seal.field import EncodingError, TEST_FIELD
+from hermes_seal.field import EncodingError, STANDARD_FIELD, TEST_FIELD
 from hermes_seal.groth16 import (Groth16Error, Proof, ProvingKey,
                                  VerifyingKey, prove, setup, verify)
 from hermes_seal.pairing import BilinearGroup, G2Element, toy_group
@@ -28,19 +28,31 @@ GOLDEN_SMALL_RSS_PROOF = \
     "27220ff490847b576ed4d9c34720645aa0ad563ea296b8370a64825d672ff484"
 
 
-@pytest.fixture(scope="module")
-def cubic():
+def _cubic_circuit(field=TEST_FIELD):
     """x = y^3 + y with x public: the classic toy relation."""
-    bld = CircuitBuilder()
+    bld = CircuitBuilder(field)
     x = bld.alloc_public("x")
     y = bld.alloc_private("y")
     sq = bld.gadget_mul(y, y, "sq")
     cube = bld.gadget_mul(sq, y, "cube")
     bld.enforce(bld.lc(cube) + bld.lc(y), bld.lc(1), bld.lc(x), "bind")
-    cs = pad_to_power_of_two(bld.finalize())
+    return pad_to_power_of_two(bld.finalize()), x, y
+
+
+@pytest.fixture(scope="module")
+def cubic():
+    cs, x, y = _cubic_circuit()
     qap = r1cs_to_qap(cs)
     pk, vk = setup(qap, seed=42)
     return cs, qap, pk, vk, x, y
+
+
+def test_setup_rejects_a_circuit_over_another_field():
+    # the group's scalar field is F_q; keys for a circuit over another
+    # field would give proofs that never verify
+    cs, _, _ = _cubic_circuit(STANDARD_FIELD)
+    with pytest.raises(Groth16Error, match="standard field"):
+        setup(r1cs_to_qap(cs), seed=42)
 
 
 def test_completeness(cubic):
@@ -234,7 +246,7 @@ def test_verify_rejects_identity_and_rearranged_elements(cubic):
     assert verify(vk, proof, publics)
     d = proof.circuit_digest
     for bad in (Proof(group.identity_g1(), proof.b, proof.c, d),
-                Proof(proof.a, G2Element(None, group), proof.c, d),
+                Proof(proof.a, G2Element(None), proof.c, d),
                 Proof(proof.a, proof.b, group.identity_g1(), d),
                 Proof(proof.c, proof.b, proof.a, d),      # A and C swapped
                 Proof(proof.a, proof.b, -proof.c, d)):
@@ -307,7 +319,7 @@ def test_verify_rejects_b_off_the_subgroup(cubic, order):
     assert verify(vk, proof, [30])
     torsion = _torsion_point(order)
     assert group.curve.scalar_mul(order, torsion) is None
-    bad_b = G2Element(group.curve.add(proof.b.point, torsion), group)
+    bad_b = G2Element(group.curve.add(proof.b.point, torsion))
     assert group.curve.on_curve(bad_b.point)
     assert not verify(vk, Proof(proof.a, bad_b, proof.c, proof.circuit_digest),
                       [30])
@@ -319,7 +331,7 @@ def test_verify_rejects_off_curve_b(cubic):
     w = cs.generate_witness({x: 30, y: 3})
     proof = prove(pk, qap, w, seed=17)
     xb, yb = proof.b.point
-    off = G2Element((xb, (yb + 1) % group.p), group)
+    off = G2Element((xb, (yb + 1) % group.p))
     assert not group.curve.on_curve(off.point)
     assert not verify(vk, Proof(proof.a, off, proof.c, proof.circuit_digest),
                       [30])
@@ -329,13 +341,13 @@ def test_verify_rejects_off_curve_b(cubic):
 
 
 def _table_sum(vk, scalars):
-    group = vk.group
+    group = toy_group()
     return group.fixed_base_msm(scalars, vk.ic, vk.ic_tables())
 
 
 def test_ic_tables_match_msm(small_rss_artifacts):
     vk = VerifyingKey.from_bytes(small_rss_artifacts.vk_bytes)
-    group = vk.group
+    group = toy_group()
     q = group.q
     n = vk.n_public
     rng = random.Random(18)
@@ -355,8 +367,8 @@ def test_ic_tables_with_identity_and_repeated_points():
     group = toy_group()
     P = group.scalar_mul_g1(123456789, group.g1)
     ident = group.identity_g1()
-    vk = VerifyingKey(group, bytes(32), group.g1, group.g2, group.g2,
-                      group.g2, [P, ident, P, -P, ident, group.g1])
+    vk = VerifyingKey(bytes(32), group.g1, group.g2, group.g2, group.g2,
+                      [P, ident, P, -P, ident, group.g1])
     q = group.q
     for scalars in ([1, 5, 7, 9, 11, 13], [1, 0, 1, 1, 0, 0],
                     [3, q - 1, 3, 3, 2, 0], [0, 1, 0, 0, 1, 0],

@@ -125,7 +125,7 @@ def test_schnorr_rejects_bad_key_on_every_call(name):
     for _ in range(3):
         assert not schnorr_verify(bad, msg, sig)
         assert not schnorr_verify(bytearray(bad), msg, sig)
-    assert protocol._schnorr_key(bad, kp.group) is None
+    assert protocol._schnorr_key(bad) is None
     info = protocol._schnorr_key.cache_info()
     assert (info.misses, info.hits) == (1, 6)
     assert schnorr_verify(kp.pk_bytes(), msg, sig)
