@@ -270,6 +270,9 @@ def test_vectors_deterministic(workspace, tmp_path, capfd):
     capfd.readouterr()
     text = a.read_text()
     assert a.read_bytes() == b.read_bytes()
+    # the published vectors are pinned byte for byte (21 lines)
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+        "6ec9bfb7987d045b2106b95597a92a892bbce1ff79ea56ad93cf7d38acc068f0")
     assert "domain-separator rss-commit 65536" in text
     assert "domain-separator rss-sign 131072" in text
     assert "domain-separator audit-commit 16842752" in text
