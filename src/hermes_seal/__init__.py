@@ -8,7 +8,7 @@ Layering (each module depends only on those before it):
     r1cs        constraint systems, circuit builder, gadgets, descriptors
     qap         radix-2 evaluation domain, inverse NTT, R1CS -> QAP quotient
     groth16     trusted setup, prover, verifier
-    commitment  algebraic sponge hash, commitments, security games
+    commitment  algebraic sponge hash, commitments
     rss_circuit safe-stopping-distance case study
     audit_circuit  detection-audit case study
     protocol    signatures, certificates, proof packages, verifier state
@@ -16,9 +16,9 @@ Layering (each module depends only on those before it):
     v2x_sim     deterministic broadcast simulation harness
 """
 
-from .field import (FieldElement, PrimeModulus, ScalingFactor, DTypeTag,
-                    EncodingError, TEST_FIELD, STANDARD_FIELD, NONCE_BYTES,
-                    scale, unscale, encode, decode)
+from .field import (FieldElement, PrimeModulus, DTypeTag, EncodingError,
+                    TEST_FIELD, STANDARD_FIELD, NONCE_BYTES, scale, unscale,
+                    encode, decode)
 from .pairing import BilinearGroup, G1Element, G2Element, GtElement, toy_group
 from .r1cs import (CircuitBuilder, ConstraintSystem, LinearCombination,
                    MissingInputError, R1csError, UnsatisfiableError, Wire,

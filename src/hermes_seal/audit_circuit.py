@@ -391,14 +391,10 @@ def _instance_constants(challenge: ChallengeSet, thresholds: AuditThresholds,
 
 @dataclasses.dataclass
 class AuditWitness:
-    """Per-image detections padded to m_max (padding = zero entries), the
-    commitment blinder, and the vehicle hardware ID.
-
-    VID never enters the circuit (no constraint uses it); it is bound to
-    the transmission through the signing certificate instead."""
+    """Per-image detections padded to m_max (padding = zero entries) and
+    the commitment blinder."""
     detections: list            # list of list[(class_id, conf, box4)] tuples
     s_sec: int
-    vid: int = 0
 
     def flat_values(self):
         out = []
@@ -652,8 +648,7 @@ def build_audit_circuit(challenge: ChallengeSet,
 
 def make_audit_inputs(challenge: ChallengeSet, thresholds: AuditThresholds,
                       per_image_dets, timestamp: int = 0, nonce: bytes = None,
-                      s_sec: int = None, vid: int = 0,
-                      field: PrimeModulus = TEST_FIELD):
+                      s_sec: int = None, field: PrimeModulus = TEST_FIELD):
     """Sort/pad detections, run the native matcher, compute the commitment.
 
     Returns (publics, witness, nonce, report) where report carries the
@@ -693,7 +688,7 @@ def make_audit_inputs(challenge: ChallengeSet, thresholds: AuditThresholds,
         padded.append(slots)
     report["PASS"] = 1 if overall_pass else 0
 
-    witness = AuditWitness(padded, s_sec, vid)
+    witness = AuditWitness(padded, s_sec)
     publics = AuditPublicInputs(
         **_instance_constants(challenge, thresholds, field), T=timestamp,
         nu=nonce_to_field(nonce, field), PASS=report["PASS"])

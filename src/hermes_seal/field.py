@@ -1,8 +1,10 @@
-"""Prime-field arithmetic, real<->field scaling, and canonical tagged byte encodings.
+"""Prime fields, real<->field scaling, and canonical tagged byte encodings.
 
-The field layer is the universal value type of the toolkit: circuit wires,
-sponge states, commitments and signature scalars are all elements of one of
-the two field profiles defined here.
+Arithmetic throughout the toolkit (witness solving, NTTs, MSM scalars, the
+sponge, Schnorr) is done on plain ints mod `PrimeModulus.p`.  A
+`FieldElement` is a canonical residue tagged with its modulus: the type of
+the field values that cross an API or a wire format, such as commitments
+and scaled reals.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 __all__ = [
     "PrimeModulus",
     "FieldElement",
-    "ScalingFactor",
     "DTypeTag",
     "TEST_FIELD",
     "STANDARD_FIELD",
@@ -62,21 +63,6 @@ class PrimeModulus:
     def __repr__(self):
         return f"PrimeModulus({self.name}, {self.p.bit_length()}-bit)"
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeModulus) and self.p == other.p
-
-    def __hash__(self):
-        return hash(self.p)
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
     def root_of_unity(self, order: int) -> int:
         """Primitive root of unity of the given power-of-two order, as an int."""
         if order & (order - 1) or order == 0:
@@ -105,7 +91,9 @@ STANDARD_FIELD = PrimeModulus(
 
 
 class FieldElement:
-    """Element of F_p with eager reduction; arithmetic closed over one modulus."""
+    """Canonical residue in [0, p) tagged with its modulus.  It compares
+    equal to an int congruent to it; arithmetic is done on `value` as an
+    int."""
 
     __slots__ = ("value", "modulus")
 
@@ -114,60 +102,6 @@ class FieldElement:
             value %= modulus.p
         self.value = value
         self.modulus = modulus
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.modulus.p != self.modulus.p:
-                raise ValueError("mixed-modulus field arithmetic")
-            return other.value
-        if isinstance(other, int):
-            return other % self.modulus.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value + v) % self.modulus.p, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value - v) % self.modulus.p, self.modulus)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((v - self.value) % self.modulus.p, self.modulus)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * v % self.modulus.p, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.modulus.p, self.modulus)
-
-    def __pow__(self, exponent: int):
-        return FieldElement(pow(self.value, exponent, self.modulus.p), self.modulus)
-
-    def inv(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return FieldElement(pow(self.value, -1, self.modulus.p), self.modulus)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * FieldElement(v, self.modulus).inv()
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -205,29 +139,12 @@ def batch_inverse(values, p: int):
     return out
 
 
-class ScalingFactor:
-    """Positive integer scaling factor for the real<->field quantization maps."""
-
-    __slots__ = ("rho",)
-
-    def __init__(self, rho: int):
-        if not isinstance(rho, int) or rho < 1:
-            raise ValueError("scaling factor must be a positive integer")
-        self.rho = rho
-
-    def __repr__(self):
-        return f"ScalingFactor({self.rho})"
+def _check_rho(rho: int):
+    if not isinstance(rho, int) or rho < 1:
+        raise ValueError("scaling factor must be a positive integer")
 
 
-def _rho_of(rho) -> int:
-    if isinstance(rho, ScalingFactor):
-        return rho.rho
-    if isinstance(rho, int) and rho >= 1:
-        return rho
-    raise ValueError("scaling factor must be a positive integer")
-
-
-def scale(x: float, rho, field: PrimeModulus = TEST_FIELD) -> FieldElement:
+def scale(x: float, rho: int, field: PrimeModulus = TEST_FIELD) -> FieldElement:
     """Quantize a real to F_p: floor(x * rho) mod p.
 
     Caller must keep |floor(x*rho)| < p/2 or the signed roundtrip breaks.
@@ -235,16 +152,16 @@ def scale(x: float, rho, field: PrimeModulus = TEST_FIELD) -> FieldElement:
     """
     if not math.isfinite(x):
         raise ValueError(f"cannot scale non-finite value {x!r}")
-    r = _rho_of(rho)
-    return FieldElement(math.floor(x * r) % field.p, field)
+    _check_rho(rho)
+    return FieldElement(math.floor(x * rho) % field.p, field)
 
 
-def unscale(z: FieldElement, rho) -> float:
+def unscale(z: FieldElement, rho: int) -> float:
     """Inverse of scale: z/rho for the lower half of the field, (z-p)/rho above."""
-    r = _rho_of(rho)
+    _check_rho(rho)
     p = z.modulus.p
     signed = z.value if z.value <= (p - 1) // 2 else z.value - p
-    return signed / r
+    return signed / rho
 
 
 class DTypeTag(enum.Enum):

@@ -29,7 +29,6 @@ one table entry per nonzero digit; the key builds them on first use.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import random
 import struct
 
@@ -65,7 +64,8 @@ class Groth16Error(Exception):
 
 
 def _check_header(data: bytes, magic: bytes, size: int, what: str):
-    """A key's fixed header: `size` bytes, its magic, version and curve."""
+    """A key's or proof's fixed header: `size` bytes, its magic, version
+    and curve."""
     if len(data) < size:
         raise Groth16Error(f"{what} is {len(data)} bytes, shorter than its "
                            f"{size}-byte header")
@@ -93,6 +93,20 @@ def _check_length(data: bytes, size: int, what: str):
     if len(data) != size:
         raise Groth16Error(f"{what} is {len(data)} bytes; its header "
                            f"counts give {size}")
+
+
+def _point_reader(data: bytes, off: int):
+    """`read(decode, count)`: the next `count` points of `data` from byte
+    `off` on, each decoded by `decode`."""
+    pb = _GROUP.point_bytes
+
+    def read(decode, count):
+        nonlocal off
+        out = [decode(data[off + i * pb:off + (i + 1) * pb])
+               for i in range(count)]
+        off += count * pb
+        return out
+    return read
 
 
 class ToxicWaste:
@@ -140,22 +154,13 @@ class ProvingKey:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProvingKey":
-        off = 54
-        _check_header(data, PK_MAGIC, off, "proving key")
+        _check_header(data, PK_MAGIC, 54, "proving key")
         digest = data[6:38]
         n_public, m1, nk, nh = struct.unpack_from("<IIII", data, 38)
-        pb = _GROUP.point_bytes
-        _check_length(data, off + (5 + 3 * m1 + nk + nh) * pb, "proving key")
-
+        _check_length(data, 54 + (5 + 3 * m1 + nk + nh) * _GROUP.point_bytes,
+                      "proving key")
         g1, g2 = _GROUP.g1_from_bytes, _GROUP.g2_from_bytes
-
-        def points(decode, count):
-            nonlocal off
-            out = [decode(data[off + i * pb:off + (i + 1) * pb])
-                   for i in range(count)]
-            off += count * pb
-            return out
-
+        points = _point_reader(data, 54)
         with _decoding_points("proving key"):
             alpha_g1, beta_g1, delta_g1 = points(g1, 3)
             beta_g2, delta_g2 = points(g2, 2)
@@ -208,21 +213,17 @@ class VerifyingKey:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VerifyingKey":
-        off = 42
-        _check_header(data, VK_MAGIC, off, "verifying key")
+        _check_header(data, VK_MAGIC, 42, "verifying key")
         digest = data[6:38]
         (ic_len,) = struct.unpack_from("<I", data, 38)
-        pb = _GROUP.point_bytes
-        _check_length(data, off + (4 + ic_len) * pb, "verifying key")
+        _check_length(data, 42 + (4 + ic_len) * _GROUP.point_bytes,
+                      "verifying key")
+        g1, g2 = _GROUP.g1_from_bytes, _GROUP.g2_from_bytes
+        points = _point_reader(data, 42)
         with _decoding_points("verifying key"):
-            alpha_g1 = _GROUP.g1_from_bytes(data[off:off + pb]); off += pb
-            beta_g2 = _GROUP.g2_from_bytes(data[off:off + pb]); off += pb
-            gamma_g2 = _GROUP.g2_from_bytes(data[off:off + pb]); off += pb
-            delta_g2 = _GROUP.g2_from_bytes(data[off:off + pb]); off += pb
-            ic = []
-            for _ in range(ic_len):
-                ic.append(_GROUP.g1_from_bytes(data[off:off + pb]))
-                off += pb
+            [alpha_g1] = points(g1, 1)
+            beta_g2, gamma_g2, delta_g2 = points(g2, 3)
+            ic = points(g1, ic_len)
         return cls(digest, alpha_g1, beta_g2, gamma_g2, delta_g2, ic)
 
 
@@ -247,21 +248,13 @@ class Proof:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Proof":
-        if len(data) != cls.byte_length():
-            raise Groth16Error(f"proof must be {cls.byte_length()} bytes")
-        if data[:4] != PROOF_MAGIC:
-            raise Groth16Error("bad proof magic")
-        if data[4] != KEY_VERSION:
-            raise Groth16Error(f"unsupported proof version {data[4]}")
-        if data[5] != TOY_CURVE_PROFILE:
-            raise Groth16Error(f"unknown curve profile {data[5]:#x}")
-        digest = data[6:38]
-        pb = _GROUP.point_bytes
+        _check_header(data, PROOF_MAGIC, 38, "proof")
+        _check_length(data, cls.byte_length(), "proof")
+        g1, g2 = _GROUP.g1_from_bytes, _GROUP.g2_from_bytes
+        points = _point_reader(data, 38)
         with _decoding_points("proof"):
-            a = _GROUP.g1_from_bytes(data[38:38 + pb])
-            b = _GROUP.g2_from_bytes(data[38 + pb:38 + 2 * pb])
-            c = _GROUP.g1_from_bytes(data[38 + 2 * pb:])
-        return cls(a, b, c, digest)
+            [a], [b], [c] = points(g1, 1), points(g2, 1), points(g1, 1)
+        return cls(a, b, c, data[6:38])
 
 
 def setup(qap: QapInstance, seed=None, return_toxic: bool = False):

@@ -100,23 +100,18 @@ class Witness:
     evaluate the rows again; both are None otherwise.
     """
 
-    __slots__ = ("_values", "field", "cs", "evaluations")
+    __slots__ = ("_values", "cs", "evaluations")
 
-    def __init__(self, values, field: PrimeModulus, cs=None,
-                 evaluations=None):
+    def __init__(self, values, cs=None, evaluations=None):
         if not values or values[0] != 1:
             raise R1csError("witness must start with the constant-one entry")
         self._values = tuple(values)
-        self.field = field
         self.cs = cs
         self.evaluations = evaluations
 
     @property
     def values(self) -> tuple:
         return self._values
-
-    def __len__(self):
-        return len(self.values)
 
     def __getitem__(self, i):
         return self.values[i]
@@ -197,7 +192,7 @@ class ConstraintSystem:
             label = self.row_labels[row] or f"row {row}"
             raise UnsatisfiableError(
                 f"generated witness violates constraint {row} ({label})")
-        return Witness(values, self.field, self, evaluations)
+        return Witness(values, self, evaluations)
 
     def public_inputs(self, witness) -> list:
         values = witness.values if isinstance(witness, Witness) else witness
@@ -441,10 +436,6 @@ class CircuitBuilder:
                                 self._n_public,
                                 [w.label for w in self._wires], self._solvers,
                                 self._input_wires, self._row_labels)
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self._rows)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -46,8 +46,6 @@ __all__ = [
     "SimReport",
     "make_scenario",
     "run_scenario",
-    "parse_sim_scenario",
-    "format_sim_scenario",
     "SimArtifacts",
     "default_artifacts",
     "TEMPLATES",
@@ -139,46 +137,6 @@ def make_scenario(template: str, **overrides) -> SimScenario:
     return SimScenario(template=template, **kwargs)
 
 
-# -- scenario text format ------------------------------------------------------
-
-_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(SimScenario)}
-
-
-def format_sim_scenario(scenario: SimScenario) -> str:
-    lines = []
-    for f in dataclasses.fields(SimScenario):
-        v = getattr(scenario, f.name)
-        if f.name == "adversaries":
-            v = ",".join(v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_sim_scenario(text: str) -> SimScenario:
-    kwargs = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"scenario line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _SCENARIO_FIELDS:
-            raise ValueError(f"scenario line {lineno}: unknown key {key!r}")
-        if key == "template":
-            kwargs[key] = value
-        elif key == "adversaries":
-            kwargs[key] = tuple(a for a in value.split(",") if a)
-        elif key == "drop_prob":
-            kwargs[key] = float(value)
-        elif key == "local_map_update":
-            kwargs[key] = value in ("True", "true", "1")
-        else:
-            kwargs[key] = int(value)
-    return SimScenario(**kwargs)
-
-
 # -- shared proving artifacts --------------------------------------------------
 
 
@@ -253,9 +211,6 @@ class SimReport:
             f"conserved {self.conserved()}",
         ]
         return "\n".join(lines) + "\n"
-
-    def to_bytes(self) -> bytes:
-        return self.to_text().encode()
 
 
 # -- package mutations (adversary toolbox) ------------------------------------

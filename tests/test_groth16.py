@@ -146,9 +146,11 @@ def test_key_serialization(cubic):
 def test_truncated_keys_raise_groth16_error(cubic):
     # the header is checked first, then the exact length its point counts
     # give, before any point is decoded: every cut is one typed error
-    _, _, pk, vk, _, _ = cubic
+    cs, qap, pk, vk, x, y = cubic
+    proof = prove(pk, qap, cs.generate_witness({x: 30, y: 3}), seed=1)
     for raw, decode in ((vk.to_bytes(), VerifyingKey.from_bytes),
-                        (pk.to_bytes(), ProvingKey.from_bytes)):
+                        (pk.to_bytes(), ProvingKey.from_bytes),
+                        (proof.to_bytes(), Proof.from_bytes)):
         for cut in range(len(raw)):
             with pytest.raises(Groth16Error):
                 decode(raw[:cut])

@@ -298,7 +298,7 @@ def test_verify_rejects_every_field_tamper(small_rss_artifacts, identity):
         if isinstance(value, bytes):
             mutated = bytes([value[0] ^ 1]) + value[1:]
         elif isinstance(value, FieldElement):
-            mutated = value + 1
+            mutated = FieldElement(value.value + 1, value.modulus)
         else:
             mutated = value + 1
         setattr(pkg, attr, mutated)
@@ -374,7 +374,8 @@ def audit_package(audit_fixture_artifacts, identity):
 ENVELOPE_CHANGES = {
     "timestamp": lambda pkg: pkg.timestamp + 1,
     "nonce": lambda pkg: bytes([pkg.nonce[0] ^ 1]) + pkg.nonce[1:],
-    "commitment": lambda pkg: pkg.commitment + 1,
+    "commitment": lambda pkg: FieldElement(pkg.commitment.value + 1,
+                                           pkg.commitment.modulus),
 }
 
 

@@ -187,7 +187,7 @@ def test_witness_keeps_its_system_and_checked_evaluations():
         w.values = (1, 2, 3, 7)
     assert w.values == (1, 2, 3, 6)
     # a witness built by hand has neither
-    plain = Witness([1, 2, 3, 6], cs.field)
+    plain = Witness([1, 2, 3, 6])
     assert plain.cs is None and plain.evaluations is None
 
 
