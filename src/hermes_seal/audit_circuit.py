@@ -407,13 +407,12 @@ class AuditWitness:
 class AuditCircuit:
     """Built audit circuit plus wire handles and build-time constants."""
 
-    def __init__(self, cs, wires, det_wires, challenge, thresholds, field):
+    def __init__(self, cs, wires, det_wires, challenge, thresholds):
         self.cs = cs
         self.wires = wires          # name -> Wire for scalars
         self.det_wires = det_wires  # [image][slot] -> dict of wires
         self.challenge = challenge
         self.thresholds = thresholds
-        self.field = field
 
     def generate_witness(self, publics: AuditPublicInputs,
                          witness: AuditWitness):
@@ -436,17 +435,16 @@ class AuditCircuit:
 
 
 def build_audit_circuit(challenge: ChallengeSet,
-                        thresholds: AuditThresholds,
-                        field: PrimeModulus = TEST_FIELD) -> AuditCircuit:
+                        thresholds: AuditThresholds) -> AuditCircuit:
     if thresholds.theta_conf[0] == 0:
         raise ValueError("theta_conf must be positive: padding slots rely on "
                          "zero confidence never matching")
-    b = CircuitBuilder(field)
+    b = CircuitBuilder()
     wires = {name: b.alloc_public(name) for name in AUDIT_PUBLIC_ORDER}
     wires["s_sec"] = b.alloc_private("s_sec")
 
     for name, value in _instance_constants(challenge, thresholds,
-                                           field).items():
+                                           TEST_FIELD).items():
         b.assert_equal(wires[name], b.lc(value), f"bind_{name}")
 
     m_max = challenge.m_max
@@ -640,7 +638,7 @@ def build_audit_circuit(challenge: ChallengeSet,
     sponge_gadget(b, sponge_inputs, wires["c"], "bind_commitment")
 
     cs = pad_to_power_of_two(b.finalize())
-    return AuditCircuit(cs, wires, det_wires, challenge, thresholds, field)
+    return AuditCircuit(cs, wires, det_wires, challenge, thresholds)
 
 
 # -- input preparation ---------------------------------------------------------
@@ -768,5 +766,4 @@ AUDIT_CIRCUIT = CircuitDescriptor(
         *parse_challenge_text(read(".challenge"))),
     inputs=lambda circuit, text, timestamp, nonce, s_sec: make_audit_inputs(
         circuit.challenge, circuit.thresholds, parse_detections(text),
-        timestamp=timestamp, nonce=nonce, s_sec=s_sec,
-        field=circuit.field)[:3])
+        timestamp=timestamp, nonce=nonce, s_sec=s_sec)[:3])

@@ -163,10 +163,9 @@ def _load_identity(identity_dir: str):
 def cmd_prove(args) -> int:
     desc, circuit, r1cs_bytes = _build_circuit_from_dir(args.circuit_dir,
                                                         args.circuit)
-    field = circuit.field
     rng = random.Random(args.seed) if args.seed is not None else None
     nonce = rng.randbytes(NONCE_BYTES) if rng else None
-    s_sec = rng.randrange(field.p) if rng else None
+    s_sec = rng.randrange(TEST_FIELD.p) if rng else None
     proof_seed = rng.getrandbits(64) if rng else None
     input_path = getattr(args, desc.input_option)
     if input_path is None:
@@ -198,10 +197,10 @@ def cmd_prove(args) -> int:
 
     qap = r1cs_to_qap(circuit.cs)
     package = create_package(
-        pk, qap, full_witness, FieldElement(publics.c, field), keypair, cert,
-        vk_bytes, r1cs_bytes, args.now, desc.sign_domain, nonce=nonce,
+        pk, qap, full_witness, FieldElement(publics.c, TEST_FIELD), keypair,
+        cert, vk_bytes, r1cs_bytes, args.now, desc.sign_domain, nonce=nonce,
         proof_seed=proof_seed)
-    package_bytes = package.to_bytes(field)
+    package_bytes = package.to_bytes(TEST_FIELD)
     _write(args.out, package_bytes)
     if args.opening_out is not None:
         opening = {**desc.opening(publics, witness),
@@ -305,18 +304,16 @@ BENCH_STAGES = ["witness generation", "proof generation", "proof verification"]
 def cmd_bench(args) -> int:
     rng = random.Random(args.seed if args.seed is not None else 0)
     circuit = build_rss_circuit()
-    field = circuit.field
     qap = r1cs_to_qap(circuit.cs)
     pk, vk = setup(qap, seed=rng.getrandbits(64))
     scenario = RssScenario()
     totals = dict.fromkeys(BENCH_STAGES, 0.0)
     for _ in range(args.runs):
         nonce = rng.randbytes(NONCE_BYTES)
-        s_sec = rng.randrange(field.p)
+        s_sec = rng.randrange(TEST_FIELD.p)
         t0 = time.perf_counter()
         publics, witness, _ = make_rss_inputs(scenario, nonce=nonce,
-                                              s_sec=s_sec, circuit=circuit,
-                                              field=field)
+                                              s_sec=s_sec, circuit=circuit)
         full = circuit.generate_witness(publics, witness)
         t1 = time.perf_counter()
         proof = prove(pk, qap, full, seed=rng.getrandbits(64))

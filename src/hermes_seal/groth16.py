@@ -6,12 +6,12 @@ polynomials), and commits everything to the curve with fixed-base window
 tables plus Montgomery batch inversion.  Proofs are three group elements;
 their byte encoding is constant-length regardless of circuit size.
 
-Everything is over the one pairing group (`pairing.toy_group()`): keys and
-proofs hold no group, and `setup` rejects a circuit whose field is not the
-group's scalar field F_q.  The prover makes four MSMs: A, B in G2, B in
-G1 (which only C uses) and C.  The key's constant points and the blinding
-terms are further bases of those MSMs, so a proof needs no separate scalar
-multiplication or point addition.
+Everything is over the one pairing group (`pairing.toy_group()`), whose
+scalar field F_q every circuit is over: keys and proofs hold no group.
+The prover makes four MSMs: A, B in G2, B in G1 (which only C uses) and
+C.  The key's constant points and the blinding terms are further bases of
+those MSMs, so a proof needs no separate scalar multiplication or point
+addition.
 
 The verifier takes public inputs only in canonical form (each in [0, q)),
 runs subgroup checks on all three proof elements, and then checks the
@@ -260,14 +260,10 @@ class Proof:
 def setup(qap: QapInstance, seed=None, return_toxic: bool = False):
     """Sample toxic waste and produce (pk, vk) for the circuit behind `qap`.
 
-    The circuit must be over the group's scalar field F_q.  A seed gives a
-    reproducible ceremony for tests; omit it for fresh randomness.  The
-    toxic waste is zeroized before returning unless `return_toxic` is set
-    (test hook only).
+    A seed gives a reproducible ceremony for tests; omit it for fresh
+    randomness.  The toxic waste is zeroized before returning unless
+    `return_toxic` is set (test hook only).
     """
-    if qap.field.p != Q:
-        raise Groth16Error(f"circuit is over the {qap.field.name} field, not "
-                           f"the group's scalar field")
     q = Q
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
     while True:

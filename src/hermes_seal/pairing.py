@@ -10,10 +10,11 @@ map is applied inside the pairing.  The modified Tate pairing
 e(P, Q) = f_{q,Q}(phi(P))^((p^2-1)/q) is bilinear and non-degenerate here,
 and symmetric, since G1 and G2 are one cyclic subgroup of E(F_p).
 
-There is one such group.  Its parameters are module constants: Q, COFACTOR,
-P, and the curve and F_{p^2} arithmetic over P.  `toy_group()` returns the
-one `BilinearGroup`, built at import; points and GT elements hold no
-reference to a group.
+There is one such group.  Its parameters are module constants (Q,
+COFACTOR, P), and the curve and F_{p^2} arithmetic over P are module
+functions (`_add`, `_jdbl`, `_msm`, `_fp2_mul`, ...) that take no modulus.
+`toy_group()` returns the one `BilinearGroup`, built at import; points and
+GT elements hold no reference to a group.
 
 The Miller loop comes in two parts: `lines(Q)` walks the loop over Q and
 records each step's line, and `pairing_product` evaluates the lines of
@@ -58,7 +59,7 @@ builds one per IC point (`fixed_base_tables`, `fixed_base_msm`).
 
 from __future__ import annotations
 
-from .field import EncodingError, FieldElement, TEST_FIELD, batch_inverse
+from .field import EncodingError, TEST_FIELD, batch_inverse
 
 __all__ = [
     "BilinearGroup",
@@ -78,235 +79,240 @@ P = COFACTOR * Q - 1      # base field prime, 3 (mod 4)
 _INF = None  # affine point at infinity sentinel
 
 
-def _sqrt_3mod4(a: int, p: int):
-    """Square root mod p for p = 3 (mod 4); None if a is a non-residue."""
-    r = pow(a, (p + 1) // 4, p)
-    return r if r * r % p == a else None
+def _sqrt_3mod4(a: int):
+    """Square root mod P (P = 3 mod 4); None if a is a non-residue."""
+    r = pow(a, (P + 1) // 4, P)
+    return r if r * r % P == a else None
 
 
-class _Curve:
-    """Affine/Jacobian arithmetic on y^2 = x^3 + x over F_p (a = 1, b = 0)."""
+# -- the curve y^2 = x^3 + x over F_P (a = 1, b = 0), affine and Jacobian -----
 
-    __slots__ = ("p",)
 
-    def __init__(self, p: int):
-        self.p = p
+def _on_curve(pt) -> bool:
+    if pt is _INF:
+        return True
+    x, y = pt
+    return y * y % P == (x * x % P * x + x) % P
 
-    def on_curve(self, pt) -> bool:
-        if pt is _INF:
-            return True
-        x, y = pt
-        p = self.p
-        return y * y % p == (x * x % p * x + x) % p
 
-    def neg(self, pt):
-        if pt is _INF:
+def _neg(pt):
+    if pt is _INF:
+        return _INF
+    x, y = pt
+    return (x, (-y) % P)
+
+
+def _add(a, b):
+    if a is _INF:
+        return b
+    if b is _INF:
+        return a
+    p = P
+    x1, y1 = a
+    x2, y2 = b
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
             return _INF
-        x, y = pt
-        return (x, (-y) % self.p)
+        lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return (x3, (lam * (x1 - x3) - y1) % p)
 
-    def add(self, a, b):
-        if a is _INF:
-            return b
-        if b is _INF:
-            return a
-        p = self.p
-        x1, y1 = a
-        x2, y2 = b
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return _INF
-            lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, p) % p
+
+def _scalar_mul(k: int, pt):
+    """Double-and-add in Jacobian coordinates."""
+    if pt is _INF or k == 0:
+        return _INF
+    if k < 0:
+        raise ValueError("negative scalar")
+    return _to_affine(_jmul(k, pt))
+
+
+# Jacobian helpers: points (X, Y, Z) with x = X/Z^2, y = Y/Z^3; Z = 0 at
+# infinity.  Curve coefficient a = 1 enters doubling as M = 3X^2 + Z^4.
+
+
+def _jdbl(pt):
+    X, Y, Z = pt
+    if Z == 0 or Y == 0:
+        return (1, 1, 0)
+    p = P
+    YY = Y * Y % p
+    S = 4 * X * YY % p
+    ZZ = Z * Z % p
+    M = (3 * X * X + ZZ * ZZ) % p
+    X3 = (M * M - 2 * S) % p
+    Y3 = (M * (S - X3) - 8 * YY * YY) % p
+    Z3 = 2 * Y * Z % p
+    return (X3, Y3, Z3)
+
+
+def _jadd_mixed(jac, aff):
+    """jac (Jacobian) + aff (affine, not infinity)."""
+    X1, Y1, Z1 = jac
+    if Z1 == 0:
+        return (aff[0], aff[1], 1)
+    p = P
+    x2, y2 = aff
+    Z1Z1 = Z1 * Z1 % p
+    U2 = x2 * Z1Z1 % p
+    S2 = y2 * Z1 * Z1Z1 % p
+    if U2 == X1:
+        if S2 == Y1:
+            return _jdbl(jac)
+        return (1, 1, 0)
+    H = (U2 - X1) % p
+    HH = H * H % p
+    I = 4 * HH % p
+    J = H * I % p
+    r = 2 * (S2 - Y1) % p
+    V = X1 * I % p
+    X3 = (r * r - J - 2 * V) % p
+    Y3 = (r * (V - X3) - 2 * Y1 * J) % p
+    Z3 = 2 * Z1 * H % p
+    return (X3, Y3, Z3)
+
+
+def _jmul(k: int, aff):
+    acc = (1, 1, 0)
+    for bit in bin(k)[2:]:
+        acc = _jdbl(acc)
+        if bit == "1":
+            acc = _jadd_mixed(acc, aff)
+    return acc
+
+
+def _to_affine(jac):
+    return _to_affine_many([jac])[0]
+
+
+def _to_affine_many(jacs):
+    """The affine forms of Jacobian points, with one shared inversion."""
+    p = P
+    invs = batch_inverse([Z or 1 for _, _, Z in jacs], p)
+    out = []
+    for (X, Y, Z), zinv in zip(jacs, invs):
+        if Z == 0:
+            out.append(_INF)
         else:
-            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (lam * lam - x1 - x2) % p
-        return (x3, (lam * (x1 - x3) - y1) % p)
+            z2 = zinv * zinv % p
+            out.append((X * z2 % p, Y * z2 % p * zinv % p))
+    return out
 
-    def scalar_mul(self, k: int, pt):
-        """Double-and-add in Jacobian coordinates."""
-        if pt is _INF or k == 0:
-            return _INF
-        if k < 0:
-            raise ValueError("negative scalar")
-        acc = self._jmul(k, pt)
-        return self._to_affine(acc)
 
-    # Jacobian helpers: points (X, Y, Z) with x = X/Z^2, y = Y/Z^3; Z = 0 at
-    # infinity.  Curve coefficient a = 1 enters doubling as M = 3X^2 + Z^4.
+def _add_pairs(lhs, rhs):
+    """[a + b for a, b in zip(lhs, rhs)] over finite affine points with one
+    shared inversion; a pair with x1 == x2 (a doubling, or a + (-a) =
+    infinity) goes through `_add`."""
+    p = P
+    invs = batch_inverse([(b[0] - a[0]) % p or 1
+                          for a, b in zip(lhs, rhs)], p)
+    out = []
+    for (x1, y1), (x2, y2), inv in zip(lhs, rhs, invs):
+        if x1 == x2:
+            out.append(_add((x1, y1), (x2, y2)))
+        else:
+            lam = (y2 - y1) * inv % p
+            x3 = (lam * lam - x1 - x2) % p
+            out.append((x3, (lam * (x1 - x3) - y1) % p))
+    return out
 
-    def _jdbl(self, pt):
-        X, Y, Z = pt
-        if Z == 0 or Y == 0:
-            return (1, 1, 0)
-        p = self.p
-        YY = Y * Y % p
-        S = 4 * X * YY % p
-        ZZ = Z * Z % p
-        M = (3 * X * X + ZZ * ZZ) % p
-        X3 = (M * M - 2 * S) % p
-        Y3 = (M * (S - X3) - 8 * YY * YY) % p
-        Z3 = 2 * Y * Z % p
-        return (X3, Y3, Z3)
 
-    def _jadd_mixed(self, jac, aff):
-        """jac (Jacobian) + aff (affine, not infinity)."""
-        X1, Y1, Z1 = jac
-        if Z1 == 0:
-            return (aff[0], aff[1], 1)
-        p = self.p
-        x2, y2 = aff
-        Z1Z1 = Z1 * Z1 % p
-        U2 = x2 * Z1Z1 % p
-        S2 = y2 * Z1 * Z1Z1 % p
-        if U2 == X1:
-            if S2 == Y1:
-                return self._jdbl(jac)
-            return (1, 1, 0)
-        H = (U2 - X1) % p
-        HH = H * H % p
-        I = 4 * HH % p
-        J = H * I % p
-        r = 2 * (S2 - Y1) % p
-        V = X1 * I % p
-        X3 = (r * r - J - 2 * V) % p
-        Y3 = (r * (V - X3) - 2 * Y1 * J) % p
-        Z3 = 2 * Z1 * H % p
-        return (X3, Y3, Z3)
-
-    def _jmul(self, k: int, aff):
-        acc = (1, 1, 0)
-        for bit in bin(k)[2:]:
-            acc = self._jdbl(acc)
-            if bit == "1":
-                acc = self._jadd_mixed(acc, aff)
-        return acc
-
-    def _to_affine(self, jac):
-        return self._to_affine_many([jac])[0]
-
-    def _to_affine_many(self, jacs):
-        """The affine forms of Jacobian points, with one shared inversion."""
-        p = self.p
-        invs = batch_inverse([Z or 1 for _, _, Z in jacs], p)
-        out = []
-        for (X, Y, Z), zinv in zip(jacs, invs):
-            if Z == 0:
-                out.append(_INF)
+def _add_into(acc, terms):
+    """acc[i] += terms[i] for every i, with one batched inversion."""
+    todo = []
+    for i, t in enumerate(terms):
+        if t is not _INF:
+            if acc[i] is _INF:
+                acc[i] = t
             else:
-                z2 = zinv * zinv % p
-                out.append((X * z2 % p, Y * z2 % p * zinv % p))
-        return out
+                todo.append(i)
+    if todo:
+        sums = _add_pairs([acc[i] for i in todo], [terms[i] for i in todo])
+        for i, s in zip(todo, sums):
+            acc[i] = s
 
-    def _add_pairs(self, lhs, rhs):
-        """[a + b for a, b in zip(lhs, rhs)] over finite affine points with
-        one shared inversion; a pair with x1 == x2 (a doubling, or a + (-a)
-        = infinity) goes through `add`."""
-        p = self.p
-        invs = batch_inverse([(b[0] - a[0]) % p or 1
-                              for a, b in zip(lhs, rhs)], p)
-        out = []
-        for (x1, y1), (x2, y2), inv in zip(lhs, rhs, invs):
-            if x1 == x2:
-                out.append(self.add((x1, y1), (x2, y2)))
-            else:
-                lam = (y2 - y1) * inv % p
-                x3 = (lam * lam - x1 - x2) % p
-                out.append((x3, (lam * (x1 - x3) - y1) % p))
-        return out
 
-    def _add_into(self, acc, terms):
-        """acc[i] += terms[i] for every i, with one batched inversion."""
-        todo = []
-        for i, t in enumerate(terms):
-            if t is not _INF:
-                if acc[i] is _INF:
-                    acc[i] = t
-                else:
-                    todo.append(i)
-        if todo:
-            sums = self._add_pairs([acc[i] for i in todo],
-                                   [terms[i] for i in todo])
-            for i, s in zip(todo, sums):
-                acc[i] = s
-
-    def _bucket_sums(self, buckets):
-        """Per bucket, the sum of its finite points (infinity if empty),
-        summed as a tree one level at a time with one batched inversion per
-        level across all the buckets."""
-        live = [b for b in buckets if len(b) > 1]
-        while live:
-            flat = []
+def _bucket_sums(buckets):
+    """Per bucket, the sum of its finite points (infinity if empty), summed
+    as a tree one level at a time with one batched inversion per level
+    across all the buckets."""
+    live = [b for b in buckets if len(b) > 1]
+    while live:
+        flat = []
+        for b in live:
+            flat += b[:len(b) & -2]
+        sums = _add_pairs(flat[0::2], flat[1::2])
+        pos = 0
+        for b in live:
+            half = len(b) >> 1
+            b[:] = sums[pos:pos + half] + b[2 * half:]
+            pos += half
+        if _INF in sums:  # some bucket held P and -P
             for b in live:
-                flat += b[:len(b) & -2]
-            sums = self._add_pairs(flat[0::2], flat[1::2])
-            pos = 0
-            for b in live:
-                half = len(b) >> 1
-                b[:] = sums[pos:pos + half] + b[2 * half:]
-                pos += half
-            if _INF in sums:  # some bucket held P and -P
-                for b in live:
-                    b[:] = [pt for pt in b if pt is not _INF]
-            live = [b for b in live if len(b) > 1]
-        return [b[0] if b else _INF for b in buckets]
+                b[:] = [pt for pt in b if pt is not _INF]
+        live = [b for b in live if len(b) > 1]
+    return [b[0] if b else _INF for b in buckets]
 
-    def msm(self, scalars, points):
-        """Pippenger multi-scalar multiplication with signed-digit,
-        batch-affine buckets.
 
-        Scalars are recoded into c-bit digits in [-2^(c-1), 2^(c-1)), low
-        window first, a digit d >= 2^(c-1) becoming d - 2^c with a carry
-        into the next window.  For b-bit scalars there are b // c + 1
-        windows, so the top one holds at most c - 1 bits plus the carry and
-        its digit, never recoded, is at most 2^(c-1).  The recoding needs no
-        carry loop: window w's digit is the c-bit digit w of s + H minus
-        2^(c-1), where H has 2^(c-1) in every window (the top digit
-        unmasked).  A point goes into bucket |d| of its window, negated when
-        d < 0, so a window has 2^(c-1) buckets; c minimises `_msm_window`.
+def _msm(scalars, points):
+    """Pippenger multi-scalar multiplication with signed-digit,
+    batch-affine buckets.
 
-        One window at a time, the buckets are filled and tree-summed in
-        affine form (`_bucket_sums`).  The running sums of all windows then
-        advance together: step k = 2^(c-1)..0 adds bucket k into each
-        window's running sum and the previous running sum into its window
-        sum, one batched inversion per step.  The window sums are combined
-        with c Jacobian doublings each.
-        """
-        ts, pts = [], []
-        for s, pt in zip(scalars, points):
-            if s and pt is not _INF:
-                ts.append(s)
-                pts.append(pt)
-        if not pts:
-            return _INF
-        bits = max(ts).bit_length()
-        c = _msm_window(len(pts), bits)
-        windows = bits // c + 1
-        half = 1 << (c - 1)
-        mask = (1 << c) - 1
-        offset = sum(half << (w * c) for w in range(windows))
-        ts = [s + offset for s in ts]
-        p = self.p
-        sums = []
-        for w in range(windows):
-            shift = w * c
-            digit_mask = mask if w < windows - 1 else -1
-            by_digit = [[] for _ in range(2 * half + 1)]  # digit + 2^(c-1)
-            for t, pt in zip(ts, pts):
-                by_digit[(t >> shift) & digit_mask].append(pt)
-            buckets = [[]] + [by_digit[half + k]
-                              + [(x, -y % p) for x, y in by_digit[half - k]]
-                              for k in range(1, half + 1)]
-            sums.append(self._bucket_sums(buckets))
-        acc = [_INF] * (2 * windows)  # running sums, then window sums
-        for k in range(half, -1, -1):
-            self._add_into(acc, [b[k] for b in sums] + acc[:windows])
-        total = (1, 1, 0)
-        for ws in reversed(acc[windows:]):
-            for _ in range(c):
-                total = self._jdbl(total)
-            if ws is not _INF:
-                total = self._jadd_mixed(total, ws)
-        return self._to_affine(total)
+    Scalars are recoded into c-bit digits in [-2^(c-1), 2^(c-1)), low
+    window first, a digit d >= 2^(c-1) becoming d - 2^c with a carry into
+    the next window.  For b-bit scalars there are b // c + 1 windows, so
+    the top one holds at most c - 1 bits plus the carry and its digit,
+    never recoded, is at most 2^(c-1).  The recoding needs no carry loop:
+    window w's digit is the c-bit digit w of s + H minus 2^(c-1), where H
+    has 2^(c-1) in every window (the top digit unmasked).  A point goes
+    into bucket |d| of its window, negated when d < 0, so a window has
+    2^(c-1) buckets; c minimises `_msm_window`.
+
+    One window at a time, the buckets are filled and tree-summed in affine
+    form (`_bucket_sums`).  The running sums of all windows then advance
+    together: step k = 2^(c-1)..0 adds bucket k into each window's running
+    sum and the previous running sum into its window sum, one batched
+    inversion per step.  The window sums are combined with c Jacobian
+    doublings each.
+    """
+    ts, pts = [], []
+    for s, pt in zip(scalars, points):
+        if s and pt is not _INF:
+            ts.append(s)
+            pts.append(pt)
+    if not pts:
+        return _INF
+    bits = max(ts).bit_length()
+    c = _msm_window(len(pts), bits)
+    windows = bits // c + 1
+    half = 1 << (c - 1)
+    mask = (1 << c) - 1
+    offset = sum(half << (w * c) for w in range(windows))
+    ts = [s + offset for s in ts]
+    p = P
+    sums = []
+    for w in range(windows):
+        shift = w * c
+        digit_mask = mask if w < windows - 1 else -1
+        by_digit = [[] for _ in range(2 * half + 1)]  # digit + 2^(c-1)
+        for t, pt in zip(ts, pts):
+            by_digit[(t >> shift) & digit_mask].append(pt)
+        buckets = [[]] + [by_digit[half + k]
+                          + [(x, -y % p) for x, y in by_digit[half - k]]
+                          for k in range(1, half + 1)]
+        sums.append(_bucket_sums(buckets))
+    acc = [_INF] * (2 * windows)  # running sums, then window sums
+    for k in range(half, -1, -1):
+        _add_into(acc, [b[k] for b in sums] + acc[:windows])
+    total = (1, 1, 0)
+    for ws in reversed(acc[windows:]):
+        for _ in range(c):
+            total = _jdbl(total)
+        if ws is not _INF:
+            total = _jadd_mixed(total, ws)
+    return _to_affine(total)
 
 
 def _msm_window(n: int, bits: int) -> int:
@@ -344,17 +350,17 @@ class _FixedBaseTable:
         for pt in bases:
             block = (1, 1, 0) if pt is _INF else (pt[0], pt[1], 1)
             for _ in range(windows):
-                dbl = _CURVE._jdbl(block)
+                dbl = _jdbl(block)
                 jac += [block, dbl]
                 for _ in range(window - 1):
-                    dbl = _CURVE._jdbl(dbl)
+                    dbl = _jdbl(dbl)
                 block = dbl
-        aff = _CURVE._to_affine_many(jac)
+        aff = _to_affine_many(jac)
         blocks = aff[0::2]
         cols = [[_INF] * len(blocks), blocks, aff[1::2]]
         for _ in range(3, 1 << window):
             col = list(cols[-1])
-            _CURVE._add_into(col, blocks)
+            _add_into(col, blocks)
             cols.append(col)
         return [cls([[col[i * windows + t] for col in cols]
                      for t in range(windows)], window)
@@ -366,8 +372,7 @@ class _FixedBaseTable:
         acc = [_INF] * len(scalars)
         for t, row in enumerate(self.tables):
             shift = t * self.window
-            _CURVE._add_into(acc, [row[(s >> shift) & self.mask]
-                                   for s in scalars])
+            _add_into(acc, [row[(s >> shift) & self.mask] for s in scalars])
         return acc
 
     def entries(self, s: int) -> list:
@@ -384,45 +389,30 @@ class _FixedBaseTable:
         return out
 
 
-class _Fp2:
-    """F_{p^2} = F_p[i]/(i^2+1) arithmetic on (real, imag) int pairs."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def mul(self, a, b):
-        p = self.p
-        a0, a1 = a
-        b0, b1 = b
-        return ((a0 * b0 - a1 * b1) % p, (a0 * b1 + a1 * b0) % p)
-
-    def square(self, a):
-        p = self.p
-        a0, a1 = a
-        return ((a0 + a1) * (a0 - a1) % p, 2 * a0 * a1 % p)
-
-    def pow(self, a, e: int):
-        result = (1, 0)
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.square(base)
-            e >>= 1
-        return result
-
-    def inv(self, a):
-        p = self.p
-        a0, a1 = a
-        norm = (a0 * a0 + a1 * a1) % p
-        ninv = pow(norm, -1, p)
-        return (a0 * ninv % p, (-a1) * ninv % p)
+# -- F_{P^2} = F_P[i]/(i^2 + 1) on (real, imag) int pairs ---------------------
 
 
-_CURVE = _Curve(P)
-_FP2 = _Fp2(P)
+def _fp2_mul(a, b):
+    p = P
+    a0, a1 = a
+    b0, b1 = b
+    return ((a0 * b0 - a1 * b1) % p, (a0 * b1 + a1 * b0) % p)
+
+
+def _fp2_square(a):
+    a0, a1 = a
+    return ((a0 + a1) * (a0 - a1) % P, 2 * a0 * a1 % P)
+
+
+def _fp2_pow(a, e: int):
+    result = (1, 0)
+    base = a
+    while e:
+        if e & 1:
+            result = _fp2_mul(result, base)
+        base = _fp2_square(base)
+        e >>= 1
+    return result
 
 
 class _Point:
@@ -439,10 +429,10 @@ class _Point:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(_CURVE.add(self.point, other.point))
+        return type(self)(_add(self.point, other.point))
 
     def __neg__(self):
-        return type(self)(_CURVE.neg(self.point))
+        return type(self)(_neg(self.point))
 
     def __sub__(self, other):
         return self + (-other)
@@ -481,13 +471,10 @@ class GtElement:
     def __mul__(self, other):
         if not isinstance(other, GtElement):
             return NotImplemented
-        return GtElement(_FP2.mul(self.value, other.value))
+        return GtElement(_fp2_mul(self.value, other.value))
 
     def __pow__(self, e: int):
-        return GtElement(_FP2.pow(self.value, e % Q))
-
-    def inv(self):
-        return GtElement(_FP2.inv(self.value))
+        return GtElement(_fp2_pow(self.value, e % Q))
 
     def __eq__(self, other):
         return isinstance(other, GtElement) and self.value == other.value
@@ -507,8 +494,6 @@ class BilinearGroup:
 
     q = Q
     p = P
-    curve = _CURVE
-    fp2 = _FP2
     coord_bytes = (P.bit_length() + 7) // 8
     point_bytes = 1 + 2 * coord_bytes
 
@@ -525,19 +510,14 @@ class BilinearGroup:
         x = start_x
         while True:
             rhs = (x * x % p * x + x) % p
-            y = _sqrt_3mod4(rhs, p)
+            y = _sqrt_3mod4(rhs)
             if y is not None:
-                pt = self.curve.scalar_mul(COFACTOR, (x, min(y, p - y)))
+                pt = _scalar_mul(COFACTOR, (x, min(y, p - y)))
                 if pt is not _INF:
                     return pt
             x += 1
 
     # -- group operations ---------------------------------------------------
-
-    def _scalar_int(self, s) -> int:
-        if isinstance(s, FieldElement):
-            return s.value
-        return s % self.q
 
     def generator_table(self, gen) -> _FixedBaseTable:
         """The fixed-base table of the generator `gen` (g1 or g2), built on
@@ -550,11 +530,11 @@ class BilinearGroup:
 
     def _mul(self, s, point):
         """s * point: a generator's table lookup, else double-and-add."""
-        k = self._scalar_int(s)
+        k = s % self.q
         for gen in (self.g1, self.g2):
             if point == gen.point:
-                return self.generator_table(gen).exp_many([k % self.q])[0]
-        return self.curve.scalar_mul(k, point)
+                return self.generator_table(gen).exp_many([k])[0]
+        return _scalar_mul(k, point)
 
     def scalar_mul_g1(self, s, P: _Point) -> _Point:
         """s * P, in P's group."""
@@ -574,8 +554,7 @@ class BilinearGroup:
         cls = type(points[0])
         if any(type(pt) is not cls for pt in points):
             raise ValueError("mixed G1/G2 points in MSM")
-        raw = self.curve.msm([self._scalar_int(s) for s in scalars],
-                             [pt.point for pt in points])
+        raw = _msm([s % self.q for s in scalars], [pt.point for pt in points])
         return cls(raw)
 
     def fixed_base_tables(self, points, window: int) -> list:
@@ -591,12 +570,11 @@ class BilinearGroup:
             raise ValueError("scalar/point/table length mismatch")
         terms = []
         for s, table in zip(scalars, tables):
-            terms += table.entries(self._scalar_int(s))
-        return type(points[0])(self.curve._bucket_sums([terms])[0])
+            terms += table.entries(s % self.q)
+        return type(points[0])(_bucket_sums([terms])[0])
 
     def in_subgroup_g1(self, P: _Point) -> bool:
-        return self.curve.on_curve(P.point) and \
-            self.curve.scalar_mul(self.q, P.point) is _INF
+        return _on_curve(P.point) and _scalar_mul(self.q, P.point) is _INF
 
     in_subgroup_g2 = in_subgroup_g1
 
@@ -622,7 +600,7 @@ class BilinearGroup:
         inversion of all the dens at the end gives exactly the affine
         (lam, c).  The walk is double-and-add by q, exact for any point:
         the doubling of a point with y = 0 and the addition of T = -Q go to
-        infinity, T = Q doubles (as `_Curve.add` does), and neither records
+        infinity, T = Q doubles (as `_add` does), and neither records
         a line.  So it ends at q*Q, and Q is in the order-q subgroup iff it
         is on the curve and the walk ends at infinity.
         """
@@ -664,7 +642,7 @@ class BilinearGroup:
                     Z = Z * H % p
                     count += 1
                 else:  # T is infinity or +-Q
-                    X, Y, Z = self.curve._jadd_mixed((X, Y, Z), base)
+                    X, Y, Z = _jadd_mixed((X, Y, Z), base)
             counts.append(count)
         flat = [(num * inv % p, num_c * inv % p) for (num, num_c), inv
                 in zip(nums, batch_inverse(dens, p))]
@@ -673,7 +651,7 @@ class BilinearGroup:
         for count in counts:
             out.append(flat[pos:pos + count])
             pos += count
-        return out, Z == 0 and self.curve.on_curve(base)
+        return out, Z == 0 and _on_curve(base)
 
     def pairing_product(self, terms) -> GtElement:
         """prod e(P, Q) over `terms` of (P, lines(Q)): one Miller loop that
@@ -717,7 +695,7 @@ class BilinearGroup:
             return (0, 0)
         ninv = pow(norm, -1, p)
         g = ((f0 * f0 - f1 * f1) * ninv % p, -2 * f0 * f1 * ninv % p)
-        return self.fp2.pow(g, COFACTOR)
+        return _fp2_pow(g, COFACTOR)
 
     # -- serialization ------------------------------------------------------
 
@@ -746,7 +724,7 @@ class BilinearGroup:
         if x >= self.p or y >= self.p:
             raise EncodingError("point coordinate out of field range")
         pt = (x, y)
-        if not self.curve.on_curve(pt):
+        if not _on_curve(pt):
             raise EncodingError("point not on curve")
         return pt
 

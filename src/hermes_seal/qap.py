@@ -23,6 +23,9 @@ a number-theoretic transform where int multiplication is Karatsuba.
 
 Each domain builds its transform tables (bit-reversal permutation,
 per-stage twiddles for w^-1) once, on first use.
+
+Every constraint system is over F_q (`TEST_FIELD`), but a domain keeps
+its `field`, so a `QapInstance` rejects a domain over another field.
 """
 
 from __future__ import annotations
@@ -137,9 +140,13 @@ def _powers(first, ratio, count, p):
 
 
 class QapInstance:
-    """A constraint system bound to the domain its rows are interpolated on."""
+    """A constraint system bound to the domain its rows are interpolated on:
+    one point per row, over the system's field."""
 
     def __init__(self, cs, domain: EvaluationDomain):
+        if domain.field.p != cs.field.p:
+            raise ValueError(f"domain is over the {domain.field.name} field, "
+                             f"not the constraint system's {cs.field.name}")
         if len(domain) != cs.n_constraints:
             raise ValueError(
                 f"domain size {len(domain)} != constraint count {cs.n_constraints}")
@@ -168,7 +175,8 @@ class QapInstance:
 def r1cs_to_qap(cs, domain: EvaluationDomain = None) -> QapInstance:
     """The QAP of `cs` over `EvaluationDomain.for_size(cs.n_constraints)`.
 
-    A `domain` passed in must have exactly one point per row.
+    A `domain` passed in must have exactly one point per row and be over
+    the system's field.
     """
     if domain is None:
         domain = EvaluationDomain.for_size(cs.n_constraints, cs.field)

@@ -1,4 +1,6 @@
-"""Rank-1 constraint system builder, gadget library, and witness generation.
+"""Rank-1 constraint system builder, gadget library, and witness generation,
+over F_q (`TEST_FIELD`, module constant `Q`), the one pairing group's scalar
+field: no builder, system or linear combination takes a field.
 
 A circuit is built against a `CircuitBuilder`: allocate input wires, call
 gadgets (which add constraints plus solver hooks for their internal wires),
@@ -19,7 +21,7 @@ import hashlib
 import struct
 import warnings
 
-from .field import PrimeModulus, TEST_FIELD
+from .field import TEST_FIELD
 
 __all__ = [
     "Wire",
@@ -37,6 +39,8 @@ __all__ = [
 
 R1CS_MAGIC = b"HSR1"
 R1CS_VERSION = 1
+
+Q = TEST_FIELD.p  # every coefficient and wire value is mod Q
 
 
 class R1csError(Exception):
@@ -65,30 +69,27 @@ class Wire:
 
 
 class LinearCombination:
-    """Sparse sum of coefficient*wire terms over wire indices."""
+    """Sparse sum of coefficient*wire terms over wire indices, mod Q."""
 
-    __slots__ = ("terms", "p")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict, p: int):
-        self.terms = {i: c for i, c in terms.items() if c % p}
-        for i in self.terms:
-            self.terms[i] %= p
-        self.p = p
+    def __init__(self, terms: dict):
+        self.terms = {i: r for i, c in terms.items() if (r := c % Q)}
 
     def __add__(self, other: "LinearCombination"):
         merged = dict(self.terms)
         for i, c in other.terms.items():
             merged[i] = merged.get(i, 0) + c
-        return LinearCombination(merged, self.p)
+        return LinearCombination(merged)
 
     def __sub__(self, other: "LinearCombination"):
         merged = dict(self.terms)
         for i, c in other.terms.items():
             merged[i] = merged.get(i, 0) - c
-        return LinearCombination(merged, self.p)
+        return LinearCombination(merged)
 
     def scaled(self, k: int) -> "LinearCombination":
-        return LinearCombination({i: c * k for i, c in self.terms.items()}, self.p)
+        return LinearCombination({i: c * k for i, c in self.terms.items()})
 
 
 class Witness:
@@ -120,9 +121,10 @@ class Witness:
 class ConstraintSystem:
     """Finalized immutable R1CS with witness-generation solvers attached."""
 
-    def __init__(self, field, rows, n_wires, n_public, labels, solvers,
-                 input_wires, row_labels):
-        self.field = field
+    field = TEST_FIELD
+
+    def __init__(self, rows, n_wires, n_public, labels, solvers, input_wires,
+                 row_labels):
         self.rows = rows            # list of (a, b, c) dicts: wire index -> coeff
         self.n_wires = n_wires      # m + 1 including the constant wire
         self.n_public = n_public    # l
@@ -233,16 +235,17 @@ def pad_to_power_of_two(cs: ConstraintSystem) -> ConstraintSystem:
         return cs
     rows = list(cs.rows) + [({}, {}, {})] * (size - n)
     labels = list(cs.row_labels) + [None] * (size - n)
-    return ConstraintSystem(cs.field, rows, cs.n_wires, cs.n_public,
-                            cs.labels, cs._solvers, cs._input_wires, labels)
+    return ConstraintSystem(rows, cs.n_wires, cs.n_public, cs.labels,
+                            cs._solvers, cs._input_wires, labels)
 
 
 class CircuitBuilder:
-    """Mutable builder; single-threaded; frozen by finalize()."""
+    """Mutable builder over F_q; single-threaded; frozen by finalize()."""
 
-    def __init__(self, field: PrimeModulus = TEST_FIELD):
-        self.field = field
-        self.p = field.p
+    field = TEST_FIELD
+    p = Q
+
+    def __init__(self):
         self._wires = [Wire(0, "one")]
         self._n_public = 0
         self._rows = []             # (a_terms, b_terms, c_terms)
@@ -282,10 +285,6 @@ class CircuitBuilder:
         """Private wire whose value a gadget solver supplies."""
         return self._alloc(label, is_input=False)
 
-    @property
-    def one(self) -> Wire:
-        return self._wires[0]
-
     # -- linear combinations ------------------------------------------------
 
     def lc(self, *terms) -> LinearCombination:
@@ -303,7 +302,7 @@ class CircuitBuilder:
                 acc[t[0].index] = acc.get(t[0].index, 0) + t[1]
             else:
                 raise R1csError(f"cannot build linear combination from {t!r}")
-        return LinearCombination(acc, self.p)
+        return LinearCombination(acc)
 
     def _as_lc(self, x) -> LinearCombination:
         return x if isinstance(x, LinearCombination) else self.lc(x)
@@ -384,7 +383,7 @@ class CircuitBuilder:
         for w in bit_wires:
             self.assert_bool(w, f"{label}.bool{w.label[-2:]}")
         recomposed = LinearCombination(
-            {w.index: 1 << i for i, w in enumerate(bit_wires)}, self.p)
+            {w.index: 1 << i for i, w in enumerate(bit_wires)})
         self.assert_equal(recomposed, xl, f"{label}.recompose")
         p = self.p
         xt = dict(xl.terms)
@@ -432,8 +431,7 @@ class CircuitBuilder:
         if not self._rows:
             raise R1csError("cannot finalize an empty constraint system")
         self._finalized = True
-        return ConstraintSystem(self.field, self._rows, len(self._wires),
-                                self._n_public,
+        return ConstraintSystem(self._rows, len(self._wires), self._n_public,
                                 [w.label for w in self._wires], self._solvers,
                                 self._input_wires, self._row_labels)
 

@@ -173,13 +173,10 @@ class RssWitness:
 class RssCircuit:
     """Built circuit plus wire handles; immutable after construction."""
 
-    def __init__(self, cs, wires, theta: int, stop_sign_id: int,
-                 field: PrimeModulus):
+    def __init__(self, cs, wires, theta: int):
         self.cs = cs
         self.wires = wires
         self.theta = theta
-        self.stop_sign_id = stop_sign_id
-        self.field = field
 
     def generate_witness(self, publics: RssPublicInputs, witness: RssWitness):
         values = {**vars(publics), **witness.as_dict()}
@@ -187,16 +184,15 @@ class RssCircuit:
             {self.wires[name]: v for name, v in values.items()})
 
 
-def build_rss_circuit(theta: float = 0.75, stop_sign_id: int = STOP_SIGN_ID,
-                      rho_prob: int = 100,
-                      field: PrimeModulus = TEST_FIELD,
+def build_rss_circuit(theta: float = 0.75, rho_prob: int = 100,
                       prob_bits: int = PROB_BITS,
                       dist_bits: int = DIST_BITS,
                       include_commitment: bool = True) -> RssCircuit:
-    """Compile the safety predicate into a padded constraint system.
+    """Compile the safety predicate into a padded constraint system over F_q.
 
     `theta` is the real-valued detection threshold; it is scaled by
-    rho_prob and baked into the constraints (proving keys bind it).
+    rho_prob and baked into the constraints (proving keys bind it), as is
+    the object class `STOP_SIGN_ID`.
 
     `prob_bits`/`dist_bits` shrink the comparators for exhaustive
     cross-checking at reduced widths; `include_commitment=False` drops the
@@ -208,13 +204,13 @@ def build_rss_circuit(theta: float = 0.75, stop_sign_id: int = STOP_SIGN_ID,
     theta_scaled = round(theta * rho_prob)
     if not 0 <= theta_scaled < (1 << prob_bits):
         raise ValueError("scaled threshold out of comparator range")
-    b = CircuitBuilder(field)
+    b = CircuitBuilder()
     wires = {name: b.alloc_public(name) for name in PUBLIC_ORDER}
     for name in WITNESS_ORDER:
         wires[name] = b.alloc_private(name)
 
     # 1. object class check
-    b.assert_equal(wires["ID"], b.lc(stop_sign_id), "assert_stop_sign")
+    b.assert_equal(wires["ID"], b.lc(STOP_SIGN_ID), "assert_stop_sign")
     # 2. threshold logic; SAFE = OR(x, y) of two bits as x*y = x + y - SAFE
     is_detected = b.gadget_geq(wires["Pr"], b.lc(theta_scaled), prob_bits,
                                "is_detected")
@@ -245,7 +241,7 @@ def build_rss_circuit(theta: float = 0.75, stop_sign_id: int = STOP_SIGN_ID,
         b.enforce(wires[name], b.lc(0), b.lc(0), f"bind_{name}")
 
     cs = pad_to_power_of_two(b.finalize())
-    return RssCircuit(cs, wires, theta_scaled, stop_sign_id, field)
+    return RssCircuit(cs, wires, theta_scaled)
 
 
 @dataclasses.dataclass
@@ -382,4 +378,4 @@ RSS_CIRCUIT = CircuitDescriptor(
         theta=float(meta["theta"]), rho_prob=int(meta["rho_prob"])),
     inputs=lambda circuit, text, timestamp, nonce, s_sec: make_rss_inputs(
         dataclasses.replace(parse_scenario(text), timestamp=timestamp),
-        nonce=nonce, s_sec=s_sec, circuit=circuit, field=circuit.field))
+        nonce=nonce, s_sec=s_sec, circuit=circuit))

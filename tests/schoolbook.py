@@ -12,6 +12,8 @@ coordinates with one modular inversion per line, the oracle for
 `BilinearGroup.lines`.
 """
 
+from hermes_seal.pairing import _add
+
 
 class Poly:
     """Dense polynomial over F_p, low-degree coefficient first."""
@@ -173,7 +175,7 @@ def affine_lines(group, Q):
             if T is None:
                 T = base
             elif T[0] == xq:
-                T = group.curve.add(T, base)  # T = +-Q: no line
+                T = _add(T, base)  # T = +-Q: no line
             else:
                 xt, yt = T
                 lam = (yq - yt) * pow(xq - xt, -1, p) % p

@@ -17,8 +17,7 @@ import pytest
 
 from hermes_seal.audit_circuit import (AuditThresholds, ChallengeSet,
                                        Detection, GroundTruth,
-                                       build_audit_circuit, fixture_challenge,
-                                       fixture_detections, make_audit_inputs)
+                                       build_audit_circuit, make_audit_inputs)
 from hermes_seal.cli import main as cli_main
 from hermes_seal.commitment import sponge_hash
 from hermes_seal.field import TEST_FIELD, scale, unscale

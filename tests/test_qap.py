@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schoolbook
-from hermes_seal.field import TEST_FIELD
+from hermes_seal.field import STANDARD_FIELD, TEST_FIELD
 from hermes_seal.qap import (EvaluationDomain, InvalidWitnessError,
                              _quotient, compute_quotient, r1cs_to_qap)
 from hermes_seal.r1cs import CircuitBuilder, pad_to_power_of_two
@@ -172,6 +172,11 @@ def test_r1cs_to_qap_builds_its_domain():
     assert qap.wire_evals_at(5) == explicit.wire_evals_at(5)
     with pytest.raises(ValueError, match="domain size"):
         r1cs_to_qap(cs, EvaluationDomain(2 * cs.n_constraints, cs.field))
+    # every system is over F_q, so a domain over another field is refused
+    # here; its keys would give proofs that never verify
+    assert cs.field is TEST_FIELD
+    with pytest.raises(ValueError, match="field"):
+        r1cs_to_qap(cs, EvaluationDomain(cs.n_constraints, STANDARD_FIELD))
     unpadded = CircuitBuilder()
     for i in range(3):
         unpadded.enforce(unpadded.lc(1), unpadded.lc(1), unpadded.lc(1), f"r{i}")

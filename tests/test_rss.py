@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermes_seal.commitment import commit
-from hermes_seal.field import TEST_FIELD, scale, unscale
+from hermes_seal.field import TEST_FIELD
 from hermes_seal.r1cs import UnsatisfiableError
 from hermes_seal.rss_circuit import (DIST_BITS, PROB_BITS, RHO_DIST,
                                      RSS_CIRCUIT, RssParams, RssScenario,
