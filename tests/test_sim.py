@@ -1,6 +1,8 @@
 """Fleet simulation: template wiring, conservation accounting, determinism,
 replay semantics, and zero adversarial acceptances."""
 
+import hashlib
+
 import pytest
 
 from hermes_seal.v2x_sim import (ADVERSARY_TYPES, SimScenario, TAMPER_FIELDS,
@@ -105,6 +107,18 @@ def test_run_is_byte_deterministic(sim_artifacts):
     assert a.to_text() == b.to_text()
     c = run_scenario(make_scenario("mixed-fleet", seed=14), sim_artifacts)
     assert a.to_text() != c.to_text()
+
+
+# SHA-256 of the concatenated reports of every template at seeds 0-5; a
+# change to the simulator that alters any count or any RNG draw moves it
+REPORTS_SHA256 = ("a16fb72882f8ae6cb523463fb6ca96f4"
+                  "281c21f1be46ce95e1cdf805bb827bb5")
+
+
+def test_reports_pinned():
+    text = "".join(run_scenario(make_scenario(t, seed=s)).to_text()
+                   for t in sorted(TEMPLATES) for s in range(6))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORTS_SHA256
 
 
 def _to_csv(report) -> str:
