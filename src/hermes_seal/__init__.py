@@ -38,7 +38,7 @@ from .protocol import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN, Certificate,
 from .rss_circuit import (RssCircuit, RssParams, RssPublicInputs, RssScenario,
                           RssWitness, build_rss_circuit, evaluate_predicate,
                           make_rss_inputs, parse_scenario, format_scenario,
-                          rss_safe_distance, rss_safe_distance_general)
+                          rss_safe_distance)
 from .audit_circuit import (AuditCircuit, AuditPublicInputs, AuditThresholds,
                             AuditWitness, ChallengeSet, Detection,
                             GroundTruth, build_audit_circuit, greedy_match,

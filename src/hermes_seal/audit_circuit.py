@@ -46,7 +46,6 @@ __all__ = [
     "AuditCircuit",
     "box_area",
     "intersection_area",
-    "iou_compare",
     "greedy_match",
     "check_metrics",
     "off_circuit_sort",
@@ -56,7 +55,6 @@ __all__ = [
     "challenge_digest",
     "digest_to_field",
     "parse_challenge_text",
-    "format_detections",
     "parse_detections",
     "fixture_challenge",
     "fixture_detections",
@@ -165,19 +163,6 @@ def intersection_area(a, b) -> int:
     w = min(a[2], b[2]) - max(a[0], b[0])
     h = min(a[3], b[3]) - max(a[1], b[1])
     return w * h if (w > 0 and h > 0) else 0
-
-
-def iou_compare(box_a, box_b, theta) -> bool:
-    """intersection/union >= theta, cross-multiplied; exact integers.
-
-    A zero-area union (both boxes degenerate) compares as IoU 0: true only
-    for theta = 0."""
-    num, den = theta
-    inter = intersection_area(box_a, box_b)
-    union = box_area(box_a) + box_area(box_b) - inter
-    if union == 0:
-        return num == 0
-    return inter * den >= num * union
 
 
 def _match_image(dets, gts, thresholds: AuditThresholds, rho_prob: int):
@@ -315,16 +300,6 @@ def parse_challenge_text(text: str):
                              rho_prob=int(kv["rho_prob"]),
                              rho_bbox=int(kv["rho_bbox"]))
     return challenge, thresholds
-
-
-def format_detections(per_image) -> str:
-    lines = ["detections v1"]
-    for i, dets in enumerate(per_image):
-        lines.append(f"image {i} dets {len(dets)}")
-        for d in dets:
-            x1, y1, x2, y2 = d.box
-            lines.append(f"det {d.class_id} {d.confidence} {x1} {y1} {x2} {y2}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_detections(text: str):

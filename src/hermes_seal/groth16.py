@@ -37,7 +37,6 @@ from .pairing import G1Element, G2Element, Q, TOY_CURVE_PROFILE, toy_group
 from .qap import QapInstance, compute_quotient
 
 __all__ = [
-    "ToxicWaste",
     "ProvingKey",
     "VerifyingKey",
     "Proof",
@@ -107,19 +106,6 @@ def _point_reader(data: bytes, off: int):
         off += count * pb
         return out
     return read
-
-
-class ToxicWaste:
-    """The five setup trapdoor scalars; zeroize() after use."""
-
-    __slots__ = ("tau", "alpha", "beta", "gamma", "delta")
-
-    def __init__(self, tau, alpha, beta, gamma, delta):
-        self.tau, self.alpha, self.beta = tau, alpha, beta
-        self.gamma, self.delta = gamma, delta
-
-    def zeroize(self):
-        self.tau = self.alpha = self.beta = self.gamma = self.delta = 0
 
 
 class ProvingKey:
@@ -257,12 +243,13 @@ class Proof:
         return cls(a, b, c, data[6:38])
 
 
-def setup(qap: QapInstance, seed=None, return_toxic: bool = False):
+def setup(qap: QapInstance, seed=None):
     """Sample toxic waste and produce (pk, vk) for the circuit behind `qap`.
 
     A seed gives a reproducible ceremony for tests; omit it for fresh
-    randomness.  The toxic waste is zeroized before returning unless
-    `return_toxic` is set (test hook only).
+    randomness.  The trapdoor (tau, alpha, beta, gamma, delta) is never
+    returned or stored in a key; it is not erased either, since Python
+    cannot overwrite an int, and a seeded generator can re-derive it.
     """
     q = Q
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
@@ -274,7 +261,6 @@ def setup(qap: QapInstance, seed=None, return_toxic: bool = False):
     beta = rng.randrange(1, q)
     gamma = rng.randrange(1, q)
     delta = rng.randrange(1, q)
-    toxic = ToxicWaste(tau, alpha, beta, gamma, delta)
 
     a_tau, b_tau, c_tau = qap.wire_evals_at(tau)
     t_tau = qap.domain.eval_vanishing(tau)
@@ -322,9 +308,6 @@ def setup(qap: QapInstance, seed=None, return_toxic: bool = False):
     pk = ProvingKey(digest, l, alpha_g1, beta_g1, delta_g1, beta_g2,
                     delta_g2, a_g1, b_g1, b_g2, k_g1, h_g1)
     vk = VerifyingKey(digest, alpha_g1, beta_g2, gamma_g2, delta_g2, ic)
-    if return_toxic:
-        return pk, vk, toxic
-    toxic.zeroize()
     return pk, vk
 
 

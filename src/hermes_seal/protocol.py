@@ -211,12 +211,11 @@ class EnrollmentAuthority:
 
 @functools.lru_cache(maxsize=8)
 def _artifact_hashes(r1cs_bytes: bytes, vk_bytes: bytes):
-    """(R1CS digest, R1CS hash, VK hash) of one circuit: the SHA-256 that
-    names the circuit in a package and in the verifier's registry, then the
-    two hashes the signed payload carries.  Memoized on the bytes, since a
-    prover or verifier keeps using the same few circuits."""
-    return (hashlib.sha256(r1cs_bytes).digest(),
-            byte_hash(encode(r1cs_bytes, DTypeTag.R1CS)),
+    """(R1CS hash, VK hash) of one circuit, the two hashes the signed
+    payload carries; the R1CS hash also names the circuit in a package and
+    in the verifier's registry.  Memoized on the bytes, since a prover or
+    verifier keeps using the same few circuits."""
+    return (byte_hash(encode(r1cs_bytes, DTypeTag.R1CS)),
             byte_hash(encode(vk_bytes, DTypeTag.VK)))
 
 
@@ -231,8 +230,8 @@ def assemble_payload(sign_domain: DomainSeparator, r1cs_bytes: bytes,
     them as `artifact_hashes`; `r1cs_bytes` and `vk_bytes` are then not
     read.
     """
-    _, r1cs_hash, vk_hash = artifact_hashes or _artifact_hashes(r1cs_bytes,
-                                                                vk_bytes)
+    r1cs_hash, vk_hash = artifact_hashes or _artifact_hashes(r1cs_bytes,
+                                                             vk_bytes)
     return b"".join([
         encode(sign_domain.value, DTypeTag.CTX),
         r1cs_hash,

@@ -47,7 +47,6 @@ __all__ = [
     "RssWitness",
     "RssCircuit",
     "rss_safe_distance",
-    "rss_safe_distance_general",
     "evaluate_predicate",
     "build_rss_circuit",
     "make_rss_inputs",
@@ -69,24 +68,19 @@ DIST_BITS = 32       # comparator width for scaled distances
 
 @dataclasses.dataclass
 class RssParams:
-    """Inputs to the safe-distance formula (general five-term form)."""
+    """Inputs to the safe-distance formula (stationary front object)."""
     v: float                  # rear/ego speed, m/s
     t_rec: float = 1.0        # reaction time, s
     mu: float = 0.75          # road friction coefficient
     g: float = 9.81           # gravity, m/s^2
-    alpha_max: float = 0.0    # max acceleration during reaction
     beta_min: float = None    # min braking (defaults to mu*g)
-    beta_max: float = None    # front object's max braking
-    v_f: float = 0.0          # front object speed
 
     def __post_init__(self):
-        for name in ("v", "t_rec", "mu", "g", "alpha_max", "v_f"):
+        for name in ("v", "t_rec", "mu", "g"):
             if getattr(self, name) < 0:
                 raise ValueError(f"RSS parameter {name} must be non-negative")
         if self.beta_min is None:
             self.beta_min = self.mu * self.g
-        if self.beta_max is None:
-            self.beta_max = self.beta_min
         if self.beta_min <= 0:
             raise ValueError("minimum braking capacity must be positive")
 
@@ -97,18 +91,6 @@ def rss_safe_distance(params: RssParams) -> float:
     if params.beta_min <= 0:
         raise ValueError("minimum braking capacity must be positive")
     return params.v * params.t_rec + params.v ** 2 / (2 * params.beta_min)
-
-
-def rss_safe_distance_general(params: RssParams) -> float:
-    """Full five-term longitudinal safe distance, clamped at zero."""
-    if params.beta_min <= 0 or params.beta_max <= 0:
-        raise ValueError("braking capacities must be positive")
-    rho = params.t_rec
-    d = (params.v * rho
-         + params.alpha_max * rho ** 2 / 2
-         + (params.v + rho * params.alpha_max) ** 2 / (2 * params.beta_min)
-         - params.v_f ** 2 / (2 * params.beta_max))
-    return max(0.0, d)
 
 
 def evaluate_predicate(pr: int, theta: int, d_current: int, d_safe: int) -> int:

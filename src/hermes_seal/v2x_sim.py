@@ -17,11 +17,13 @@ Adversary types:
     re-envelope      the prover re-signs its own package, once stale, under a
                      fresh timestamp, nonce and commitment
 
-Each adversarial delivery records the verifier's reject reason; an
-acceptance that violates protocol guarantees counts as an attack success
-(the report's `attack_successes` must be zero).  A replayed package
-arriving at a verifier that never saw the original is *expected* to be
-accepted -- nonce stores are per-verifier -- and is not a success.
+Every delivery is one event (time, seq, verifier, package bytes, attack),
+with `attack` None for a genuine one, and one loop decodes, verifies and
+counts them all.  An adversarial reject must name a stage the attack
+expects; an acceptance that violates protocol guarantees counts as an
+attack success (the report's `attack_successes` must be zero).  A replayed
+package arriving at a verifier that never saw the original is *expected*
+to be accepted -- nonce stores are per-verifier -- and is not a success.
 
 The simulator drives the library APIs directly (no subprocesses).
 """
@@ -31,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import heapq
+import itertools
 import random
 
 from .field import FieldElement, NONCE_BYTES, TEST_FIELD
@@ -145,12 +148,11 @@ class SimArtifacts:
     circuit and ceremony are scenario-independent, so building them once is
     sound)."""
 
-    def __init__(self, seed: int = 2024):
-        self.field = TEST_FIELD
+    def __init__(self):
         self.circuit = build_rss_circuit(include_commitment=False)
         cs = self.circuit.cs
         self.qap = r1cs_to_qap(cs)
-        self.pk, self.vk = setup(self.qap, seed=seed)
+        self.pk, self.vk = setup(self.qap, seed=2024)
         self.r1cs_bytes = cs.to_bytes()
         self.vk_bytes = self.vk.to_bytes()
 
@@ -216,9 +218,9 @@ class SimReport:
 # -- package mutations (adversary toolbox) ------------------------------------
 
 
-def _mutate_package(pkg: ProofPackage, what: str, field=TEST_FIELD) -> bytes:
-    """Return package bytes with exactly one field altered."""
-    p = ProofPackage.from_bytes(pkg.to_bytes(field), field)  # private copy
+def _mutate_package(raw: bytes, what: str) -> bytes:
+    """Return the package `raw` with exactly one field altered."""
+    p = ProofPackage.from_bytes(raw)
 
     def flip(data: bytes, at: int) -> bytes:
         return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
@@ -229,9 +231,9 @@ def _mutate_package(pkg: ProofPackage, what: str, field=TEST_FIELD) -> bytes:
         # flip the claimed outcome bit (last public input)
         p.public_inputs[-1] ^= 1
     elif what == "alias":
-        p.public_inputs[-1] += field.p
+        p.public_inputs[-1] += TEST_FIELD.p
     elif what == "commit":
-        p.commitment = FieldElement(p.commitment.value + 1, field)
+        p.commitment = FieldElement(p.commitment.value + 1, TEST_FIELD)
     elif what == "sig":
         p.signature = flip(p.signature, 0)
     elif what == "vk_sig":
@@ -249,16 +251,16 @@ def _mutate_package(pkg: ProofPackage, what: str, field=TEST_FIELD) -> bytes:
                          else RSS_SIGN_DOMAIN)
     else:
         raise ValueError(f"unknown tamper field {what!r}")
-    return p.to_bytes(field)
+    return p.to_bytes()
 
 
 # -- the event loop ------------------------------------------------------------
 
 
-def run_scenario(scenario: SimScenario,
-                 artifacts: SimArtifacts = None) -> SimReport:
-    art = artifacts or default_artifacts()
-    field = art.field
+def run_scenario(scenario: SimScenario) -> SimReport:
+    """Run one scenario over the shared `default_artifacts()`: schedule
+    every delivery as one event, then drain them all through one path."""
+    art = default_artifacts()
     rng = random.Random(scenario.seed)
     report = SimReport(scenario.template, scenario.seed)
 
@@ -271,39 +273,38 @@ def run_scenario(scenario: SimScenario,
         provers.append((kp, cert))
 
     verifiers = []
-    local_maps = []
     for _ in range(scenario.n_verifiers):
         vs = VerifierState(ea.root_pk_bytes,
                            freshness_window=scenario.freshness_window)
         vs.register_circuit(art.r1cs_bytes, art.vk)
         verifiers.append(vs)
-        local_maps.append({})
 
-    # build the honest broadcast schedule (packages proven up front, in a
-    # fixed order, so RNG consumption stays deterministic)
-    events = []   # heap of (time, seq, kind, payload)
-    seq = 0
+    # every push precedes the first pop, so the heap's size is the
+    # insertion counter that breaks ties between equal times
+    events = []   # heap of (time, seq, verifier, package bytes, attack)
 
-    def push(t, kind, payload):
-        nonlocal seq
-        heapq.heappush(events, (t, seq, kind, payload))
-        seq += 1
+    def push(t, v, raw, attack=None):
+        if attack is not None:
+            report.adversarial_attempted += 1
+        heapq.heappush(events, (t, len(events), v, raw, attack))
 
+    # the honest broadcast schedule (packages proven up front, in a fixed
+    # order, so RNG consumption stays deterministic)
     driving = RssScenario()
-    broadcasts = []   # (time, package_bytes)
+    broadcasts = []   # (time, package bytes, prover keypair)
     for k in range(scenario.n_broadcasts):
         t = (k + 1) * scenario.broadcast_period
         for kp, cert in provers:
             driving.timestamp = t
             publics, witness, nonce = make_rss_inputs(
                 driving, nonce=rng.randbytes(NONCE_BYTES),
-                s_sec=rng.randrange(field.p), circuit=art.circuit, field=field)
+                s_sec=rng.randrange(TEST_FIELD.p), circuit=art.circuit)
             full = art.circuit.generate_witness(publics, witness)
             pkg = create_package(
-                art.pk, art.qap, full, FieldElement(publics.c, field), kp,
-                cert, art.vk_bytes, art.r1cs_bytes, t, RSS_SIGN_DOMAIN,
+                art.pk, art.qap, full, FieldElement(publics.c, TEST_FIELD),
+                kp, cert, art.vk_bytes, art.r1cs_bytes, t, RSS_SIGN_DOMAIN,
                 nonce=nonce, proof_seed=rng.getrandbits(64))
-            raw = pkg.to_bytes(field)
+            raw = pkg.to_bytes()
             broadcasts.append((t, raw, kp))
             report.broadcasts += 1
             for v in range(scenario.n_verifiers):
@@ -311,87 +312,62 @@ def run_scenario(scenario: SimScenario,
                 if rng.random() < scenario.drop_prob:
                     report.dropped += 1
                     continue
-                latency = rng.randint(scenario.latency_min,
-                                      scenario.latency_max)
-                push(t + latency, "genuine", (v, raw))
+                push(t + rng.randint(scenario.latency_min,
+                                     scenario.latency_max), v, raw)
 
     # adversaries observe every on-air broadcast and schedule injections
-    tamper_cycle = 0
+    tamper_fields = itertools.cycle(TAMPER_FIELDS)
     for adv in scenario.adversaries:
         for t, raw, kp in broadcasts:
             if adv == "replay":
                 for v in range(scenario.n_verifiers):
-                    report.adversarial_attempted += 1
-                    push(t + scenario.latency_max + 1, "attack",
-                         (v, raw, "replay"))
-            elif adv == "stale-timestamp":
-                v = rng.randrange(scenario.n_verifiers)
-                report.adversarial_attempted += 1
-                push(t + scenario.freshness_window + 10, "attack",
-                     (v, raw, "stale-timestamp"))
+                    push(t + scenario.latency_max + 1, v, raw, adv)
+                continue
+            v = rng.randrange(scenario.n_verifiers)
+            if adv == "stale-timestamp":
+                push(t + scenario.freshness_window + 10, v, raw, adv)
             elif adv == "cross-context":
-                v = rng.randrange(scenario.n_verifiers)
-                pkg = ProofPackage.from_bytes(raw, field)
-                report.adversarial_attempted += 1
-                push(t + scenario.latency_max + 2, "attack",
-                     (v, _mutate_package(pkg, "ctx", field), "cross-context"))
+                push(t + scenario.latency_max + 2, v,
+                     _mutate_package(raw, "ctx"), adv)
             elif adv == "tamper":
-                what = TAMPER_FIELDS[tamper_cycle % len(TAMPER_FIELDS)]
-                tamper_cycle += 1
-                v = rng.randrange(scenario.n_verifiers)
-                pkg = ProofPackage.from_bytes(raw, field)
-                report.adversarial_attempted += 1
-                push(t + scenario.latency_max + 3, "attack",
-                     (v, _mutate_package(pkg, what, field), f"tamper:{what}"))
-            elif adv == "re-envelope":
-                v = rng.randrange(scenario.n_verifiers)
-                pkg = ProofPackage.from_bytes(raw, field)
+                what = next(tamper_fields)
+                push(t + scenario.latency_max + 3, v,
+                     _mutate_package(raw, what), f"tamper:{what}")
+            else:   # re-envelope
+                pkg = ProofPackage.from_bytes(raw)
                 pkg.timestamp = t + scenario.freshness_window + 10
                 pkg.nonce = rng.randbytes(NONCE_BYTES)
-                pkg.commitment = FieldElement(rng.randrange(field.p), field)
+                pkg.commitment = FieldElement(rng.randrange(TEST_FIELD.p),
+                                              TEST_FIELD)
                 pkg.signature = schnorr_sign(kp, assemble_payload(
                     pkg.sign_domain, art.r1cs_bytes, art.vk_bytes,
                     pkg.cert_bytes, pkg.proof_bytes, pkg.commitment,
                     pkg.timestamp, pkg.nonce))
-                report.adversarial_attempted += 1
-                push(pkg.timestamp, "attack",
-                     (v, pkg.to_bytes(field), "re-envelope"))
+                push(pkg.timestamp, v, pkg.to_bytes(), adv)
 
     # drain the bus in (time, insertion) order
-    seen_nonces = [set() for _ in range(scenario.n_verifiers)]
+    seen_nonces = [set() for _ in verifiers]
+    local_maps = [set() for _ in verifiers]   # object IDs on each map
     while events:
-        now, _, kind, payload = heapq.heappop(events)
-        if kind == "genuine":
-            v, raw = payload
-            pkg = ProofPackage.from_bytes(raw, field)
-            accepted, reason = verifiers[v].verify_package(pkg, now=now)
-            report.delivered += 1
-            if accepted:
-                report.accepts += 1
-                seen_nonces[v].add(pkg.nonce)
-                if scenario.local_map_update:
-                    obj_id = pkg.public_inputs[1]
-                    if obj_id not in local_maps[v]:
-                        local_maps[v][obj_id] = True
-                        report.map_updates += 1
-            else:
-                report.rejects[reason] = report.rejects.get(reason, 0) + 1
-        else:
-            v, raw, attack = payload
-            report.delivered += 1
-            report.attack_attempts += 1
-            pkg = ProofPackage.from_bytes(raw, field)
-            accepted, reason = verifiers[v].verify_package(pkg, now=now)
-            if accepted:
-                if attack == "replay" and pkg.nonce not in seen_nonces[v]:
-                    # the verifier never saw the original: benign by design
-                    report.accepts += 1
-                    seen_nonces[v].add(pkg.nonce)
-                else:
-                    report.accepts += 1
-                    report.attack_successes += 1
-            else:
-                report.rejects[reason] = report.rejects.get(reason, 0) + 1
-                if reason not in _EXPECTED_REASONS[attack]:
-                    report.unexpected_reasons += 1
+        now, _, v, raw, attack = heapq.heappop(events)
+        pkg = ProofPackage.from_bytes(raw)
+        accepted, reason = verifiers[v].verify_package(pkg, now=now)
+        report.delivered += 1
+        report.attack_attempts += attack is not None
+        if not accepted:
+            report.rejects[reason] = report.rejects.get(reason, 0) + 1
+            if attack is not None and reason not in _EXPECTED_REASONS[attack]:
+                report.unexpected_reasons += 1
+            continue
+        report.accepts += 1
+        # a replay at a verifier that never saw the original is benign
+        if attack is not None and (attack != "replay"
+                                   or pkg.nonce in seen_nonces[v]):
+            report.attack_successes += 1
+            continue
+        seen_nonces[v].add(pkg.nonce)
+        if attack is None and scenario.local_map_update:
+            obj_id = pkg.public_inputs[1]
+            report.map_updates += obj_id not in local_maps[v]
+            local_maps[v].add(obj_id)
     return report

@@ -11,12 +11,13 @@ from hermes_seal.audit_circuit import (AuditThresholds, ChallengeSet,
                                        box_area, build_audit_circuit,
                                        canonical_text, challenge_digest,
                                        check_metrics, fixture_challenge,
-                                       fixture_detections, format_detections,
-                                       greedy_match, intersection_area,
-                                       iou_compare, make_audit_inputs,
+                                       fixture_detections, greedy_match,
+                                       intersection_area, make_audit_inputs,
                                        off_circuit_sort, parse_challenge_text,
                                        parse_detections)
 from hermes_seal.r1cs import UnsatisfiableError
+
+from audit_text import format_detections
 
 boxes = st.tuples(st.integers(0, 2000), st.integers(0, 2000),
                   st.integers(0, 2000), st.integers(0, 2000)).map(
@@ -32,6 +33,19 @@ def _float_iou(a, b):
              * max(0, min(a[3], b[3]) - max(a[1], b[1])))
     union = box_area(a) + box_area(b) - inter
     return inter / union if union else 0.0
+
+
+def iou_compare(box_a, box_b, theta) -> bool:
+    """intersection/union >= theta, cross-multiplied; exact integers.
+
+    A zero-area union (both boxes degenerate) compares as IoU 0: true only
+    for theta = 0."""
+    num, den = theta
+    inter = intersection_area(box_a, box_b)
+    union = box_area(box_a) + box_area(box_b) - inter
+    if union == 0:
+        return num == 0
+    return inter * den >= num * union
 
 
 @given(boxes, boxes)

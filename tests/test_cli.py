@@ -9,13 +9,14 @@ import shutil
 import pytest
 
 from hermes_seal.audit_circuit import (AuditThresholds, ChallengeSet,
-                                       Detection, GroundTruth,
-                                       canonical_text, format_detections)
+                                       Detection, GroundTruth, canonical_text)
 from hermes_seal.cli import main
 from hermes_seal.field import nonce_to_field
 from hermes_seal.protocol import (ProofPackage, SignatureKeypair,
                                   assemble_payload, schnorr_sign, toy_group)
 from hermes_seal.rss_circuit import RssScenario, format_scenario
+
+from audit_text import format_detections
 
 
 @pytest.fixture(scope="module")

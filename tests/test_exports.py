@@ -1,10 +1,13 @@
 """Every name a `hermes_seal` module lists in `__all__` exists, the
-package's star import works, and no file imports a name it never uses, so a
-deletion that leaves a stale export or import fails here in seconds."""
+package's star import works, no file imports a name it never uses, and
+every public function or class in `src/` has a caller outside the tests, so
+a deletion that leaves a stale export or import, or code only tests use,
+fails here in seconds."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,30 @@ def _unused_imports(source: str) -> list:
 def test_no_unused_imports(path):
     unused = _unused_imports((ROOT / path).read_text())
     assert not unused, f"{path} imports {unused} but never uses them"
+
+
+# the non-test callers: the package, the demos, the benchmark harness, the
+# README and the release criteria
+CALLERS = sorted([f for d in ("src", "demos", "perfbench")
+                  for f in (ROOT / d).rglob("*.py") if f.name != "__init__.py"]
+                 + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def test_src_names_have_a_caller():
+    defined = {}
+    for f in (ROOT / "src").rglob("*.py"):
+        for node in ast.parse(f.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[node.name] = f.name
+    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for f in CALLERS:
+        for top in ast.parse(f.read_text()).body:
+            own = getattr(top, "name", None)   # a definition is no caller
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name and name != own:
+                    used.add(name)
+    orphans = sorted(f"{defined[n]}:{n}" for n in defined if n not in used)
+    assert not orphans, f"only tests call {orphans}; move them to tests/"

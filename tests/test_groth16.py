@@ -206,14 +206,6 @@ def test_verify_checks_digest(cubic):
     assert not verify(vk, bad, cs.public_inputs(w))
 
 
-def test_toxic_waste_zeroized(cubic):
-    cs, qap, pk, vk, x, y = cubic
-    pk2, vk2, toxic = setup(qap, seed=8, return_toxic=True)
-    toxic.zeroize()
-    assert toxic.tau == toxic.alpha == toxic.beta == 0
-    assert toxic.gamma == toxic.delta == 0
-
-
 def test_golden_proof_cubic(cubic):
     cs, qap, pk, vk, x, y = cubic
     w = cs.generate_witness({x: 30, y: 3})

@@ -3,7 +3,6 @@ agreement, input scaling, and the scenario text format."""
 
 import collections
 import dataclasses
-import math
 import random
 
 import pytest
@@ -18,8 +17,7 @@ from hermes_seal.rss_circuit import (DIST_BITS, PROB_BITS, RHO_DIST,
                                      evaluate_predicate,
                                      format_scenario, make_rss_inputs,
                                      nonce_to_field, parse_scenario,
-                                     rss_safe_distance,
-                                     rss_safe_distance_general)
+                                     rss_safe_distance)
 
 
 # -- formula ------------------------------------------------------------------
@@ -33,19 +31,6 @@ def test_safe_distance_reference_values():
     assert abs(reaction - 13.41) <= 0.01
     assert abs(braking - 12.22) <= 0.01
     assert abs(rss_safe_distance(params) - 25.63) <= 0.05
-
-
-def test_general_formula_reduces_to_simple():
-    params = RssParams(v=20.0, t_rec=0.8, mu=0.6, g=9.81)
-    assert math.isclose(rss_safe_distance_general(params),
-                        rss_safe_distance(params))
-
-
-def test_general_formula_clamped_at_zero():
-    # fast front vehicle, slow ego: raw value negative, clamp to 0
-    params = RssParams(v=1.0, t_rec=0.1, mu=0.9, g=9.81, v_f=30.0,
-                       beta_max=3.0)
-    assert rss_safe_distance_general(params) == 0.0
 
 
 @given(st.floats(min_value=0, max_value=60, allow_nan=False),

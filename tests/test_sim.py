@@ -6,13 +6,7 @@ import hashlib
 import pytest
 
 from hermes_seal.v2x_sim import (ADVERSARY_TYPES, SimScenario, TAMPER_FIELDS,
-                                 TEMPLATES, default_artifacts, make_scenario,
-                                 run_scenario)
-
-
-@pytest.fixture(scope="module")
-def sim_artifacts():
-    return default_artifacts()
+                                 TEMPLATES, make_scenario, run_scenario)
 
 
 def test_templates_shape():
@@ -37,28 +31,27 @@ def test_scenario_validation():
         SimScenario(latency_max=6000)
 
 
-def test_lossless_relay_accepts_everything(sim_artifacts):
+def test_lossless_relay_accepts_everything():
     # 1 prover, 3 verifiers, no loss, no adversary: every delivery accepted
     s = make_scenario("replay-storm", seed=3, n_broadcasts=10,
                       drop_prob=0.0, adversaries=())
-    report = run_scenario(s, sim_artifacts)
+    report = run_scenario(s)
     assert report.broadcasts == 10
     assert report.accepts == 30
     assert report.total_rejects == 0 and report.dropped == 0
     assert report.conserved()
 
 
-def test_occluded_stop_sign_updates_local_map(sim_artifacts):
-    report = run_scenario(make_scenario("occluded-stop-sign", seed=5),
-                          sim_artifacts)
+def test_occluded_stop_sign_updates_local_map():
+    report = run_scenario(make_scenario("occluded-stop-sign", seed=5))
     assert report.accepts == 1
     assert report.map_updates == 1
     assert report.conserved()
 
 
-def test_replay_storm_semantics(sim_artifacts):
+def test_replay_storm_semantics():
     s = make_scenario("replay-storm", seed=8)
-    report = run_scenario(s, sim_artifacts)
+    report = run_scenario(s)
     assert report.attack_attempts == s.n_broadcasts * s.n_verifiers
     assert report.attack_successes == 0
     assert report.unexpected_reasons == 0
@@ -69,22 +62,22 @@ def test_replay_storm_semantics(sim_artifacts):
     assert report.conserved()
 
 
-def test_tamper_cycle_covers_every_field(sim_artifacts):
+def test_tamper_cycle_covers_every_field():
     s = make_scenario("mixed-fleet", seed=2,
                       adversaries=("tamper",),
                       n_broadcasts=len(TAMPER_FIELDS), n_provers=1,
                       drop_prob=0.0)
-    report = run_scenario(s, sim_artifacts)
+    report = run_scenario(s)
     assert report.attack_attempts == len(TAMPER_FIELDS)
     assert report.attack_successes == 0
     assert report.unexpected_reasons == 0
     assert report.conserved()
 
 
-def test_re_envelope_rejected_at_binding(sim_artifacts):
+def test_re_envelope_rejected_at_binding():
     s = make_scenario("mixed-fleet", seed=4, adversaries=("re-envelope",),
                       drop_prob=0.0)
-    report = run_scenario(s, sim_artifacts)
+    report = run_scenario(s)
     assert report.attack_attempts == s.n_provers * s.n_broadcasts
     assert report.rejects.get("binding") == report.attack_attempts
     assert report.attack_successes == 0 and report.unexpected_reasons == 0
@@ -92,20 +85,19 @@ def test_re_envelope_rejected_at_binding(sim_artifacts):
 
 
 @pytest.mark.parametrize("template", sorted(TEMPLATES))
-def test_templates_never_accept_attacks(template, sim_artifacts):
+def test_templates_never_accept_attacks(template):
     for seed in range(5):
-        report = run_scenario(make_scenario(template, seed=seed),
-                              sim_artifacts)
+        report = run_scenario(make_scenario(template, seed=seed))
         assert report.attack_successes == 0, (template, seed)
         assert report.unexpected_reasons == 0, (template, seed)
         assert report.conserved(), (template, seed)
 
 
-def test_run_is_byte_deterministic(sim_artifacts):
-    a = run_scenario(make_scenario("mixed-fleet", seed=13), sim_artifacts)
-    b = run_scenario(make_scenario("mixed-fleet", seed=13), sim_artifacts)
+def test_run_is_byte_deterministic():
+    a = run_scenario(make_scenario("mixed-fleet", seed=13))
+    b = run_scenario(make_scenario("mixed-fleet", seed=13))
     assert a.to_text() == b.to_text()
-    c = run_scenario(make_scenario("mixed-fleet", seed=14), sim_artifacts)
+    c = run_scenario(make_scenario("mixed-fleet", seed=14))
     assert a.to_text() != c.to_text()
 
 
@@ -127,9 +119,8 @@ def _to_csv(report) -> str:
     return "\n".join(["metric,value"] + rows) + "\n"
 
 
-def test_report_formats(sim_artifacts):
-    report = run_scenario(make_scenario("occluded-stop-sign", seed=1),
-                          sim_artifacts)
+def test_report_formats():
+    report = run_scenario(make_scenario("occluded-stop-sign", seed=1))
     text, csv = report.to_text(), _to_csv(report)
     assert "accepts 1" in text and "conserved True" in text
     assert csv.splitlines()[0] == "metric,value"
