@@ -402,3 +402,119 @@ def test_audit_prove_verify_open(audit_workspace, capfd):
                 "--identity-dir", ws / "id", "--out", ws / "x.bin",
                 "--seed", "1"]) == 2
     assert "--detections is required" in capfd.readouterr().err
+
+
+# -- the whole `verify` output, one case per outcome ---------------------------
+
+_VERIFY_LINES = ["context", "certificate", "circuit-registered", "signature",
+                 "binding", "freshness", "nonce", "proof"]
+
+
+def _expected_verify_output(fail_stage, printed):
+    """Every stage before `fail_stage` passes, then it fails and the verdict
+    is reject; with no failing stage all pass and the verdict is accept."""
+    if fail_stage is None:
+        return "".join(f"{s} PASS\n" for s in _VERIFY_LINES) + "accept\n"
+    passed = _VERIFY_LINES[:_VERIFY_LINES.index(fail_stage)]
+    return ("".join(f"{s} PASS\n" for s in passed)
+            + f"{fail_stage} FAIL {printed}\nreject\n")
+
+
+def _case_package(workspace, tmp_path, identity):
+    pkg = tmp_path / "pkg.bin"
+    assert run(["prove", "--circuit", "rss",
+                "--circuit-dir", workspace / "keys", "--identity-dir", identity,
+                "--scenario", workspace / "scn.txt", "--out", pkg,
+                "--now", "1000", "--seed", "21"]) == 0
+    return pkg
+
+
+def _rewrite(pkg, edit):
+    package = ProofPackage.from_bytes(pkg.read_bytes())
+    edit(package)
+    pkg.write_bytes(package.to_bytes())
+
+
+def _provision(workspace, tmp_path, *extra):
+    # the workspace's seed and vid: same EA root and vehicle key
+    assert run(["provision", "--identity-dir", tmp_path / "id",
+                "--state-dir", tmp_path / "state", "--seed", "9",
+                "--vid", "42", *extra]) == 0
+    return tmp_path / "id", tmp_path / "state"
+
+
+def _re_sign(workspace):
+    keys = workspace / "keys"
+    group = toy_group()
+    sk = int.from_bytes((workspace / "id" / "vehicle.sk").read_bytes(),
+                        "little")
+    keypair = SignatureKeypair(sk, group.scalar_mul_g1(sk, group.g1))
+
+    def edit(pkg):
+        pkg.timestamp += 1
+        pkg.signature = schnorr_sign(keypair, assemble_payload(
+            pkg.sign_domain, (keys / "rss.r1cs").read_bytes(),
+            (keys / "rss.vk").read_bytes(), pkg.cert_bytes, pkg.proof_bytes,
+            pkg.commitment, pkg.timestamp, pkg.nonce))
+    return edit
+
+
+def _flip_signature_byte(pkg):
+    pkg.signature = bytes([pkg.signature[0] ^ 1]) + pkg.signature[1:]
+
+
+def _flip_last_public(pkg):
+    # SAFE: not in the signed envelope and not bound to it
+    pkg.public_inputs[-1] ^= 1
+
+
+VERIFY_CASES = [
+    ("accept", None, None),
+    ("context", "context", "context-mismatch"),
+    ("certificate", "certificate", "certificate-invalid"),
+    ("unregistered", "circuit-registered", "unknown-circuit"),
+    ("signature", "signature", "signature-invalid"),
+    ("binding", "binding", "envelope-mismatch"),
+    ("freshness", "freshness", "stale-timestamp"),
+    ("nonce", "nonce", "nonce-replay"),
+    ("proof", "proof", "proof-invalid"),
+]
+
+
+@pytest.mark.parametrize("case,fail_stage,printed", VERIFY_CASES,
+                         ids=[c[0] for c in VERIFY_CASES])
+def test_verify_output_pinned(workspace, tmp_path, capfd, case, fail_stage,
+                              printed):
+    vk, now = workspace / "keys" / "rss.vk", 1001
+    identity, state = workspace / "id", tmp_path / "state"
+    if case == "certificate":
+        identity, state = _provision(
+            workspace, tmp_path, "--circuit-dir", workspace / "keys",
+            "--valid-to", "999")
+    elif case == "unregistered":
+        identity, state = _provision(workspace, tmp_path)
+    else:
+        shutil.copytree(workspace / "state", state)
+    pkg = _case_package(workspace, tmp_path, identity)
+    if case == "context":
+        raw = bytearray(vk.read_bytes())
+        raw[6] ^= 1                      # first byte of the circuit digest
+        vk = tmp_path / "foreign.vk"
+        vk.write_bytes(bytes(raw))
+    elif case == "signature":
+        _rewrite(pkg, _flip_signature_byte)
+    elif case == "binding":
+        _rewrite(pkg, _re_sign(workspace))
+    elif case == "freshness":
+        now += 300
+    elif case == "proof":
+        _rewrite(pkg, _flip_last_public)
+    verify = ["verify", "--vk", vk, "--package", pkg, "--state-dir", state,
+              "--now", now]
+    if case == "nonce":
+        assert run(verify) == 0
+    capfd.readouterr()
+    code = run(verify)
+    assert capfd.readouterr().out == \
+        _expected_verify_output(fail_stage, printed)
+    assert code == (0 if fail_stage is None else 1)
