@@ -20,8 +20,8 @@ A verifier state directory (created by `provision`) holds:
                        lines are read as nonce_to_field(nonce))
 The state directory for `verify` may also be supplied via the
 HERMES_SEAL_STATE_DIR environment variable.  `verify` prints one PASS/FAIL
-line per stage, in order: context, certificate, circuit-registered,
-signature, binding, freshness, nonce, proof.
+line per stage: context, then the stages of `protocol.REJECT_STAGES` in
+order, up to the first that fails.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ from .commitment import sponge_hash
 from .field import (DTypeTag, FieldElement, NONCE_BYTES, STANDARD_FIELD,
                     TEST_FIELD, encode, nonce_to_field)
 from .groth16 import ProvingKey, VerifyingKey, prove, setup, verify
-from .protocol import (CIRCUITS, Certificate, EnrollmentAuthority,
-                       ProofPackage, SignatureKeypair, VerifierState,
-                       audit_open, create_package, schnorr_keygen, toy_group)
+from .protocol import (CIRCUITS, REJECT_STAGES, Certificate,
+                       EnrollmentAuthority, ProofPackage, SignatureKeypair,
+                       VerifierState, audit_open, create_package,
+                       schnorr_keygen, toy_group)
 from .qap import r1cs_to_qap
 from .r1cs import R1csError, UnsatisfiableError
 from .rss_circuit import RssScenario, build_rss_circuit, make_rss_inputs
@@ -49,19 +50,6 @@ __all__ = ["main", "cmd_setup", "cmd_prove", "cmd_verify", "cmd_audit_open",
            "cmd_bench", "cmd_vectors", "cmd_provision", "STATE_DIR_ENV"]
 
 STATE_DIR_ENV = "HERMES_SEAL_STATE_DIR"
-
-_VERIFY_STAGES = ["certificate", "circuit-registered", "signature",
-                  "binding", "freshness", "nonce", "proof"]
-# library reason -> (stage, printed reason)
-_REASON_TABLE = {
-    "certificate": ("certificate", "certificate-invalid"),
-    "unknown_circuit": ("circuit-registered", "unknown-circuit"),
-    "signature": ("signature", "signature-invalid"),
-    "binding": ("binding", "envelope-mismatch"),
-    "freshness": ("freshness", "stale-timestamp"),
-    "replay": ("nonce", "nonce-replay"),
-    "proof": ("proof", "proof-invalid"),
-}
 
 
 class CliError(Exception):
@@ -258,20 +246,16 @@ def cmd_verify(args) -> int:
     print("context PASS")
     state = _load_state(state_dir)
     accepted, reason = state.verify_package(package, now=args.now)
-    if accepted:
-        for stage in _VERIFY_STAGES:
-            print(f"{stage} PASS")
-        _save_nonces(state_dir, state)
-        print("accept")
-        return 0
-    fail_stage, printed = _REASON_TABLE[reason]
-    for stage in _VERIFY_STAGES:
-        if stage == fail_stage:
+    failed = None if accepted else REJECT_STAGES[reason]
+    for stage, printed in REJECT_STAGES.values():
+        if (stage, printed) == failed:
             print(f"{stage} FAIL {printed}")
-            break
+            print("reject")
+            return 1
         print(f"{stage} PASS")
-    print("reject")
-    return 1
+    _save_nonces(state_dir, state)
+    print("accept")
+    return 0
 
 
 # -- audit-open ----------------------------------------------------------------

@@ -150,15 +150,14 @@ def sponge_permutation(state, params: SpongeParameters):
 
 
 def sponge_hash(inputs, field: PrimeModulus = TEST_FIELD) -> FieldElement:
-    """Variable-length hash of field elements/ints to one field element.
+    """Variable-length hash of ints to one field element.
 
     The input length is bound into the initial capacity element, so inputs
     of different lengths never collide via zero-padding.
     """
     params = sponge_parameters(field)
     p = field.p
-    vals = [x.value if isinstance(x, FieldElement) else int(x) % p
-            for x in inputs]
+    vals = [int(x) % p for x in inputs]
     state = [0, 0, len(vals) % p]
     for i in range(0, len(vals), RATE):
         chunk = vals[i:i + RATE]

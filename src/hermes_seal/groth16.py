@@ -345,8 +345,7 @@ def verify(vk: VerifyingKey, proof: Proof, public_inputs) -> bool:
     A and C get `in_subgroup_g1`; B's check comes from the Miller loop over
     B (`checked_lines`), which ends at q*B.  IC(x) is summed from the key's
     fixed-base tables."""
-    inputs = [x.value if hasattr(x, "value") else int(x)
-              for x in public_inputs]
+    inputs = [int(x) for x in public_inputs]
     if len(inputs) != vk.n_public:
         return False
     if not all(0 <= x < Q for x in inputs):

@@ -13,10 +13,10 @@ Signatures are Schnorr over G1 of the toolkit's one pairing group
 (`pairing.toy_group()`), so keypairs, the enrollment authority and the
 verifier state hold no group of their own.
 
-Verification order (cheapest/most-diagnostic first):
-    1. certificate chain,  2. circuit registered,  3. signature,
-    4. binding: public delta_commit, T, nu, c restate the signed envelope,
-    5. timestamp freshness,  6. nonce replay,  7. zk proof.
+`VerifierState.verify_package` runs its checks cheapest and most diagnostic
+first, in the order of `REJECT_STAGES`, which also names what the `verify`
+command prints for each.  The binding check asks that the public
+delta_commit, T, nu and c restate the signed envelope.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "audit_open",
     "ProtocolError",
     "DEFAULT_FRESHNESS_WINDOW",
+    "REJECT_STAGES",
     "CIRCUITS",
     "CIRCUITS_BY_SIGN_DOMAIN",
 ]
@@ -376,6 +377,19 @@ def create_package(pk, qap, witness, commitment_value: FieldElement,
     return ProofPackage(proof_bytes, publics, commitment_value, signature,
                         keypair.pk_bytes(), cert_bytes, hashes[0], timestamp,
                         nonce, sign_domain)
+
+
+# verify_package's reject reasons in the order it checks them ->
+# (stage, printed reason) as the `verify` command reports them
+REJECT_STAGES = {
+    "certificate": ("certificate", "certificate-invalid"),
+    "unknown_circuit": ("circuit-registered", "unknown-circuit"),
+    "signature": ("signature", "signature-invalid"),
+    "binding": ("binding", "envelope-mismatch"),
+    "freshness": ("freshness", "stale-timestamp"),
+    "replay": ("nonce", "nonce-replay"),
+    "proof": ("proof", "proof-invalid"),
+}
 
 
 class VerifierState:

@@ -163,7 +163,7 @@ class ConstraintSystem:
     def generate_witness(self, assignments: dict) -> Witness:
         """Solve all wires from the input assignment; error if unsolvable.
 
-        `assignments` maps input Wire handles to int/field values.  The
+        `assignments` maps input Wire handles to int values.  The
         returned witness always satisfies the system (verified before
         returning) and keeps that check's row evaluations.
         """
@@ -174,8 +174,7 @@ class ConstraintSystem:
         for wire, value in assignments.items():
             if not isinstance(wire, Wire):
                 raise MissingInputError(f"assignment key {wire!r} is not a Wire")
-            v = value.value if hasattr(value, "value") else int(value)
-            assigned[wire.index] = v % p
+            assigned[wire.index] = int(value) % p
         for wire in self._input_wires:
             if wire.index not in assigned:
                 raise MissingInputError(f"missing assignment for input wire {wire.label!r}")

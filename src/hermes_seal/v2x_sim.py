@@ -366,7 +366,7 @@ def run_scenario(scenario: SimScenario) -> SimReport:
             report.attack_successes += 1
             continue
         seen_nonces[v].add(pkg.nonce)
-        if attack is None and scenario.local_map_update:
+        if scenario.local_map_update:
             obj_id = pkg.public_inputs[1]
             report.map_updates += obj_id not in local_maps[v]
             local_maps[v].add(obj_id)

@@ -13,7 +13,8 @@ from hermes_seal.audit_circuit import (AuditThresholds, ChallengeSet,
 from hermes_seal.cli import main
 from hermes_seal.field import nonce_to_field
 from hermes_seal.protocol import (ProofPackage, SignatureKeypair,
-                                  assemble_payload, schnorr_sign, toy_group)
+                                  VerifierState, assemble_payload,
+                                  schnorr_sign, toy_group)
 from hermes_seal.rss_circuit import RssScenario, format_scenario
 
 from audit_text import format_detections
@@ -518,3 +519,17 @@ def test_verify_output_pinned(workspace, tmp_path, capfd, case, fail_stage,
     assert capfd.readouterr().out == \
         _expected_verify_output(fail_stage, printed)
     assert code == (0 if fail_stage is None else 1)
+
+
+def test_verify_unknown_reject_reason_exits_2(workspace, tmp_path, capfd,
+                                              monkeypatch):
+    pkg = _case_package(workspace, tmp_path, workspace / "id")
+    monkeypatch.setattr(VerifierState, "verify_package",
+                        lambda self, package, now: (False, "mystery"))
+    capfd.readouterr()
+    assert run(["verify", "--vk", workspace / "keys" / "rss.vk",
+                "--package", pkg, "--state-dir", workspace / "state",
+                "--now", "1001"]) == 2
+    out, err = capfd.readouterr()
+    assert out == "context PASS\n"
+    assert "KeyError" in err

@@ -1,13 +1,16 @@
 """Signatures, certificates, package assembly/serialization, and the ordered
 verification pipeline with all its rejection paths."""
 
+import ast
+import inspect
 import random
 import struct
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermes_seal import protocol
+from hermes_seal import protocol, v2x_sim
 from hermes_seal.audit_circuit import make_audit_inputs
 from hermes_seal.cli import build_parser
 from hermes_seal.field import (EncodingError, FieldElement, TEST_FIELD,
@@ -314,6 +317,30 @@ def test_verify_rejects_every_field_tamper(small_rss_artifacts, identity):
     pkg.r1cs_hash = bytes(32)
     ok, reason = state.verify_package(pkg, now=101)
     assert (ok, reason) == (False, "unknown_circuit")
+
+
+def _reject_reasons_in_source_order(func):
+    """The distinct reasons of the `return False, "<reason>"` statements in
+    `func`, in the order they appear in its source."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    returns = sorted((node for node in ast.walk(tree)
+                      if isinstance(node, ast.Return)),
+                     key=lambda node: (node.lineno, node.col_offset))
+    reasons = [node.value.elts[1].value for node in returns
+               if isinstance(node.value, ast.Tuple)
+               and isinstance(node.value.elts[0], ast.Constant)
+               and node.value.elts[0].value is False]
+    return list(dict.fromkeys(reasons))
+
+
+def test_reject_stages_follow_verify_package():
+    stages = protocol.REJECT_STAGES
+    assert list(stages) == \
+        _reject_reasons_in_source_order(VerifierState.verify_package)
+    # the `verify` command finds the failed stage by its (stage, reason)
+    assert len(set(stages.values())) == len(stages)
+    for reasons in v2x_sim._EXPECTED_REASONS.values():
+        assert reasons <= stages.keys()
 
 
 def test_nonce_store_pruning(small_rss_artifacts, identity):

@@ -49,6 +49,17 @@ def test_occluded_stop_sign_updates_local_map():
     assert report.conserved()
 
 
+def test_benign_replay_updates_local_map():
+    # half the genuine copies are dropped, so some verifiers accept the claim
+    # only through a replay that reached them first; that accept marks the
+    # object on their map like a genuine one
+    report = run_scenario(make_scenario("replay-storm", seed=0,
+                                        local_map_update=True, drop_prob=0.5))
+    assert report.accepts == 12
+    assert report.map_updates == 3
+    assert report.conserved()
+
+
 def test_replay_storm_semantics():
     s = make_scenario("replay-storm", seed=8)
     report = run_scenario(s)
