@@ -182,6 +182,9 @@ def cmd_prove(args) -> int:
                        "(digest mismatch); refusing to prove")
     vk_bytes = _read(os.path.join(args.circuit_dir, f"{args.circuit}.vk"))
     keypair, cert = _load_identity(args.identity_dir)
+    if not cert.valid_from <= args.now <= cert.valid_to:
+        raise CliError(f"certificate is valid from {cert.valid_from} to "
+                       f"{cert.valid_to}, not at --now {args.now}")
 
     qap = r1cs_to_qap(circuit.cs)
     package = create_package(

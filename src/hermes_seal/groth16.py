@@ -8,10 +8,10 @@ their byte encoding is constant-length regardless of circuit size.
 
 Everything is over the one pairing group (`pairing.toy_group()`), whose
 scalar field F_q every circuit is over: keys and proofs hold no group.
-The prover makes four MSMs: A, B in G2, B in G1 (which only C uses) and
-C.  The key's constant points and the blinding terms are further bases of
-those MSMs, so a proof needs no separate scalar multiplication or point
-addition.
+The prover makes three MSMs (A, B in G1, C), with the key's constant
+points and the blinding terms among their bases, and takes B in G2 as
+psi(B1) = LAMBDA * B1, one scalar multiplication, so the proving key holds
+no G2 point; it has its own PK_VERSION.
 
 The verifier takes public inputs only in canonical form (each in [0, q)),
 runs subgroup checks on all three proof elements, and then checks the
@@ -29,6 +29,7 @@ one table entry per nonzero digit; the key builds them on first use.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import random
 import struct
 
@@ -52,7 +53,8 @@ __all__ = [
 PK_MAGIC = b"HSPK"
 VK_MAGIC = b"HSVK"
 PROOF_MAGIC = b"HSPF"
-KEY_VERSION = 1
+KEY_VERSION = 1  # verifying key and proof
+PK_VERSION = 2   # proving key, G1 points only
 IC_WINDOW = 4  # bits per digit of a public input in the IC tables
 
 _GROUP = toy_group()
@@ -62,7 +64,8 @@ class Groth16Error(Exception):
     pass
 
 
-def _check_header(data: bytes, magic: bytes, size: int, what: str):
+def _check_header(data: bytes, magic: bytes, version: int, size: int,
+                  what: str):
     """A key's or proof's fixed header: `size` bytes, its magic, version
     and curve."""
     if len(data) < size:
@@ -70,7 +73,7 @@ def _check_header(data: bytes, magic: bytes, size: int, what: str):
                            f"{size}-byte header")
     if data[:4] != magic:
         raise Groth16Error(f"bad {what} magic")
-    if data[4] != KEY_VERSION:
+    if data[4] != version:
         raise Groth16Error(f"unsupported {what} version {data[4]}")
     if data[5] != TOY_CURVE_PROFILE:
         raise Groth16Error(f"unknown curve profile {data[5]:#x}")
@@ -109,54 +112,48 @@ def _point_reader(data: bytes, off: int):
 
 
 class ProvingKey:
-    """All G1/G2 commitments the prover needs, bound to one circuit digest."""
+    """The G1 commitments the prover needs, bound to one circuit digest;
+    B's G2 copy is psi of its G1 copy, so the key holds no G2 point."""
 
     def __init__(self, circuit_digest, n_public,
-                 alpha_g1, beta_g1, delta_g1, beta_g2, delta_g2,
-                 a_g1, b_g1, b_g2, k_g1, h_g1):
+                 alpha_g1, beta_g1, delta_g1, a_g1, b_g1, k_g1, h_g1):
         self.circuit_digest = circuit_digest
         self.n_public = n_public
         self.alpha_g1 = alpha_g1
         self.beta_g1 = beta_g1
         self.delta_g1 = delta_g1
-        self.beta_g2 = beta_g2
-        self.delta_g2 = delta_g2
         self.a_g1 = a_g1    # [g1 * A_j(tau)], j = 0..m
         self.b_g1 = b_g1    # [g1 * B_j(tau)]
-        self.b_g2 = b_g2    # [g2 * B_j(tau)]
         self.k_g1 = k_g1    # [g1 * (beta A_j + alpha B_j + C_j)/delta], j > l
         self.h_g1 = h_g1    # [g1 * tau^k t(tau)/delta], k = 0..n-2
 
     def to_bytes(self) -> bytes:
-        out = [PK_MAGIC, bytes([KEY_VERSION, TOY_CURVE_PROFILE]),
+        out = [PK_MAGIC, bytes([PK_VERSION, TOY_CURVE_PROFILE]),
                self.circuit_digest,
                struct.pack("<IIII", self.n_public, len(self.a_g1),
                            len(self.k_g1), len(self.h_g1))]
-        out += map(_GROUP.g1_to_bytes,  # G1 and G2 points encode alike
-                   [self.alpha_g1, self.beta_g1, self.delta_g1, self.beta_g2,
-                    self.delta_g2, *self.a_g1, *self.b_g1, *self.b_g2,
-                    *self.k_g1, *self.h_g1])
+        out += map(_GROUP.g1_to_bytes,
+                   [self.alpha_g1, self.beta_g1, self.delta_g1, *self.a_g1,
+                    *self.b_g1, *self.k_g1, *self.h_g1])
         return b"".join(out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProvingKey":
-        _check_header(data, PK_MAGIC, 54, "proving key")
+        _check_header(data, PK_MAGIC, PK_VERSION, 54, "proving key")
         digest = data[6:38]
         n_public, m1, nk, nh = struct.unpack_from("<IIII", data, 38)
-        _check_length(data, 54 + (5 + 3 * m1 + nk + nh) * _GROUP.point_bytes,
+        _check_length(data, 54 + (3 + 2 * m1 + nk + nh) * _GROUP.point_bytes,
                       "proving key")
-        g1, g2 = _GROUP.g1_from_bytes, _GROUP.g2_from_bytes
+        g1 = _GROUP.g1_from_bytes
         points = _point_reader(data, 54)
         with _decoding_points("proving key"):
             alpha_g1, beta_g1, delta_g1 = points(g1, 3)
-            beta_g2, delta_g2 = points(g2, 2)
             a_g1 = points(g1, m1)
             b_g1 = points(g1, m1)
-            b_g2 = points(g2, m1)
             k_g1 = points(g1, nk)
             h_g1 = points(g1, nh)
         return cls(digest, n_public, alpha_g1, beta_g1, delta_g1,
-                   beta_g2, delta_g2, a_g1, b_g1, b_g2, k_g1, h_g1)
+                   a_g1, b_g1, k_g1, h_g1)
 
 
 class VerifyingKey:
@@ -199,7 +196,7 @@ class VerifyingKey:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VerifyingKey":
-        _check_header(data, VK_MAGIC, 42, "verifying key")
+        _check_header(data, VK_MAGIC, KEY_VERSION, 42, "verifying key")
         digest = data[6:38]
         (ic_len,) = struct.unpack_from("<I", data, 38)
         _check_length(data, 42 + (4 + ic_len) * _GROUP.point_bytes,
@@ -234,7 +231,7 @@ class Proof:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Proof":
-        _check_header(data, PROOF_MAGIC, 38, "proof")
+        _check_header(data, PROOF_MAGIC, KEY_VERSION, 38, "proof")
         _check_length(data, cls.byte_length(), "proof")
         g1, g2 = _GROUP.g1_from_bytes, _GROUP.g2_from_bytes
         points = _point_reader(data, 38)
@@ -280,33 +277,25 @@ def setup(qap: QapInstance, seed=None):
         h_scalars.append(acc)
         acc = acc * tau % q
 
-    g1_scalars = ([alpha, beta, delta] + a_tau + b_tau + priv_scalars
-                  + h_scalars + ic_scalars)
-    g1_points = _GROUP.generator_table(_GROUP.g1).exp_many(g1_scalars)
-    g2_points = _GROUP.generator_table(_GROUP.g2).exp_many([beta, delta, gamma]
-                                                         + b_tau)
-
-    g1_points = [G1Element(pt) for pt in g1_points]
-    g2_points = [G2Element(pt) for pt in g2_points]
+    g1_points = map(G1Element, _GROUP.generator_table().exp_many(
+        [alpha, beta, delta] + a_tau + b_tau + priv_scalars + h_scalars
+        + ic_scalars))
 
     def take(count):
-        nonlocal off
-        off += count
-        return g1_points[off - count:off]
+        return list(itertools.islice(g1_points, count))
 
-    off = 0
     alpha_g1, beta_g1, delta_g1 = take(3)
     a_g1 = take(m1)
     b_g1 = take(m1)
     k_g1 = take(len(priv_scalars))
     h_g1 = take(len(h_scalars))
     ic = take(l + 1)
-    beta_g2, delta_g2, gamma_g2 = g2_points[:3]
-    b_g2 = g2_points[3:]
+    beta_g2, gamma_g2, delta_g2 = (_GROUP.scalar_mul_g2(x, _GROUP.g2)
+                                   for x in (beta, gamma, delta))
 
     digest = qap.cs.digest()
-    pk = ProvingKey(digest, l, alpha_g1, beta_g1, delta_g1, beta_g2,
-                    delta_g2, a_g1, b_g1, b_g2, k_g1, h_g1)
+    pk = ProvingKey(digest, l, alpha_g1, beta_g1, delta_g1, a_g1, b_g1, k_g1,
+                    h_g1)
     vk = VerifyingKey(digest, alpha_g1, beta_g2, gamma_g2, delta_g2, ic)
     return pk, vk
 
@@ -326,16 +315,16 @@ def prove(pk: ProvingKey, qap: QapInstance, witness, seed=None) -> Proof:
     r = rng.randrange(q)
     s = rng.randrange(q)
 
-    # each proof element is one MSM: the key's constant points join the
+    # each of A, B1 and C is one MSM: the key's constant points join the
     # wire bases with scalar 1, delta with the blinding scalar, and C's
-    # terms s*A + r*B1 - rs*delta with A and B1 as bases
+    # terms s*A + r*B1 - rs*delta with A and B1 as bases; B in G2 is
+    # psi(B1), since each of its G2 bases is LAMBDA times the G1 one
     msm = _GROUP.multi_scalar_mul
     a = msm([1, *values, r], [pk.alpha_g1, *pk.a_g1, pk.delta_g1])
-    b2 = msm([1, *values, s], [pk.beta_g2, *pk.b_g2, pk.delta_g2])
     b1 = msm([1, *values, s], [pk.beta_g1, *pk.b_g1, pk.delta_g1])
     c = msm([*values[pk.n_public + 1:], *h, s, r, -r * s % q],
             [*pk.k_g1, *pk.h_g1, a, b1, pk.delta_g1])
-    return Proof(a, b2, c, pk.circuit_digest)
+    return Proof(a, _GROUP.psi(b1), c, pk.circuit_digest)
 
 
 def verify(vk: VerifyingKey, proof: Proof, public_inputs) -> bool:

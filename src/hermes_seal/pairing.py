@@ -51,10 +51,14 @@ and b-bit scalars, c minimises (b // c + 1) * (n + 2^c): windows times
 about n additions plus two per bucket.  The buckets are summed in affine
 form, each round of independent additions sharing one modular inversion
 (Montgomery's trick); the fixed-base tables use the same
-batched addition, across all the bases built together.  g1 and g2 each have
-one such table, built on first use, which serves the setup and every
-multiple of g1 or g2 (Schnorr keys, nonces and checks); a verifying key
-builds one per IC point (`fixed_base_tables`, `fixed_base_msm`).
+batched addition, across all the bases built together.  g1 has one such
+table, built on first use, which serves the setup and every multiple of g1
+or g2 (Schnorr keys, nonces and checks); a verifying key builds one per IC
+point (`fixed_base_tables`, `fixed_base_msm`).
+
+g2 = LAMBDA * g1, LAMBDA = log_g1(g2) found offline by Pollard's rho; it is
+public, as in any symmetric pairing.  So s * g2 is g1's table at s * LAMBDA,
+and psi(P) = LAMBDA * P maps G1 onto G2, s * g1 to s * g2.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ TOY_CURVE_PROFILE = 0x00  # profile byte: toy / insecure curve
 Q = TEST_FIELD.p          # prime order of G1, G2 and GT
 COFACTOR = 36             # #E(F_p) = p + 1 = COFACTOR * Q
 P = COFACTOR * Q - 1      # base field prime, 3 (mod 4)
+LAMBDA = 1737290451288304358  # log_g1(g2): g2 = LAMBDA * g1
 
 _INF = None  # affine point at infinity sentinel
 
@@ -498,7 +503,7 @@ class BilinearGroup:
     point_bytes = 1 + 2 * coord_bytes
 
     def __init__(self):
-        self._tables = {}  # generator point -> _FixedBaseTable
+        self._table = None  # g1's _FixedBaseTable
         self.g1 = G1Element(self._find_generator(start_x=1))
         self.g2 = G2Element(self._find_generator(start_x=self.g1.point[0] + 1))
         self.gt_generator = self.pair(self.g1, self.g2)
@@ -519,21 +524,20 @@ class BilinearGroup:
 
     # -- group operations ---------------------------------------------------
 
-    def generator_table(self, gen) -> _FixedBaseTable:
-        """The fixed-base table of the generator `gen` (g1 or g2), built on
-        first use and kept for the life of the group."""
-        table = self._tables.get(gen.point)
-        if table is None:
-            table = _FixedBaseTable.build([gen.point], 8)[0]
-            self._tables[gen.point] = table
-        return table
+    def generator_table(self) -> _FixedBaseTable:
+        """The fixed-base table of g1, built on first use and kept for the
+        life of the group."""
+        if self._table is None:
+            self._table = _FixedBaseTable.build([self.g1.point], 8)[0]
+        return self._table
 
     def _mul(self, s, point):
-        """s * point: a generator's table lookup, else double-and-add."""
+        """s * point: g1's table for g1 or g2, else double-and-add."""
         k = s % self.q
-        for gen in (self.g1, self.g2):
-            if point == gen.point:
-                return self.generator_table(gen).exp_many([k])[0]
+        if point == self.g2.point:
+            point, k = self.g1.point, k * LAMBDA % self.q
+        if point == self.g1.point:
+            return self.generator_table().exp_many([k])[0]
         return _scalar_mul(k, point)
 
     def scalar_mul_g1(self, s, P: _Point) -> _Point:
@@ -541,6 +545,10 @@ class BilinearGroup:
         return type(P)(self._mul(s, P.point))
 
     scalar_mul_g2 = scalar_mul_g1
+
+    def psi(self, P: G1Element) -> G2Element:
+        """The isomorphism G1 -> G2, P -> LAMBDA * P: s * g1 goes to s * g2."""
+        return self.scalar_mul_g2(LAMBDA, G2Element(P.point))
 
     def identity_g1(self) -> G1Element:
         return G1Element(_INF)

@@ -231,6 +231,22 @@ def test_prove_rejects_tampered_pk(workspace, tmp_path, capfd):
     assert "proving key" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("now", ["99", "201"])
+def test_prove_refuses_certificate_invalid_at_now(workspace, tmp_path, capfd,
+                                                  now):
+    identity, _ = _provision(workspace, tmp_path, "--valid-from", "100",
+                             "--valid-to", "200")
+    out = tmp_path / "pkg.bin"
+    capfd.readouterr()
+    assert run(["prove", "--circuit", "rss",
+                "--circuit-dir", workspace / "keys", "--identity-dir", identity,
+                "--scenario", workspace / "scn.txt", "--out", out,
+                "--now", now, "--seed", "1"]) == 2
+    assert (f"certificate is valid from 100 to 200, not at --now {now}"
+            in capfd.readouterr().err)
+    assert not out.exists()
+
+
 def test_audit_open_and_malformed(workspace, tmp_path, capfd):
     pkg = workspace / "pkg.bin"            # from the prove test above
     opening = workspace / "open.json"
@@ -491,7 +507,7 @@ def test_verify_output_pinned(workspace, tmp_path, capfd, case, fail_stage,
     if case == "certificate":
         identity, state = _provision(
             workspace, tmp_path, "--circuit-dir", workspace / "keys",
-            "--valid-to", "999")
+            "--valid-to", "1000")
     elif case == "unregistered":
         identity, state = _provision(workspace, tmp_path)
     else:

@@ -24,7 +24,7 @@ P = TEST_FIELD.p
 GOLDEN_CUBIC_PROOF = \
     "5e5293d47da06af8a207f0babe994dd4d5636f52364d3a9cf91cdff4b0fc364e"
 GOLDEN_CUBIC_PK = \
-    "dbe1ae4d65ebf2a0178d0c54514c67d75521128c0ae99dc0746ce12ec2904baf"
+    "f59d55a492ac98d8f0466d84487e57f0a173f70ba796e79c9d06f17be8817f62"
 GOLDEN_SMALL_RSS_PROOF = \
     "27220ff490847b576ed4d9c34720645aa0ad563ea296b8370a64825d672ff484"
 
@@ -134,6 +134,32 @@ def test_key_serialization(cubic):
     w = cs.generate_witness({x: 30, y: 3})
     proof = prove(pk2, qap, w, seed=4)
     assert verify(vk2, proof, cs.public_inputs(w))
+
+
+def test_version_1_proving_key_refused(cubic):
+    # a version-1 key also held B's G2 copies; this layout has none
+    cs, qap, pk, vk, x, y = cubic
+    raw = bytearray(pk.to_bytes())
+    assert raw[4] == 2
+    raw[4] = 1
+    with pytest.raises(Groth16Error, match="proving key version 1"):
+        ProvingKey.from_bytes(bytes(raw))
+
+
+def test_prove_is_three_msms(cubic, monkeypatch):
+    # A, B1 and C; B in G2 is psi(B1), one scalar multiplication
+    cs, qap, pk, vk, x, y = cubic
+    calls = []
+    real = BilinearGroup.multi_scalar_mul
+
+    def spy(self, scalars, points):
+        calls.append(len(points))
+        return real(self, scalars, points)
+    monkeypatch.setattr(BilinearGroup, "multi_scalar_mul", spy)
+    w = cs.generate_witness({x: 30, y: 3})
+    proof = prove(pk, qap, w, seed=1)
+    assert len(calls) == 3
+    assert verify(vk, proof, cs.public_inputs(w))
 
 
 def test_truncated_keys_raise_groth16_error(cubic):

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import schoolbook
 from hermes_seal import pairing
-from hermes_seal.pairing import (G1Element, G2Element, GtElement, _add,
-                                 _fp2_mul, _fp2_pow, _fp2_square, _msm_window,
-                                 _neg, _on_curve, _scalar_mul, toy_group)
+from hermes_seal.pairing import (LAMBDA, G1Element, G2Element, GtElement,
+                                 _add, _fp2_mul, _fp2_pow, _fp2_square,
+                                 _msm_window, _neg, _on_curve, _scalar_mul,
+                                 toy_group)
 
 G = toy_group()
 Q = G.q
@@ -257,7 +258,7 @@ def test_msm_window_rule():
     changes = [n for n in range(2, SIGNED_WINDOW_EDGES[-1] + 2)
                if _msm_window(n, BITS) != _msm_window(n - 1, BITS)]
     assert changes == SIGNED_WINDOW_EDGES
-    # (c, windows) at 17 terms, the RSS MSMs (470 live terms in b1 and b2,
+    # (c, windows) at 17 terms, the RSS MSMs (470 live terms in b1,
     # 910 to 1023 in a, k and h), 2047 terms and 26622
     shapes = [(c, BITS // c + 1) for c in (_msm_window(n, BITS) for n in
                                            (17, 470, 910, 1023, 2047, 26622))]
@@ -595,7 +596,22 @@ def test_generator_table_matches_double_and_add(group):
     ks += [rng.randrange(Q) for _ in range(50)]
     for k in ks:
         assert MUL[group](k, base).point == _scalar_mul(k % Q, base.point)
-    assert G.generator_table(base) is G.generator_table(base)
+    assert G.generator_table() is G.generator_table()
+
+
+def test_lambda_is_log_of_g2():
+    assert _scalar_mul(LAMBDA, G.g1.point) == G.g2.point
+    assert G.scalar_mul_g1(LAMBDA, G.g1).point == G.g2.point
+    assert G.psi(G.g1) == G.g2
+
+
+def test_psi_maps_multiples_of_g1_to_multiples_of_g2():
+    # scalar_mul_g2 reads g1's table at s * LAMBDA; psi is double-and-add
+    rng = random.Random(19)
+    for s in [0, 1, Q - 1] + [rng.randrange(Q) for _ in range(30)]:
+        image = G.psi(G.scalar_mul_g1(s, G.g1))
+        assert type(image) is G2Element
+        assert image == G.scalar_mul_g2(s, G.g2)
 
 
 # -- one point class, two groups ----------------------------------------------
