@@ -3,7 +3,7 @@ privacy-preserving perception exchange between vehicles and roadside
 verifiers.
 
 Layering (each module depends only on those before it):
-    field       prime fields, fixed-point scaling, wire encodings, domain tags
+    field       prime fields, fixed-point scaling, wire encodings, domain separators
     pairing     toy supersingular pairing group, MSM
     r1cs        constraint systems, circuit builder, gadgets, descriptors
     qap         radix-2 evaluation domain, inverse NTT, R1CS -> QAP quotient
@@ -30,11 +30,10 @@ from .groth16 import (Groth16Error, Proof, ProvingKey, VerifyingKey, prove,
 from .commitment import (byte_hash, commit, open_commitment, sponge_gadget,
                          sponge_hash, verify_commitment)
 from .protocol import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN, Certificate,
-                       DomainSeparator, EnrollmentAuthority, ProofPackage,
-                       ProtocolError, RSS_COMMIT_DOMAIN, RSS_SIGN_DOMAIN,
-                       SignatureKeypair, VerifierState, audit_open,
-                       create_package, schnorr_keygen, schnorr_sign,
-                       schnorr_verify)
+                       EnrollmentAuthority, ProofPackage, ProtocolError,
+                       RSS_COMMIT_DOMAIN, RSS_SIGN_DOMAIN, SignatureKeypair,
+                       VerifierState, audit_open, create_package,
+                       schnorr_keygen, schnorr_sign, schnorr_verify)
 from .rss_circuit import (RssCircuit, RssParams, RssPublicInputs, RssScenario,
                           RssWitness, build_rss_circuit, evaluate_predicate,
                           make_rss_inputs, parse_scenario, format_scenario,

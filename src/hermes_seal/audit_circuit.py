@@ -357,7 +357,7 @@ def _instance_constants(challenge: ChallengeSet, thresholds: AuditThresholds,
     """The public inputs that the challenge fixes: delta_commit through
     rho_bbox, by name."""
     ratios = [v for ratio in dataclasses.astuple(thresholds) for v in ratio]
-    values = [AUDIT_COMMIT_DOMAIN.value,
+    values = [AUDIT_COMMIT_DOMAIN,
               digest_to_field(challenge_digest(challenge, thresholds), field),
               challenge.n_images, *ratios, challenge.rho_prob,
               challenge.rho_bbox]
@@ -444,7 +444,6 @@ def build_audit_circuit(challenge: ChallengeSet,
     for i, gts in enumerate(challenge.images):
         k_i = len(gts)
         img_dets = []
-        raw_wires = []
         for j in range(m_max):
             dw = {"class": b.alloc_private(f"i{i}d{j}.class"),
                   "conf": b.alloc_private(f"i{i}d{j}.conf"),
@@ -453,7 +452,6 @@ def build_audit_circuit(challenge: ChallengeSet,
                   "x2": b.alloc_private(f"i{i}d{j}.x2"),
                   "y2": b.alloc_private(f"i{i}d{j}.y2")}
             img_dets.append(dw)
-            raw_wires.append(dw)
         det_wires.append(img_dets)
 
         # one-hot match hints, solved natively by the shared greedy matcher
@@ -461,7 +459,7 @@ def build_audit_circuit(challenge: ChallengeSet,
                   for j in range(m_max)]
         det_idx = [(dw["class"].index, dw["conf"].index, dw["x1"].index,
                     dw["y1"].index, dw["x2"].index, dw["y2"].index)
-                   for dw in raw_wires]
+                   for dw in img_dets]
         hint_idx = [[w.index for w in row] for row in a_hint]
 
         def solve_hints(v, det_idx=det_idx, hint_idx=hint_idx, gts=gts,
@@ -507,7 +505,7 @@ def build_audit_circuit(challenge: ChallengeSet,
                           f"{tag}.conf_ok")
             # detection area
             w_box = b.gadget_mul(x2 - x1, y2 - y1, f"{tag}.areaA")
-            per_det.append({"cls": cls, "conf": conf, "x": (x1, y1, x2, y2),
+            per_det.append({"cls": cls, "x": (x1, y1, x2, y2),
                             "is_real": is_real, "conf_ok": conf_ok,
                             "area": b.lc(w_box)})
 
@@ -665,7 +663,7 @@ def make_audit_inputs(challenge: ChallengeSet, thresholds: AuditThresholds,
     publics = AuditPublicInputs(
         **_instance_constants(challenge, thresholds, field), T=timestamp,
         nu=nonce_to_field(nonce, field), PASS=report["PASS"])
-    publics.c = commit(**_opening(publics, witness), field=field).value
+    publics.c = commit(**_opening(publics, witness), field=field)
     return publics, witness, nonce, report
 
 

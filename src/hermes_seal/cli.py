@@ -332,14 +332,14 @@ def cmd_vectors(args) -> int:
     lines = ["golden-vectors v1"]
     for c in (CIRCUITS["rss"], CIRCUITS["audit"]):   # in the pinned order
         for op, dom in (("commit", c.commit_domain), ("sign", c.sign_domain)):
-            lines.append(f"domain-separator {c.name}-{op} {dom.value}")
+            lines.append(f"domain-separator {c.name}-{op} {dom}")
     for fname, field in (("test", TEST_FIELD), ("standard", STANDARD_FIELD)):
         for inputs in ([], [0], [1], [1, 2], [1, 2, 3], [field.p - 1]):
             h = sponge_hash(inputs, field)
             label = ",".join(str(x) for x in inputs)
-            lines.append(f"sponge {fname} [{label}] {h.value}")
+            lines.append(f"sponge {fname} [{label}] {h}")
     samples = [
-        ("ctx", encode(CIRCUITS["rss"].sign_domain.value, DTypeTag.CTX)),
+        ("ctx", encode(CIRCUITS["rss"].sign_domain, DTypeTag.CTX)),
         ("ts", encode(123456789, DTypeTag.TS)),
         ("nonce", encode(bytes(range(NONCE_BYTES)), DTypeTag.NONCE)),
         ("commit", encode(FieldElement(42, TEST_FIELD), DTypeTag.COMMIT)),

@@ -8,13 +8,14 @@ are needed and both field profiles get their own consistent instances.
 
 Commitments are hiding/binding in the random-sponge model:
     c = sponge(domain_sep, payload..., blinder).
+Digests and commitments are canonical ints mod the field's p.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from .field import FieldElement, PrimeModulus, TEST_FIELD
+from .field import PrimeModulus, TEST_FIELD
 
 __all__ = [
     "SpongeParameters",
@@ -116,15 +117,15 @@ def sponge_parameters(field: PrimeModulus = TEST_FIELD) -> SpongeParameters:
 
 
 def _sbox_fn(alpha: int, p: int):
-    """Short multiply chains beat pow() for the small odd exponents in use."""
+    """Short multiply chains beat pow() for the two exponents in use: 3 for
+    F_q and 5 for the standard field."""
     if alpha == 3:
         return lambda x: x * x % p * x % p
-    if alpha == 5:
-        def quint(x, p=p):
-            x2 = x * x % p
-            return x2 * x2 % p * x % p
-        return quint
-    return lambda x: pow(x, alpha, p)
+
+    def quint(x, p=p):
+        x2 = x * x % p
+        return x2 * x2 % p * x % p
+    return quint
 
 
 def sponge_permutation(state, params: SpongeParameters):
@@ -149,8 +150,8 @@ def sponge_permutation(state, params: SpongeParameters):
     return [s0, s1, s2]
 
 
-def sponge_hash(inputs, field: PrimeModulus = TEST_FIELD) -> FieldElement:
-    """Variable-length hash of ints to one field element.
+def sponge_hash(inputs, field: PrimeModulus = TEST_FIELD) -> int:
+    """Variable-length hash of ints to one canonical int mod p.
 
     The input length is bound into the initial capacity element, so inputs
     of different lengths never collide via zero-padding.
@@ -166,7 +167,7 @@ def sponge_hash(inputs, field: PrimeModulus = TEST_FIELD) -> FieldElement:
         state = sponge_permutation(state, params)
     if not vals:
         state = sponge_permutation(state, params)
-    return FieldElement(state[0], field)
+    return state[0]
 
 
 def sponge_gadget(builder, input_lcs, out, label: str = "sponge"):
@@ -258,7 +259,7 @@ def byte_hash(data: bytes) -> bytes:
 
 
 def commit(domain_sep: int, payload, blinder,
-           field: PrimeModulus = TEST_FIELD) -> FieldElement:
+           field: PrimeModulus = TEST_FIELD) -> int:
     """c = sponge(domain_sep, payload..., blinder)."""
     return sponge_hash([domain_sep] + list(payload) + [blinder], field)
 
@@ -268,7 +269,7 @@ def open_commitment(domain_sep: int, payload, blinder):
     return {"domain_sep": domain_sep, "payload": list(payload),
             "blinder": blinder}
 
-def verify_commitment(c: FieldElement, opening: dict) -> bool:
-    """The opening is the preimage of c, over c's field."""
+def verify_commitment(c: int, opening: dict) -> bool:
+    """The opening is the preimage of c over TEST_FIELD."""
     return commit(opening["domain_sep"], opening["payload"],
-                  opening["blinder"], c.modulus) == c
+                  opening["blinder"]) == c

@@ -1,15 +1,15 @@
-"""Prime fields, real<->field scaling, and canonical tagged byte encodings.
+"""Prime fields, real<->field scaling, canonical byte encodings and the
+domain separators.
 
-Arithmetic throughout the toolkit (witness solving, NTTs, MSM scalars, the
-sponge, Schnorr) is done on plain ints mod `PrimeModulus.p`.  A
-`FieldElement` is a canonical residue tagged with its modulus: the type of
-the field values that cross an API or a wire format, such as commitments
-and scaled reals.
+Every value below the package's wire format is a plain int or bytes:
+witness values, scaled reals, sponge digests, commitments and domain
+separators are canonical ints mod `PrimeModulus.p`.  `FieldElement` is left
+only as the type of a package's commitment, a canonical residue tagged with
+its modulus that the `COMMIT` encoding writes.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 
@@ -26,7 +26,6 @@ __all__ = [
     "decode",
     "EncodingError",
     "ProtocolError",
-    "DomainSeparator",
     "RSS_COMMIT_DOMAIN",
     "RSS_SIGN_DOMAIN",
     "AUDIT_COMMIT_DOMAIN",
@@ -40,7 +39,7 @@ class EncodingError(ValueError):
 
 
 class ProtocolError(Exception):
-    """A malformed protocol value: domain separator, package or certificate."""
+    """A malformed protocol value: a package or a certificate."""
 
 
 class PrimeModulus:
@@ -91,33 +90,18 @@ STANDARD_FIELD = PrimeModulus(
 
 
 class FieldElement:
-    """Canonical residue in [0, p) tagged with its modulus.  It compares
-    equal to an int congruent to it; arithmetic is done on `value` as an
-    int."""
+    """A package's commitment: the canonical residue `value` in [0, p) of
+    an int, tagged with its modulus.  It has no arithmetic and no equality
+    of its own; compare `value`s."""
 
     __slots__ = ("value", "modulus")
 
     def __init__(self, value: int, modulus: PrimeModulus):
-        if not 0 <= value < modulus.p:
-            value %= modulus.p
-        self.value = value
+        self.value = value % modulus.p
         self.modulus = modulus
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.modulus.p == other.modulus.p
-        if isinstance(other, int):
-            return self.value == other % self.modulus.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus.p))
 
     def __repr__(self):
         return f"Fp({self.value})"
-
-    def __bool__(self):
-        return self.value != 0
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(self.modulus.byte_width, "little")
@@ -144,7 +128,7 @@ def _check_rho(rho: int):
         raise ValueError("scaling factor must be a positive integer")
 
 
-def scale(x: float, rho: int, field: PrimeModulus = TEST_FIELD) -> FieldElement:
+def scale(x: float, rho: int, field: PrimeModulus = TEST_FIELD) -> int:
     """Quantize a real to F_p: floor(x * rho) mod p.
 
     Caller must keep |floor(x*rho)| < p/2 or the signed roundtrip breaks.
@@ -153,14 +137,15 @@ def scale(x: float, rho: int, field: PrimeModulus = TEST_FIELD) -> FieldElement:
     if not math.isfinite(x):
         raise ValueError(f"cannot scale non-finite value {x!r}")
     _check_rho(rho)
-    return FieldElement(math.floor(x * rho) % field.p, field)
+    return math.floor(x * rho) % field.p
 
 
-def unscale(z: FieldElement, rho: int) -> float:
-    """Inverse of scale: z/rho for the lower half of the field, (z-p)/rho above."""
+def unscale(z: int, rho: int) -> float:
+    """Inverse of scale over TEST_FIELD: z/rho for the lower half of the
+    field, (z-p)/rho above."""
     _check_rho(rho)
-    p = z.modulus.p
-    signed = z.value if z.value <= (p - 1) // 2 else z.value - p
+    p = TEST_FIELD.p
+    signed = z if z <= (p - 1) // 2 else z - p
     return signed / rho
 
 
@@ -168,10 +153,6 @@ class DTypeTag(enum.Enum):
     """Datatype tags selecting the canonical serialization rule."""
 
     CTX = "CTX"
-    R1CS = "R1CS"
-    VK = "VK"
-    CERT = "CERT"
-    PROOF = "PROOF"
     COMMIT = "COMMIT"
     TS = "TS"
     NONCE = "NONCE"
@@ -179,10 +160,8 @@ class DTypeTag(enum.Enum):
 
 # Fixed-width rules.  The wire format is little-endian throughout; widths are
 # part of this artifact's contract (CTX 4 bytes, TS 8 bytes, NONCE 16 bytes,
-# COMMIT one field element).  The blob tags carry already-serialized binary
-# sections unchanged.
+# COMMIT one field element).
 _INT_WIDTHS = {DTypeTag.CTX: 4, DTypeTag.TS: 8}
-_BLOB_TAGS = frozenset({DTypeTag.R1CS, DTypeTag.VK, DTypeTag.CERT, DTypeTag.PROOF})
 NONCE_BYTES = 16
 
 
@@ -206,10 +185,6 @@ def encode(value, dtype: DTypeTag) -> bytes:
         if not isinstance(value, FieldElement):
             raise EncodingError("COMMIT encodes a field element")
         return value.to_bytes()
-    if dtype in _BLOB_TAGS:
-        if not isinstance(value, (bytes, bytearray)):
-            raise EncodingError(f"{dtype.value} encodes raw bytes")
-        return bytes(value)
     raise EncodingError(f"unknown dtype tag {dtype!r}")
 
 
@@ -234,33 +209,15 @@ def decode(data: bytes, dtype: DTypeTag, field: PrimeModulus = TEST_FIELD):
         if v >= field.p:
             raise EncodingError("COMMIT bytes encode a value outside the field")
         return FieldElement(v, field)
-    if dtype in _BLOB_TAGS:
-        return data
     raise EncodingError(f"unknown dtype tag {dtype!r}")
 
 
-@dataclasses.dataclass(frozen=True)
-class DomainSeparator:
-    """32-bit separator packed big-endian as [app][op][counter:2]."""
-    app: int
-    op: int
-    counter: int = 0
-
-    def __post_init__(self):
-        for name, hi in (("app", 0xFF), ("op", 0xFF), ("counter", 0xFFFF)):
-            if not 0 <= getattr(self, name) <= hi:
-                raise ProtocolError(f"domain separator {name}="
-                                    f"{getattr(self, name)} out of range")
-
-    @property
-    def value(self) -> int:
-        return (self.app << 24) | (self.op << 16) | self.counter
-
-
-RSS_COMMIT_DOMAIN = DomainSeparator(0x00, 0x01)      # 65536
-RSS_SIGN_DOMAIN = DomainSeparator(0x00, 0x02)        # 131072
-AUDIT_COMMIT_DOMAIN = DomainSeparator(0x01, 0x01)    # 16842752
-AUDIT_SIGN_DOMAIN = DomainSeparator(0x01, 0x02)      # 16908288
+# Domain separators are 32-bit ints packed big-endian as [app][op][counter:2]:
+# app 0 is RSS and 1 the audit, op 1 commits and 2 signs, the counter is 0.
+RSS_COMMIT_DOMAIN = 0x00010000      # 65536
+RSS_SIGN_DOMAIN = 0x00020000        # 131072
+AUDIT_COMMIT_DOMAIN = 0x01010000    # 16842752
+AUDIT_SIGN_DOMAIN = 0x01020000      # 16908288
 
 
 def nonce_to_field(nonce: bytes, field: PrimeModulus = TEST_FIELD) -> int:

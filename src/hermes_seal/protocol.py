@@ -1,5 +1,5 @@
-"""Vehicle-to-verifier protocol: domain separation, signatures, certificates,
-proof-package assembly, and the ordered verification pipeline.
+"""Vehicle-to-verifier protocol: signatures, certificates, proof-package
+assembly, and the ordered verification pipeline.
 
 A proof package bundles a zk-SNARK proof with everything a roadside verifier
 needs to check it statelessly except for the two registries it already
@@ -7,7 +7,9 @@ holds: the enrollment authority's root key (certificate chain) and the
 circuit registry mapping R1CS hashes to verifying keys.  The signed payload
 binds, by hash, every artifact in the package plus context, commitment,
 timestamp, and nonce, so any tampering breaks the signature before the
-(more expensive) pairing check runs.
+(more expensive) pairing check runs.  The artifacts are hashed as the bytes
+they are; the signing context is the circuit's sign domain, an int from
+`field`.
 
 Signatures are Schnorr over G1 of the toolkit's one pairing group
 (`pairing.toy_group()`), so keypairs, the enrollment authority and the
@@ -29,15 +31,14 @@ import struct
 from .audit_circuit import AUDIT_CIRCUIT
 from .commitment import byte_hash, verify_commitment
 from .field import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN, DTypeTag,
-                    DomainSeparator, EncodingError, FieldElement, NONCE_BYTES,
-                    ProtocolError, RSS_COMMIT_DOMAIN, RSS_SIGN_DOMAIN,
-                    TEST_FIELD, decode, encode, nonce_to_field)
+                    EncodingError, FieldElement, NONCE_BYTES, ProtocolError,
+                    RSS_COMMIT_DOMAIN, RSS_SIGN_DOMAIN, TEST_FIELD, decode,
+                    encode, nonce_to_field)
 from .groth16 import Groth16Error, Proof, VerifyingKey, prove, verify
 from .pairing import G1Element, Q, toy_group
 from .rss_circuit import RSS_CIRCUIT
 
 __all__ = [
-    "DomainSeparator",
     "RSS_COMMIT_DOMAIN",
     "RSS_SIGN_DOMAIN",
     "AUDIT_COMMIT_DOMAIN",
@@ -216,11 +217,10 @@ def _artifact_hashes(r1cs_bytes: bytes, vk_bytes: bytes):
     payload carries; the R1CS hash also names the circuit in a package and
     in the verifier's registry.  Memoized on the bytes, since a prover or
     verifier keeps using the same few circuits."""
-    return (byte_hash(encode(r1cs_bytes, DTypeTag.R1CS)),
-            byte_hash(encode(vk_bytes, DTypeTag.VK)))
+    return byte_hash(r1cs_bytes), byte_hash(vk_bytes)
 
 
-def assemble_payload(sign_domain: DomainSeparator, r1cs_bytes: bytes,
+def assemble_payload(sign_domain: int, r1cs_bytes: bytes,
                      vk_bytes: bytes, cert_bytes: bytes, proof_bytes: bytes,
                      commitment_value: FieldElement, timestamp: int,
                      nonce: bytes, artifact_hashes=None) -> bytes:
@@ -234,11 +234,11 @@ def assemble_payload(sign_domain: DomainSeparator, r1cs_bytes: bytes,
     r1cs_hash, vk_hash = artifact_hashes or _artifact_hashes(r1cs_bytes,
                                                              vk_bytes)
     return b"".join([
-        encode(sign_domain.value, DTypeTag.CTX),
+        encode(sign_domain, DTypeTag.CTX),
         r1cs_hash,
         vk_hash,
-        byte_hash(encode(cert_bytes, DTypeTag.CERT)),
-        byte_hash(encode(proof_bytes, DTypeTag.PROOF)),
+        byte_hash(cert_bytes),
+        byte_hash(proof_bytes),
         encode(commitment_value, DTypeTag.COMMIT),
         encode(timestamp, DTypeTag.TS),
         encode(nonce, DTypeTag.NONCE),
@@ -264,7 +264,7 @@ class ProofPackage:
 
     def __init__(self, proof_bytes, public_inputs, commitment, signature,
                  vk_sig_bytes, cert_bytes, r1cs_hash, timestamp, nonce,
-                 sign_domain: DomainSeparator):
+                 sign_domain: int):
         self.proof_bytes = proof_bytes
         self.public_inputs = [int(x) for x in public_inputs]
         self.commitment = commitment
@@ -289,7 +289,7 @@ class ProofPackage:
             "r1cs_hash": self.r1cs_hash,
             "ts": encode(self.timestamp, DTypeTag.TS),
             "nonce": encode(self.nonce, DTypeTag.NONCE),
-            "ctx": encode(self.sign_domain.value, DTypeTag.CTX),
+            "ctx": encode(self.sign_domain, DTypeTag.CTX),
         }
 
     def to_bytes(self, field=TEST_FIELD) -> bytes:
@@ -330,15 +330,12 @@ class ProofPackage:
         pubs = [int.from_bytes(publics[4 + i * w:4 + (i + 1) * w], "little")
                 for i in range(n_pub)]
         try:
-            ctx_value = decode(raw["ctx"], DTypeTag.CTX)
+            sign_domain = decode(raw["ctx"], DTypeTag.CTX)
             commitment = decode(raw["commit"], DTypeTag.COMMIT, field)
             timestamp = decode(raw["ts"], DTypeTag.TS)
             nonce = decode(raw["nonce"], DTypeTag.NONCE)
         except EncodingError as exc:
             raise ProtocolError(f"malformed package section: {exc}") from exc
-        sign_domain = DomainSeparator((ctx_value >> 24) & 0xFF,
-                                      (ctx_value >> 16) & 0xFF,
-                                      ctx_value & 0xFFFF)
         return cls(raw["proof"], pubs, commitment, raw["sig"], raw["vk_sig"],
                    raw["cert"], raw["r1cs_hash"], timestamp, nonce,
                    sign_domain)
@@ -352,7 +349,7 @@ def _bound(package: ProofPackage) -> bool:
             or len(package.public_inputs) != len(circuit.public_order)):
         return False
     publics = dict(zip(circuit.public_order, package.public_inputs))
-    return (publics["delta_commit"] == circuit.commit_domain.value
+    return (publics["delta_commit"] == circuit.commit_domain
             and publics["T"] == package.timestamp
             and publics["nu"] == nonce_to_field(package.nonce)
             and publics["c"] == package.commitment.value)
@@ -361,7 +358,7 @@ def _bound(package: ProofPackage) -> bool:
 def create_package(pk, qap, witness, commitment_value: FieldElement,
                    keypair: SignatureKeypair, cert: Certificate,
                    vk_bytes: bytes, r1cs_bytes: bytes, timestamp: int,
-                   sign_domain: DomainSeparator, nonce: bytes = None,
+                   sign_domain: int, nonce: bytes = None,
                    proof_seed=None) -> ProofPackage:
     """Prove, then sign the assembled payload; returns the full package."""
     nonce = nonce if nonce is not None else secrets.token_bytes(NONCE_BYTES)
@@ -486,7 +483,7 @@ def audit_open(package: ProofPackage, opening: dict,
                commitment_public_index: int) -> bool:
     """Auditor-side check that a revealed opening matches the commitment the
     proof was bound to (both the package field and the public input)."""
-    c = package.commitment
-    if package.public_inputs[commitment_public_index] != c.value:
+    c = package.commitment.value
+    if package.public_inputs[commitment_public_index] != c:
         return False
     return verify_commitment(c, opening)

@@ -448,8 +448,8 @@ class CircuitDescriptor:
     """
     name: str
     public_order: list        # public inputs in wire order
-    commit_domain: object     # DomainSeparator pinned to `delta_commit`
-    sign_domain: object       # DomainSeparator packages are signed under
+    commit_domain: int        # domain separator pinned to `delta_commit`
+    sign_domain: int          # domain separator packages are signed under
     outcome: str              # the public input that carries the claim
     input_option: str
     opening: object

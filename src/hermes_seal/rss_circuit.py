@@ -203,14 +203,14 @@ def build_rss_circuit(theta: float = 0.75, rho_prob: int = 100,
               not_detected + b.lc(is_distant) - b.lc(wires["SAFE"]),
               "bind_safe_output")
     # 3. context binding
-    b.assert_equal(wires["delta_commit"], b.lc(RSS_COMMIT_DOMAIN.value),
+    b.assert_equal(wires["delta_commit"], b.lc(RSS_COMMIT_DOMAIN),
                    "assert_commit_domain")
     unbound = ["phi_S", "lambda_S", "rho_prob", "rho_geo", "rho_psi",
                "w_cloud", "w_precip", "w_fog"]
     if include_commitment:
         # the tag enters as the constant assert_commit_domain pins
         # delta_commit to, so round 0's S-box on it folds away
-        sponge_inputs = [b.lc(RSS_COMMIT_DOMAIN.value), wires["Pr"],
+        sponge_inputs = [b.lc(RSS_COMMIT_DOMAIN), wires["Pr"],
                          wires["b0"], wires["b1"], wires["b2"], wires["b3"],
                          wires["phi_V"], wires["lambda_V"], wires["v"],
                          wires["psi"], wires["T"], wires["nu"],
@@ -261,9 +261,9 @@ def make_rss_inputs(scenario: RssScenario, nonce: bytes = None,
     params = RssParams(v=scenario.speed_mps, t_rec=scenario.t_rec,
                        mu=scenario.mu, g=scenario.g)
     d_safe = rss_safe_distance(params)
-    pr_scaled = scale(scenario.probability, scenario.rho_prob, field).value
-    d_s_scaled = scale(d_safe, RHO_DIST, field).value
-    d_cur_scaled = scale(scenario.distance_m, RHO_DIST, field).value
+    pr_scaled = scale(scenario.probability, scenario.rho_prob, field)
+    d_s_scaled = scale(d_safe, RHO_DIST, field)
+    d_cur_scaled = scale(scenario.distance_m, RHO_DIST, field)
     if pr_scaled >= (1 << PROB_BITS):
         raise ValueError("scaled probability out of comparator range")
     if d_s_scaled >= (1 << DIST_BITS) or d_cur_scaled >= (1 << DIST_BITS):
@@ -271,33 +271,33 @@ def make_rss_inputs(scenario: RssScenario, nonce: bytes = None,
     witness = RssWitness(
         Pr=pr_scaled,
         b=tuple(int(x) for x in scenario.bbox),
-        phi_V=scale(scenario.phi_v, scenario.rho_geo, field).value,
-        lambda_V=scale(scenario.lambda_v, scenario.rho_geo, field).value,
-        v=scale(scenario.speed_mps, RHO_DIST, field).value,
-        psi=scale(scenario.yaw, scenario.rho_psi, field).value,
+        phi_V=scale(scenario.phi_v, scenario.rho_geo, field),
+        lambda_V=scale(scenario.lambda_v, scenario.rho_geo, field),
+        v=scale(scenario.speed_mps, RHO_DIST, field),
+        psi=scale(scenario.yaw, scenario.rho_psi, field),
         s_sec=s_sec,
     )
     theta_scaled = (circuit.theta if circuit is not None
                     else round(0.75 * scenario.rho_prob))
     safe = 1 if (pr_scaled < theta_scaled or d_cur_scaled >= d_s_scaled) else 0
     publics = RssPublicInputs(
-        delta_commit=RSS_COMMIT_DOMAIN.value,
+        delta_commit=RSS_COMMIT_DOMAIN,
         ID=scenario.object_id,
         d_S=d_s_scaled,
         d_S_current=d_cur_scaled,
-        phi_S=scale(scenario.phi_s, scenario.rho_geo, field).value,
-        lambda_S=scale(scenario.lambda_s, scenario.rho_geo, field).value,
+        phi_S=scale(scenario.phi_s, scenario.rho_geo, field),
+        lambda_S=scale(scenario.lambda_s, scenario.rho_geo, field),
         rho_prob=scenario.rho_prob,
         rho_geo=scenario.rho_geo,
         rho_psi=scenario.rho_psi,
         T=scenario.timestamp,
         nu=nonce_to_field(nonce, field),
-        w_cloud=scale(scenario.w_cloud, 100, field).value,
-        w_precip=scale(scenario.w_precip, 100, field).value,
-        w_fog=scale(scenario.w_fog, 100, field).value,
+        w_cloud=scale(scenario.w_cloud, 100, field),
+        w_precip=scale(scenario.w_precip, 100, field),
+        w_fog=scale(scenario.w_fog, 100, field),
         SAFE=safe,
     )
-    publics.c = commit(**_opening(publics, witness), field=field).value
+    publics.c = commit(**_opening(publics, witness), field=field)
     return publics, witness, nonce
 
 

@@ -10,7 +10,7 @@ import random
 
 from hermes_seal.commitment import (STATE_WIDTH, commit, sponge_hash,
                                     sponge_parameters)
-from hermes_seal.field import FieldElement, PrimeModulus, TEST_FIELD
+from hermes_seal.field import PrimeModulus, TEST_FIELD
 
 
 def gadget_constraints_per_permutation(field: PrimeModulus = TEST_FIELD) -> int:
@@ -20,8 +20,8 @@ def gadget_constraints_per_permutation(field: PrimeModulus = TEST_FIELD) -> int:
     return 2 * (STATE_WIDTH * params.full_rounds + params.partial_rounds)
 
 
-def _truncated(c: FieldElement, bits):
-    return c.value & ((1 << bits) - 1) if bits else c.value
+def _truncated(c: int, bits):
+    return c & ((1 << bits) - 1) if bits else c
 
 
 def game_collision(trials: int, rng: random.Random,
@@ -68,7 +68,7 @@ def game_hiding(trials: int, rng: random.Random,
     for _ in range(trials):
         bit = rng.randrange(2)
         c = commit(0, payloads[bit], rng.randrange(p), field)
-        guess = c.value & 1  # any fixed efficient distinguisher
+        guess = c & 1  # any fixed efficient distinguisher
         if guess == bit:
             correct += 1
     return abs(correct / trials - 0.5)

@@ -63,8 +63,8 @@ def _report(number, name, ok, detail):
 def test_criterion_01_scaling_roundtrip():
     rng = random.Random(20240824)
     t0 = perf_counter()
-    worked = scale(0.75, 100).value == 75 and unscale(scale(0.75, 100),
-                                                      100) == 0.75
+    worked = scale(0.75, 100) == 75 and unscale(scale(0.75, 100),
+                                                100) == 0.75
     worst_rel = 0.0
     ok = worked
     for _ in range(100_000):
@@ -250,7 +250,7 @@ def test_criterion_07_exhaustive_equivalence():
     witness = RssWitness(Pr=0, b=(0, 0, 1, 1), phi_V=0, lambda_V=0, v=0,
                          psi=0, s_sec=0)
     publics = RssPublicInputs(
-        delta_commit=RSS_COMMIT_DOMAIN.value, ID=11, d_S=0, d_S_current=0,
+        delta_commit=RSS_COMMIT_DOMAIN, ID=11, d_S=0, d_S_current=0,
         phi_S=0, lambda_S=0, rho_prob=8, rho_geo=1, rho_psi=1, T=0, nu=0)
     mismatches = flips_caught = flips_tried = combos = 0
     for pr in range(64):
@@ -360,8 +360,8 @@ def test_criterion_08_protocol_defenses():
 
 
 def test_criterion_09_domain_separators():
-    values = (RSS_COMMIT_DOMAIN.value, RSS_SIGN_DOMAIN.value,
-              AUDIT_COMMIT_DOMAIN.value, AUDIT_SIGN_DOMAIN.value)
+    values = (RSS_COMMIT_DOMAIN, RSS_SIGN_DOMAIN, AUDIT_COMMIT_DOMAIN,
+              AUDIT_SIGN_DOMAIN)
     ok = values == (65536, 131072, 16842752, 16908288)
     _report(9, "domain separation constants", ok,
             "commit/sign separators " + ", ".join(map(str, values)))
@@ -382,8 +382,8 @@ def test_criterion_10_commitment_games():
     if trunc_ok:
         a, b = truncated
         mask = (1 << 16) - 1
-        trunc_ok = (a != b and sponge_hash(list(a)).value & mask
-                    == sponge_hash(list(b)).value & mask)
+        trunc_ok = (a != b and sponge_hash(list(a)) & mask
+                    == sponge_hash(list(b)) & mask)
     elapsed = perf_counter() - t0
     ok = binding is None and advantage <= sigma3 and trunc_ok
     _report(10, "commitment security games", ok,

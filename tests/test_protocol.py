@@ -20,12 +20,12 @@ from hermes_seal.groth16 import (Groth16Error, Proof, ProvingKey,
 from hermes_seal.pairing import toy_group
 from hermes_seal.protocol import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN,
                                   CIRCUITS, CIRCUITS_BY_SIGN_DOMAIN,
-                                  Certificate, DomainSeparator,
-                                  EnrollmentAuthority, ProofPackage,
-                                  ProtocolError, RSS_COMMIT_DOMAIN,
-                                  RSS_SIGN_DOMAIN, VerifierState, audit_open,
-                                  create_package, schnorr_keygen,
-                                  schnorr_sign, schnorr_verify)
+                                  Certificate, EnrollmentAuthority,
+                                  ProofPackage, ProtocolError,
+                                  RSS_COMMIT_DOMAIN, RSS_SIGN_DOMAIN,
+                                  VerifierState, audit_open, create_package,
+                                  schnorr_keygen, schnorr_sign,
+                                  schnorr_verify)
 from hermes_seal.rss_circuit import (PUBLIC_ORDER, RSS_CIRCUIT, RssScenario,
                                      make_rss_inputs)
 
@@ -34,21 +34,12 @@ from hermes_seal.rss_circuit import (PUBLIC_ORDER, RSS_CIRCUIT, RssScenario,
 
 
 def test_domain_separator_values():
-    assert RSS_COMMIT_DOMAIN.value == 65536
-    assert RSS_SIGN_DOMAIN.value == 131072
-    assert AUDIT_COMMIT_DOMAIN.value == 16842752
-    assert AUDIT_SIGN_DOMAIN.value == 16908288
-    assert len({d.value for d in (RSS_COMMIT_DOMAIN, RSS_SIGN_DOMAIN,
-                                  AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN)}) == 4
-
-
-def test_domain_separator_packing():
-    d = DomainSeparator(0xAB, 0xCD, 0x1234)
-    assert d.value == (0xAB << 24) | (0xCD << 16) | 0x1234
-    with pytest.raises(ProtocolError):
-        DomainSeparator(256, 0)
-    with pytest.raises(ProtocolError):
-        DomainSeparator(0, 0, 1 << 16)
+    assert RSS_COMMIT_DOMAIN == 65536
+    assert RSS_SIGN_DOMAIN == 131072
+    assert AUDIT_COMMIT_DOMAIN == 16842752
+    assert AUDIT_SIGN_DOMAIN == 16908288
+    assert len({RSS_COMMIT_DOMAIN, RSS_SIGN_DOMAIN, AUDIT_COMMIT_DOMAIN,
+                AUDIT_SIGN_DOMAIN}) == 4
 
 
 # -- circuit descriptors ------------------------------------------------------
@@ -66,12 +57,10 @@ def test_descriptor_matches_its_circuit(name):
     assert {"delta_commit", "T", "nu", "c"} <= set(desc.public_order)
     assert desc.public_order[-1] == desc.outcome
     assert CIRCUITS_BY_SIGN_DOMAIN[desc.sign_domain] is desc
-    assert CIRCUITS_BY_SIGN_DOMAIN[
-        DomainSeparator(desc.sign_domain.app, desc.sign_domain.op)] is desc
 
 
 def test_descriptor_domains_are_unique():
-    domains = [d.value for c in CIRCUITS.values()
+    domains = [d for c in CIRCUITS.values()
                for d in (c.commit_domain, c.sign_domain)]
     assert len(set(domains)) == len(domains) == 2 * len(CIRCUITS)
 
@@ -220,7 +209,7 @@ def test_package_serialization_roundtrip(small_rss_artifacts, identity):
     back = ProofPackage.from_bytes(raw)
     assert back.to_bytes() == raw
     assert back.public_inputs == pkg.public_inputs
-    assert back.sign_domain.value == RSS_SIGN_DOMAIN.value
+    assert back.sign_domain == RSS_SIGN_DOMAIN
     with pytest.raises(ProtocolError):
         ProofPackage.from_bytes(raw + b"\x00")
     with pytest.raises(ProtocolError):
@@ -457,7 +446,7 @@ def test_unknown_or_foreign_sign_domain_rejected_at_binding(
     _, keypair, _ = identity
     pkg, _, _ = _fresh_package(art, identity)
     state = _fresh_state(art, identity)
-    for domain in (DomainSeparator(0x02, 0x02), AUDIT_SIGN_DOMAIN,
+    for domain in (0x02020000, AUDIT_SIGN_DOMAIN,
                    RSS_COMMIT_DOMAIN):
         moved = _re_signed(pkg, keypair, art, sign_domain=domain)
         assert state.verify_package(moved, now=101) == (False, "binding"), \
@@ -471,7 +460,7 @@ def test_publics_that_misstate_the_circuit_rejected_at_binding(
     state = _fresh_state(small_rss_artifacts, identity)
     pkg, _, _ = _fresh_package(small_rss_artifacts, identity)
     pkg.public_inputs[PUBLIC_ORDER.index("delta_commit")] = \
-        AUDIT_COMMIT_DOMAIN.value
+        AUDIT_COMMIT_DOMAIN
     assert state.verify_package(pkg, now=101) == (False, "binding")
     pkg, _, _ = _fresh_package(small_rss_artifacts, identity)
     pkg.public_inputs.pop()

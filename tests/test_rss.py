@@ -98,7 +98,7 @@ def test_full_circuit_binds_commitment(rss_artifacts):
     w = art.circuit.generate_witness(publics, witness)
     opening = RSS_CIRCUIT.opening(publics, witness)
     assert opening["payload"][-2:] == [publics.T, publics.nu]
-    assert publics.c == commit(**opening).value
+    assert publics.c == commit(**opening)
     # wrong commitment public input -> unsatisfiable at the sponge binding
     publics.c = (publics.c + 1) % TEST_FIELD.p
     with pytest.raises(UnsatisfiableError, match="bind_commitment"):
