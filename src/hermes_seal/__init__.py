@@ -3,7 +3,7 @@ privacy-preserving perception exchange between vehicles and roadside
 verifiers.
 
 Layering (each module depends only on those before it):
-    field       prime fields, fixed-point scaling, wire encodings, domain separators
+    field       prime fields, fixed-point scaling, domain separators
     pairing     toy supersingular pairing group, MSM
     r1cs        constraint systems, circuit builder, gadgets, descriptors
     qap         radix-2 evaluation domain, inverse NTT, R1CS -> QAP quotient
@@ -11,14 +11,13 @@ Layering (each module depends only on those before it):
     commitment  algebraic sponge hash, commitments
     rss_circuit safe-stopping-distance case study
     audit_circuit  detection-audit case study
-    protocol    signatures, certificates, proof packages, verifier state
+    protocol    signatures, certificates, package byte format, verifier state
     cli         command-line front end
     v2x_sim     deterministic broadcast simulation harness
 """
 
-from .field import (FieldElement, PrimeModulus, DTypeTag, EncodingError,
-                    TEST_FIELD, STANDARD_FIELD, NONCE_BYTES, scale, unscale,
-                    encode, decode)
+from .field import (FieldElement, PrimeModulus, EncodingError, TEST_FIELD,
+                    STANDARD_FIELD, NONCE_BYTES, scale, unscale)
 from .pairing import BilinearGroup, G1Element, G2Element, GtElement, toy_group
 from .r1cs import (CircuitBuilder, ConstraintSystem, LinearCombination,
                    MissingInputError, R1csError, UnsatisfiableError, Wire,

@@ -259,6 +259,37 @@ def digest_to_field(digest: bytes, field: PrimeModulus = TEST_FIELD) -> int:
     return int.from_bytes(digest, "little") % field.p
 
 
+def _read_images(lines, idx: int, kind: str, item: str, make):
+    """The `image <i> <kind> <count>` blocks of `lines` from `idx` to the
+    end, each followed by `count` lines `<item> <six ints>`; per image, the
+    list of `make(*ints)`.  A structural fault raises ValueError naming
+    the line."""
+    images = []
+    while idx < len(lines):
+        header = lines[idx].split()
+        if (len(header) != 4 or header[:3] != ["image", str(len(images)), kind]
+                or not header[3].isdigit()):
+            raise ValueError(f"malformed image header: {lines[idx]!r}")
+        count = int(header[3])
+        block = lines[idx + 1:idx + 1 + count]
+        if len(block) != count:
+            raise ValueError(f"{lines[idx]!r} is followed by {len(block)} "
+                             f"{item} lines")
+        values = []
+        for line in block:
+            parts = line.split()
+            try:
+                if len(parts) != 7 or parts[0] != item:
+                    raise ValueError("expected six integers")
+                values.append(make(*(int(p) for p in parts[1:])))
+            except ValueError as exc:
+                raise ValueError(f"malformed {item} line {line!r}: {exc}") \
+                    from None
+        images.append(values)
+        idx += 1 + count
+    return images
+
+
 def parse_challenge_text(text: str):
     """Inverse of canonical_text; strict about structure."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -270,31 +301,19 @@ def parse_challenge_text(text: str):
         key, _, value = lines[idx].partition(" ")
         kv[key] = value
         idx += 1
+    ratios = [f.name for f in dataclasses.fields(AuditThresholds)]
+    missing = [key for key in ["n_images", "m_max", "rho_prob", "rho_bbox"]
+               + ratios if key not in kv]
+    if missing:
+        raise ValueError(f"challenge-set file lacks {', '.join(missing)}")
     def ratio(s):
         num, _, den = s.partition("/")
         return (int(num), int(den))
-    thresholds = AuditThresholds(theta_conf=ratio(kv["theta_conf"]),
-                                 theta_iou=ratio(kv["theta_iou"]),
-                                 tau_prec=ratio(kv["tau_prec"]),
-                                 tau_rec=ratio(kv["tau_rec"]))
-    n_images = int(kv["n_images"])
-    images = []
-    while idx < len(lines):
-        header = lines[idx].split()
-        if header[0] != "image" or header[2] != "gts":
-            raise ValueError(f"malformed image header: {lines[idx]!r}")
-        count = int(header[3])
-        idx += 1
-        gts = []
-        for _ in range(count):
-            parts = lines[idx].split()
-            if parts[0] != "gt" or len(parts) != 7:
-                raise ValueError(f"malformed ground-truth line: {lines[idx]!r}")
-            x1, y1, x2, y2, cls, crit = (int(p) for p in parts[1:])
-            gts.append(GroundTruth((x1, y1, x2, y2), cls, crit))
-            idx += 1
-        images.append(gts)
-    if len(images) != n_images:
+    thresholds = AuditThresholds(**{k: ratio(kv[k]) for k in ratios})
+    images = _read_images(
+        lines, idx, "gts", "gt", lambda x1, y1, x2, y2, cls, crit:
+        GroundTruth((x1, y1, x2, y2), cls, crit))
+    if len(images) != int(kv["n_images"]):
         raise ValueError("image count mismatch in challenge-set file")
     challenge = ChallengeSet(images, m_max=int(kv["m_max"]),
                              rho_prob=int(kv["rho_prob"]),
@@ -306,24 +325,9 @@ def parse_detections(text: str):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "detections v1":
         raise ValueError("not a detections file (missing header)")
-    per_image = []
-    idx = 1
-    while idx < len(lines):
-        header = lines[idx].split()
-        if header[0] != "image" or header[2] != "dets":
-            raise ValueError(f"malformed image header: {lines[idx]!r}")
-        count = int(header[3])
-        idx += 1
-        dets = []
-        for _ in range(count):
-            parts = lines[idx].split()
-            if parts[0] != "det" or len(parts) != 7:
-                raise ValueError(f"malformed detection line: {lines[idx]!r}")
-            cls, conf, x1, y1, x2, y2 = (int(p) for p in parts[1:])
-            dets.append(Detection((x1, y1, x2, y2), cls, conf))
-            idx += 1
-        per_image.append(dets)
-    return per_image
+    return _read_images(
+        lines, 1, "dets", "det", lambda cls, conf, x1, y1, x2, y2:
+        Detection((x1, y1, x2, y2), cls, conf))
 
 
 # -- public/witness containers ------------------------------------------------

@@ -35,13 +35,13 @@ import sys
 import time
 
 from .commitment import sponge_hash
-from .field import (DTypeTag, FieldElement, NONCE_BYTES, STANDARD_FIELD,
-                    TEST_FIELD, encode, nonce_to_field)
+from .field import (FieldElement, NONCE_BYTES, STANDARD_FIELD, TEST_FIELD,
+                    nonce_to_field)
 from .groth16 import ProvingKey, VerifyingKey, prove, setup, verify
 from .protocol import (CIRCUITS, REJECT_STAGES, Certificate,
                        EnrollmentAuthority, ProofPackage, SignatureKeypair,
                        VerifierState, audit_open, create_package,
-                       schnorr_keygen, toy_group)
+                       schnorr_keygen, section_bytes, toy_group)
 from .qap import r1cs_to_qap
 from .r1cs import R1csError, UnsatisfiableError
 from .rss_circuit import RssScenario, build_rss_circuit, make_rss_inputs
@@ -338,14 +338,10 @@ def cmd_vectors(args) -> int:
             h = sponge_hash(inputs, field)
             label = ",".join(str(x) for x in inputs)
             lines.append(f"sponge {fname} [{label}] {h}")
-    samples = [
-        ("ctx", encode(CIRCUITS["rss"].sign_domain, DTypeTag.CTX)),
-        ("ts", encode(123456789, DTypeTag.TS)),
-        ("nonce", encode(bytes(range(NONCE_BYTES)), DTypeTag.NONCE)),
-        ("commit", encode(FieldElement(42, TEST_FIELD), DTypeTag.COMMIT)),
-    ]
-    for name, blob in samples:
-        lines.append(f"encode {name} {blob.hex()}")
+    samples = [("ctx", CIRCUITS["rss"].sign_domain), ("ts", 123456789),
+               ("nonce", bytes(range(NONCE_BYTES))), ("commit", 42)]
+    for name, value in samples:
+        lines.append(f"encode {name} {section_bytes(name, value).hex()}")
     text = "\n".join(lines) + "\n"
     if args.out:
         _write(args.out, text, "w")

@@ -1,29 +1,25 @@
-"""Prime fields, real<->field scaling, canonical byte encodings and the
-domain separators.
+"""Prime fields, real<->field scaling, the nonce length and the domain
+separators.
 
 Every value below the package's wire format is a plain int or bytes:
 witness values, scaled reals, sponge digests, commitments and domain
 separators are canonical ints mod `PrimeModulus.p`.  `FieldElement` is left
-only as the type of a package's commitment, a canonical residue tagged with
-its modulus that the `COMMIT` encoding writes.
+only as the type of a package's commitment, a canonical residue.  The
+package's byte format, the commitment's section included, is `protocol`'s.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 
 __all__ = [
     "PrimeModulus",
     "FieldElement",
-    "DTypeTag",
     "TEST_FIELD",
     "STANDARD_FIELD",
     "batch_inverse",
     "scale",
     "unscale",
-    "encode",
-    "decode",
     "EncodingError",
     "ProtocolError",
     "RSS_COMMIT_DOMAIN",
@@ -35,7 +31,7 @@ __all__ = [
 
 
 class EncodingError(ValueError):
-    """Raised when encode/decode receives malformed input for a tag."""
+    """A malformed curve point encoding."""
 
 
 class ProtocolError(Exception):
@@ -91,20 +87,16 @@ STANDARD_FIELD = PrimeModulus(
 
 class FieldElement:
     """A package's commitment: the canonical residue `value` in [0, p) of
-    an int, tagged with its modulus.  It has no arithmetic and no equality
-    of its own; compare `value`s."""
+    an int.  It has no arithmetic and no equality of its own; compare
+    `value`s."""
 
-    __slots__ = ("value", "modulus")
+    __slots__ = ("value",)
 
     def __init__(self, value: int, modulus: PrimeModulus):
         self.value = value % modulus.p
-        self.modulus = modulus
 
     def __repr__(self):
         return f"Fp({self.value})"
-
-    def to_bytes(self) -> bytes:
-        return self.value.to_bytes(self.modulus.byte_width, "little")
 
 
 def batch_inverse(values, p: int):
@@ -149,67 +141,7 @@ def unscale(z: int, rho: int) -> float:
     return signed / rho
 
 
-class DTypeTag(enum.Enum):
-    """Datatype tags selecting the canonical serialization rule."""
-
-    CTX = "CTX"
-    COMMIT = "COMMIT"
-    TS = "TS"
-    NONCE = "NONCE"
-
-
-# Fixed-width rules.  The wire format is little-endian throughout; widths are
-# part of this artifact's contract (CTX 4 bytes, TS 8 bytes, NONCE 16 bytes,
-# COMMIT one field element).
-_INT_WIDTHS = {DTypeTag.CTX: 4, DTypeTag.TS: 8}
-NONCE_BYTES = 16
-
-
-def encode(value, dtype: DTypeTag) -> bytes:
-    """Canonical byte encoding of a value under a datatype tag.
-
-    Deterministic and injective per tag over the tag's declared domain.
-    """
-    if dtype in _INT_WIDTHS:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise EncodingError(f"{dtype.value} encodes integers, got {type(value).__name__}")
-        width = _INT_WIDTHS[dtype]
-        if not 0 <= value < 1 << (8 * width):
-            raise EncodingError(f"{dtype.value} value {value} out of {width}-byte range")
-        return value.to_bytes(width, "little")
-    if dtype is DTypeTag.NONCE:
-        if not isinstance(value, (bytes, bytearray)) or len(value) != NONCE_BYTES:
-            raise EncodingError(f"NONCE encodes exactly {NONCE_BYTES} raw bytes")
-        return bytes(value)
-    if dtype is DTypeTag.COMMIT:
-        if not isinstance(value, FieldElement):
-            raise EncodingError("COMMIT encodes a field element")
-        return value.to_bytes()
-    raise EncodingError(f"unknown dtype tag {dtype!r}")
-
-
-def decode(data: bytes, dtype: DTypeTag, field: PrimeModulus = TEST_FIELD):
-    """Exact inverse of encode for the same tag; rejects malformed buffers."""
-    if not isinstance(data, (bytes, bytearray)):
-        raise EncodingError("decode expects bytes")
-    data = bytes(data)
-    if dtype in _INT_WIDTHS:
-        width = _INT_WIDTHS[dtype]
-        if len(data) != width:
-            raise EncodingError(f"{dtype.value} expects {width} bytes, got {len(data)}")
-        return int.from_bytes(data, "little")
-    if dtype is DTypeTag.NONCE:
-        if len(data) != NONCE_BYTES:
-            raise EncodingError(f"NONCE expects {NONCE_BYTES} bytes, got {len(data)}")
-        return data
-    if dtype is DTypeTag.COMMIT:
-        if len(data) != field.byte_width:
-            raise EncodingError(f"COMMIT expects {field.byte_width} bytes, got {len(data)}")
-        v = int.from_bytes(data, "little")
-        if v >= field.p:
-            raise EncodingError("COMMIT bytes encode a value outside the field")
-        return FieldElement(v, field)
-    raise EncodingError(f"unknown dtype tag {dtype!r}")
+NONCE_BYTES = 16   # a package nonce; `nonce_to_field` reads it as nu
 
 
 # Domain separators are 32-bit ints packed big-endian as [app][op][counter:2]:

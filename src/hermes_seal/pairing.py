@@ -11,10 +11,12 @@ e(P, Q) = f_{q,Q}(phi(P))^((p^2-1)/q) is bilinear and non-degenerate here,
 and symmetric, since G1 and G2 are one cyclic subgroup of E(F_p).
 
 There is one such group.  Its parameters are module constants (Q,
-COFACTOR, P), and the curve and F_{p^2} arithmetic over P are module
-functions (`_add`, `_jdbl`, `_msm`, `_fp2_mul`, ...) that take no modulus.
-`toy_group()` returns the one `BilinearGroup`, built at import; points and
-GT elements hold no reference to a group.
+COFACTOR, P, G1_GENERATOR, G2_GENERATOR and LAMBDA below), so an import
+searches for nothing and runs no pairing.  The curve and F_{p^2}
+arithmetic over P are module functions (`_add`, `_jdbl`, `_msm`,
+`_fp2_mul`, ...) that take no modulus.  `toy_group()` returns the one
+`BilinearGroup`, built at import; points and GT elements hold no
+reference to a group.
 
 The Miller loop comes in two parts: `lines(Q)` walks the loop over Q and
 records each step's line, and `pairing_product` evaluates the lines of
@@ -79,15 +81,14 @@ TOY_CURVE_PROFILE = 0x00  # profile byte: toy / insecure curve
 Q = TEST_FIELD.p          # prime order of G1, G2 and GT
 COFACTOR = 36             # #E(F_p) = p + 1 = COFACTOR * Q
 P = COFACTOR * Q - 1      # base field prime, 3 (mod 4)
+# the generators, found offline (`tests/schoolbook.find_generator`): g1 is
+# COFACTOR * (x, y), y the smaller root, for the least x >= 1 where that is
+# not the identity, and g2 the same from x = g1's x + 1; each has order Q
+G1_GENERATOR = (38637286455697092128, 7880681149672765308)
+G2_GENERATOR = (54826167486496259062, 11349218919608810542)
 LAMBDA = 1737290451288304358  # log_g1(g2): g2 = LAMBDA * g1
 
 _INF = None  # affine point at infinity sentinel
-
-
-def _sqrt_3mod4(a: int):
-    """Square root mod P (P = 3 mod 4); None if a is a non-residue."""
-    r = pow(a, (P + 1) // 4, P)
-    return r if r * r % P == a else None
 
 
 # -- the curve y^2 = x^3 + x over F_P (a = 1, b = 0), affine and Jacobian -----
@@ -504,23 +505,8 @@ class BilinearGroup:
 
     def __init__(self):
         self._table = None  # g1's _FixedBaseTable
-        self.g1 = G1Element(self._find_generator(start_x=1))
-        self.g2 = G2Element(self._find_generator(start_x=self.g1.point[0] + 1))
-        self.gt_generator = self.pair(self.g1, self.g2)
-        if self.gt_generator.is_identity():
-            raise ValueError("degenerate pairing on generators")
-
-    def _find_generator(self, start_x: int):
-        p = self.p
-        x = start_x
-        while True:
-            rhs = (x * x % p * x + x) % p
-            y = _sqrt_3mod4(rhs)
-            if y is not None:
-                pt = _scalar_mul(COFACTOR, (x, min(y, p - y)))
-                if pt is not _INF:
-                    return pt
-            x += 1
+        self.g1 = G1Element(G1_GENERATOR)
+        self.g2 = G2Element(G2_GENERATOR)
 
     # -- group operations ---------------------------------------------------
 

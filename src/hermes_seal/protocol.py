@@ -15,6 +15,11 @@ Signatures are Schnorr over G1 of the toolkit's one pairing group
 (`pairing.toy_group()`), so keypairs, the enrollment authority and the
 verifier state hold no group of their own.
 
+The package's whole byte format is here: `ProofPackage.to_bytes` writes
+its sections in `_SECTION_ORDER`, each behind a 4-byte length, and the
+fixed-width ones (commitment, timestamp, nonce, context) through
+`section_bytes`, which the signed payload shares.
+
 `VerifierState.verify_package` runs its checks cheapest and most diagnostic
 first, in the order of `REJECT_STAGES`, which also names what the `verify`
 command prints for each.  The binding check asks that the public
@@ -30,10 +35,9 @@ import struct
 
 from .audit_circuit import AUDIT_CIRCUIT
 from .commitment import byte_hash, verify_commitment
-from .field import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN, DTypeTag,
-                    EncodingError, FieldElement, NONCE_BYTES, ProtocolError,
-                    RSS_COMMIT_DOMAIN, RSS_SIGN_DOMAIN, TEST_FIELD, decode,
-                    encode, nonce_to_field)
+from .field import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN, FieldElement,
+                    NONCE_BYTES, ProtocolError, RSS_COMMIT_DOMAIN,
+                    RSS_SIGN_DOMAIN, TEST_FIELD, nonce_to_field)
 from .groth16 import Groth16Error, Proof, VerifyingKey, prove, verify
 from .pairing import G1Element, Q, toy_group
 from .rss_circuit import RSS_CIRCUIT
@@ -49,6 +53,7 @@ __all__ = [
     "schnorr_verify",
     "Certificate",
     "EnrollmentAuthority",
+    "section_bytes",
     "assemble_payload",
     "ProofPackage",
     "VerifierState",
@@ -208,6 +213,29 @@ class EnrollmentAuthority:
         return schnorr_verify(root_pk_bytes, cert.body_bytes(), cert.signature)
 
 
+# -- fixed-width sections ----------------------------------------------------
+
+# byte width of each fixed-width section, shared by the package and the
+# signed payload; the format is little-endian throughout
+_WIDTHS = {"commit": TEST_FIELD.byte_width, "ts": 8, "nonce": NONCE_BYTES,
+           "ctx": 4}
+
+
+def section_bytes(name: str, value) -> bytes:
+    """The bytes of the fixed-width section `name`: an int little-endian,
+    the nonce as it is.  A value that does not fit the section's width
+    raises ProtocolError."""
+    width = _WIDTHS[name]
+    try:
+        data = value if name == "nonce" else value.to_bytes(width, "little")
+    except OverflowError:
+        data = b""
+    if len(data) != width:
+        raise ProtocolError(f"{name} value {value!r} does not fit "
+                            f"{width} bytes")
+    return data
+
+
 # -- signed payload ----------------------------------------------------------
 
 
@@ -234,14 +262,14 @@ def assemble_payload(sign_domain: int, r1cs_bytes: bytes,
     r1cs_hash, vk_hash = artifact_hashes or _artifact_hashes(r1cs_bytes,
                                                              vk_bytes)
     return b"".join([
-        encode(sign_domain, DTypeTag.CTX),
+        section_bytes("ctx", sign_domain),
         r1cs_hash,
         vk_hash,
         byte_hash(cert_bytes),
         byte_hash(proof_bytes),
-        encode(commitment_value, DTypeTag.COMMIT),
-        encode(timestamp, DTypeTag.TS),
-        encode(nonce, DTypeTag.NONCE),
+        section_bytes("commit", commitment_value.value),
+        section_bytes("ts", timestamp),
+        section_bytes("nonce", nonce),
     ])
 
 
@@ -282,14 +310,14 @@ class ProofPackage:
         return {
             "proof": self.proof_bytes,
             "publics": pubs,
-            "commit": encode(self.commitment, DTypeTag.COMMIT),
+            "commit": section_bytes("commit", self.commitment.value),
             "sig": self.signature,
             "vk_sig": self.vk_sig_bytes,
             "cert": self.cert_bytes,
             "r1cs_hash": self.r1cs_hash,
-            "ts": encode(self.timestamp, DTypeTag.TS),
-            "nonce": encode(self.nonce, DTypeTag.NONCE),
-            "ctx": encode(self.sign_domain, DTypeTag.CTX),
+            "ts": section_bytes("ts", self.timestamp),
+            "nonce": section_bytes("nonce", self.nonce),
+            "ctx": section_bytes("ctx", self.sign_domain),
         }
 
     def to_bytes(self, field=TEST_FIELD) -> bytes:
@@ -304,6 +332,7 @@ class ProofPackage:
     @classmethod
     def from_bytes(cls, data: bytes, field=TEST_FIELD) -> "ProofPackage":
         """Decode a package; any malformed encoding raises ProtocolError."""
+        data = bytes(data)  # sections of a bytearray would be unhashable
         if data[:4] != PACKAGE_MAGIC:
             raise ProtocolError("bad package magic")
         if data[4:5] != bytes([PACKAGE_VERSION]):
@@ -329,16 +358,17 @@ class ProofPackage:
                                 "its count")
         pubs = [int.from_bytes(publics[4 + i * w:4 + (i + 1) * w], "little")
                 for i in range(n_pub)]
-        try:
-            sign_domain = decode(raw["ctx"], DTypeTag.CTX)
-            commitment = decode(raw["commit"], DTypeTag.COMMIT, field)
-            timestamp = decode(raw["ts"], DTypeTag.TS)
-            nonce = decode(raw["nonce"], DTypeTag.NONCE)
-        except EncodingError as exc:
-            raise ProtocolError(f"malformed package section: {exc}") from exc
-        return cls(raw["proof"], pubs, commitment, raw["sig"], raw["vk_sig"],
-                   raw["cert"], raw["r1cs_hash"], timestamp, nonce,
-                   sign_domain)
+        for name, width in _WIDTHS.items():
+            if len(raw[name]) != width:
+                raise ProtocolError(f"section {name} is {len(raw[name])} "
+                                    f"bytes, not {width}")
+        commitment = int.from_bytes(raw["commit"], "little")
+        if commitment >= field.p:
+            raise ProtocolError("commitment is not below the field modulus")
+        return cls(raw["proof"], pubs, FieldElement(commitment, field),
+                   raw["sig"], raw["vk_sig"], raw["cert"], raw["r1cs_hash"],
+                   int.from_bytes(raw["ts"], "little"), raw["nonce"],
+                   int.from_bytes(raw["ctx"], "little"))
 
 
 def _bound(package: ProofPackage) -> bool:

@@ -9,10 +9,11 @@ construction on the same points.
 
 For the pairing: `affine_lines`, the Miller loop over Q in affine
 coordinates with one modular inversion per line, the oracle for
-`BilinearGroup.lines`.
+`BilinearGroup.lines`; and `find_generator`, the search that chose the
+generator constants `pairing.G1_GENERATOR` and `pairing.G2_GENERATOR`.
 """
 
-from hermes_seal.pairing import _add
+from hermes_seal.pairing import COFACTOR, P, _add, _scalar_mul
 
 
 class Poly:
@@ -184,3 +185,18 @@ def affine_lines(group, Q):
                 T = (x3, (lam * (xt - x3) - yt) % p)
         out.append(step)
     return out
+
+
+def find_generator(start_x: int):
+    """COFACTOR * (x, y) for the least x >= start_x with x^3 + x a square
+    mod P whose multiple is not the identity, y the smaller square root
+    (P = 3 mod 4, so a root is a (P + 1)/4-th power)."""
+    x = start_x
+    while True:
+        rhs = (x * x % P * x + x) % P
+        y = pow(rhs, (P + 1) // 4, P)
+        if y * y % P == rhs:
+            pt = _scalar_mul(COFACTOR, (x, min(y, P - y)))
+            if pt is not None:
+                return pt
+        x += 1

@@ -173,6 +173,46 @@ def test_detections_text_roundtrip():
     assert format_detections(back) == text
 
 
+def _prefixes(text):
+    lines = text.splitlines(keepends=True)
+    return ["".join(lines[:n]) for n in range(len(lines))]
+
+
+def _parses_or_value_error(parse, text):
+    try:
+        parse(text)
+    except ValueError:
+        pass
+
+
+def test_truncated_texts_parse_or_raise_value_error():
+    # any other exception escapes and fails the test
+    challenge = canonical_text(fixture_challenge(), AuditThresholds())
+    for text in _prefixes(challenge):
+        _parses_or_value_error(parse_challenge_text, text)
+    for text in _prefixes(format_detections(fixture_detections())):
+        _parses_or_value_error(parse_detections, text)
+    for text in ("detections v1\nimage 0 dets 2\ndet 1 90 1 1 5 5\n",
+                 "detections v1\nimage 0\n",
+                 "detections v1\nimage 1 dets 0\n",
+                 "detections v1\nimage 0 dets 1\ndet 1 90 1 1 5\n",
+                 "detections v1\nimage 0 dets 1\ndet 1 90 1 1 5 x\n"):
+        with pytest.raises(ValueError, match="image|det"):
+            parse_detections(text)
+
+
+@pytest.mark.parametrize("key", ["n_images", "m_max", "rho_prob", "rho_bbox",
+                                 "theta_conf", "theta_iou", "tau_prec",
+                                 "tau_rec"])
+def test_challenge_text_without_a_header_key_raises(key):
+    text = canonical_text(fixture_challenge(), AuditThresholds())
+    dropped = "".join(line for line in text.splitlines(keepends=True)
+                      if not line.startswith(key + " "))
+    assert dropped != text
+    with pytest.raises(ValueError, match=key):
+        parse_challenge_text(dropped)
+
+
 def test_challenge_digest_sensitivity():
     challenge, thresholds = fixture_challenge(), AuditThresholds()
     d0 = challenge_digest(challenge, thresholds)

@@ -1,18 +1,18 @@
-"""Field elements (a package commitment's canonical residue tagged with its
-modulus), scaling quantization, and tagged encodings."""
+"""Field elements (a package commitment's canonical residue), scaling
+quantization, and the byte format of a package's fixed-width sections."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hermes_seal.field import (DTypeTag, EncodingError, FieldElement,
-                               NONCE_BYTES, STANDARD_FIELD, TEST_FIELD,
-                               decode, encode, scale, unscale)
+from hermes_seal.field import (FieldElement, NONCE_BYTES, TEST_FIELD, scale,
+                               unscale)
+from hermes_seal.protocol import ProofPackage, ProtocolError, section_bytes
 
 P = TEST_FIELD.p
 elems = st.integers(min_value=0, max_value=P - 1)
 
 
-# -- field elements: canonical residues tagged with their modulus -----------
+# -- field elements: canonical residues ---------------------------------------
 
 
 def test_field_element_keeps_canonical_residue():
@@ -23,10 +23,6 @@ def test_field_element_keeps_canonical_residue():
     # no equality of its own: an element never matches an int, congruent
     # or not, so a comparison has to name `value`
     assert a != 7 and a != P + 7 and a != b
-    assert len(a.to_bytes()) == TEST_FIELD.byte_width
-    big = FieldElement(-1, STANDARD_FIELD)
-    assert big.to_bytes() == (STANDARD_FIELD.p - 1).to_bytes(
-        STANDARD_FIELD.byte_width, "little")
 
 
 def test_roots_of_unity():
@@ -80,63 +76,70 @@ def test_scaling_factor_validation():
         scale(float("nan"), 10)
 
 
-# -- tagged encodings ---------------------------------------------------------
+# -- the package's fixed-width sections ----------------------------------------
+# `protocol.section_bytes` writes them and `ProofPackage.from_bytes` reads
+# them back; the commitment's width is the field's byte width.
 
 # frozen golden bytes (oracle: widths and little-endian order are contract)
 _GOLDENS = [
-    (131072, DTypeTag.CTX, bytes.fromhex("00000200")),
-    (123456789, DTypeTag.TS, bytes.fromhex("15cd5b0700000000")),
-    (bytes(range(16)), DTypeTag.NONCE, bytes(range(16))),
-    (FieldElement(42, TEST_FIELD), DTypeTag.COMMIT,
-     (42).to_bytes(8, "little")),
+    pytest.param("ctx", 131072, bytes.fromhex("00000200"), id="ctx"),
+    pytest.param("ts", 123456789, bytes.fromhex("15cd5b0700000000"), id="ts"),
+    pytest.param("nonce", bytes(range(16)), bytes(range(16)), id="nonce"),
+    pytest.param("commit", 42, (42).to_bytes(8, "little"), id="commit"),
 ]
 
 
-@pytest.mark.parametrize("value,tag,expected", _GOLDENS)
-def test_encode_goldens(value, tag, expected):
-    assert encode(value, tag) == expected
-    back = decode(expected, tag)
-    if tag is DTypeTag.COMMIT:
-        back, value = back.value, value.value
-    assert back == value
+def _package(ctx=0, ts=0, nonce=bytes(NONCE_BYTES), commit=0):
+    """A package with empty artifacts around the given envelope."""
+    return ProofPackage(b"", [], FieldElement(commit, TEST_FIELD), b"", b"",
+                        b"", b"", ts, nonce, ctx)
+
+
+def _read_back(name, value):
+    """`value` as the `name` section of a package, written to bytes and
+    read back."""
+    back = ProofPackage.from_bytes(_package(**{name: value}).to_bytes())
+    return {"ctx": back.sign_domain, "ts": back.timestamp,
+            "nonce": back.nonce, "commit": back.commitment.value}[name]
+
+
+@pytest.mark.parametrize("name,value,expected", _GOLDENS)
+def test_encode_goldens(name, value, expected):
+    assert section_bytes(name, value) == expected
+    assert _read_back(name, value) == value
 
 
 @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
 def test_ctx_roundtrip(v):
-    assert decode(encode(v, DTypeTag.CTX), DTypeTag.CTX) == v
+    assert _read_back("ctx", v) == v
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
 def test_ts_roundtrip(v):
-    assert decode(encode(v, DTypeTag.TS), DTypeTag.TS) == v
+    assert _read_back("ts", v) == v
 
 
 @given(st.binary(min_size=NONCE_BYTES, max_size=NONCE_BYTES))
 def test_nonce_roundtrip(v):
-    assert decode(encode(v, DTypeTag.NONCE), DTypeTag.NONCE) == v
+    assert _read_back("nonce", v) == v
 
 
 @given(elems)
 def test_commit_roundtrip(v):
-    back = decode(encode(FieldElement(v, TEST_FIELD), DTypeTag.COMMIT),
-                  DTypeTag.COMMIT)
-    assert back.value == v and back.modulus is TEST_FIELD
+    assert _read_back("commit", v) == v
 
 
 def test_encoding_rejections():
-    with pytest.raises(EncodingError):
-        encode(1 << 32, DTypeTag.CTX)          # overflow
-    with pytest.raises(EncodingError):
-        encode(-1, DTypeTag.TS)                # negative
-    with pytest.raises(EncodingError):
-        encode(True, DTypeTag.CTX)             # bool is not an int here
-    with pytest.raises(EncodingError):
-        encode(b"short", DTypeTag.NONCE)       # wrong nonce width
-    with pytest.raises(EncodingError):
-        encode(7, DTypeTag.COMMIT)             # not a field element
-    with pytest.raises(EncodingError):
-        decode(b"\x00" * 3, DTypeTag.CTX)      # truncated
-    with pytest.raises(EncodingError):
-        decode(P.to_bytes(8, "little"), DTypeTag.COMMIT)  # >= p
-    with pytest.raises(EncodingError):
-        decode("notbytes", DTypeTag.CTX)
+    for name, value in (("ctx", 1 << 32),        # overflow
+                        ("ts", 1 << 64),
+                        ("ts", -1),              # negative
+                        ("commit", 1 << 64),
+                        ("nonce", b"short"),     # wrong nonce width
+                        ("nonce", bytes(NONCE_BYTES + 1))):
+        with pytest.raises(ProtocolError):
+            section_bytes(name, value)
+    # a commitment >= p fits its 8 bytes but does not decode
+    pkg = _package()
+    pkg.commitment.value = P
+    with pytest.raises(ProtocolError):
+        ProofPackage.from_bytes(pkg.to_bytes())

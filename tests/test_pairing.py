@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import schoolbook
 from hermes_seal import pairing
-from hermes_seal.pairing import (LAMBDA, G1Element, G2Element, GtElement,
-                                 _add, _fp2_mul, _fp2_pow, _fp2_square,
-                                 _msm_window, _neg, _on_curve, _scalar_mul,
-                                 toy_group)
+from hermes_seal.pairing import (G1_GENERATOR, G2_GENERATOR, LAMBDA,
+                                 G1Element, G2Element, GtElement, _add,
+                                 _fp2_mul, _fp2_pow, _fp2_square, _msm_window,
+                                 _neg, _on_curve, _scalar_mul, toy_group)
 
 G = toy_group()
 Q = G.q
+GT = G.pair(G.g1, G.g2)
 scalars = st.integers(min_value=0, max_value=Q - 1)
 
 
@@ -42,12 +43,12 @@ def test_group_law(a, b):
 def test_bilinearity(a, b):
     # oracle: exponent arithmetic in the target group
     lhs = G.pair(G.scalar_mul_g1(a, G.g1), G.scalar_mul_g2(b, G.g2))
-    rhs = G.gt_generator ** (a * b % Q)
+    rhs = GT ** (a * b % Q)
     assert lhs.value == rhs.value
 
 
 def test_non_degeneracy():
-    assert not G.gt_generator.is_identity()
+    assert not GT.is_identity()
     assert G.pair(G.identity_g1(), G.g2).is_identity()
     assert G.pair(G.g1, G2Element(None)).is_identity()
 
@@ -526,9 +527,14 @@ def test_lines_match_affine_walk_on_generator_and_key(small_rss_artifacts):
 
 
 def test_gt_generator_pinned():
-    assert G.gt_generator.value == (70432318347898196015,
-                                    38602422276112285682)
-    assert G.pair(G.g1, G.g2) == G.gt_generator
+    assert G.pair(G.g1, G.g2).value == (70432318347898196015,
+                                        38602422276112285682)
+
+
+def test_generators_are_the_searched_points():
+    assert schoolbook.find_generator(1) == G1_GENERATOR == G.g1.point
+    assert schoolbook.find_generator(G1_GENERATOR[0] + 1) == G2_GENERATOR \
+        == G.g2.point
 
 
 # E(F_p) is cyclic of order 36*q: (0, 0) is its only 2-torsion point (x^2

@@ -216,6 +216,15 @@ def test_package_serialization_roundtrip(small_rss_artifacts, identity):
         ProofPackage.from_bytes(b"XXXX" + raw[4:])
 
 
+def test_package_read_from_a_bytearray_verifies(small_rss_artifacts,
+                                                identity):
+    # the certificate memo keys on the section's bytes
+    pkg, _, _ = _fresh_package(small_rss_artifacts, identity)
+    back = ProofPackage.from_bytes(bytearray(pkg.to_bytes()))
+    state = _fresh_state(small_rss_artifacts, identity)
+    assert state.verify_package(back, now=101) == (True, "ok")
+
+
 def test_verify_accepts_and_records_nonce(small_rss_artifacts, identity):
     pkg, _, _ = _fresh_package(small_rss_artifacts, identity)
     state = _fresh_state(small_rss_artifacts, identity)
@@ -290,7 +299,7 @@ def test_verify_rejects_every_field_tamper(small_rss_artifacts, identity):
         if isinstance(value, bytes):
             mutated = bytes([value[0] ^ 1]) + value[1:]
         elif isinstance(value, FieldElement):
-            mutated = FieldElement(value.value + 1, value.modulus)
+            mutated = FieldElement(value.value + 1, TEST_FIELD)
         else:
             mutated = value + 1
         setattr(pkg, attr, mutated)
@@ -391,7 +400,7 @@ ENVELOPE_CHANGES = {
     "timestamp": lambda pkg: pkg.timestamp + 1,
     "nonce": lambda pkg: bytes([pkg.nonce[0] ^ 1]) + pkg.nonce[1:],
     "commitment": lambda pkg: FieldElement(pkg.commitment.value + 1,
-                                           pkg.commitment.modulus),
+                                           TEST_FIELD),
 }
 
 
