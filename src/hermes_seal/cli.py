@@ -289,6 +289,8 @@ BENCH_STAGES = ["witness generation", "proof generation", "proof verification"]
 
 
 def cmd_bench(args) -> int:
+    if args.runs < 1:
+        raise CliError(f"--runs must be at least 1, not {args.runs}")
     rng = random.Random(args.seed if args.seed is not None else 0)
     circuit = build_rss_circuit()
     qap = r1cs_to_qap(circuit.cs)

@@ -1,6 +1,7 @@
 """Shared fixtures: expensive circuits and key material are built once per
 session and reused read-only."""
 
+import os
 import pathlib
 import random
 
@@ -65,6 +66,20 @@ def small_audit():
     thresholds = AuditThresholds()
     circuit = build_audit_circuit(challenge, thresholds)
     return challenge, thresholds, circuit
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_left():
+    """At the end of the session this process has no child, running or
+    unreaped: the prover reaps the one child it forks per proof, whether
+    the proof succeeds or raises."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind: waitpid(-1, WNOHANG) "
+                f"gave ({pid}, {status:#x})")
 
 
 def pytest_terminal_summary(terminalreporter):

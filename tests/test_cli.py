@@ -310,6 +310,18 @@ def test_bench_csv_shape(workspace, tmp_path, capfd):
     assert abs(sum(shares) - 100.0) <= 0.5
 
 
+def test_bench_rejects_runs_below_one(monkeypatch, capfd):
+    # a usage error naming --runs, before the RSS setup, not a division
+    # by zero after it
+    def no_setup():
+        raise AssertionError("bench built the circuit")
+    monkeypatch.setattr("hermes_seal.cli.build_rss_circuit", no_setup)
+    for runs in ("0", "-3"):
+        assert run(["bench", "--runs", runs]) == 2
+        assert f"--runs must be at least 1, not {runs}" in \
+            capfd.readouterr().err
+
+
 def test_usage_errors(workspace, capfd):
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])

@@ -2,17 +2,20 @@
 checks, key/proof serialization, and ceremony determinism."""
 
 import hashlib
+import os
 import random
+import signal
 
 import pytest
 
+from hermes_seal import groth16
 from hermes_seal.field import EncodingError, TEST_FIELD
 from hermes_seal.groth16 import (Groth16Error, Proof, ProvingKey,
                                  VerifyingKey, prove, setup, verify)
 from hermes_seal.pairing import (BilinearGroup, G2Element, _add, _on_curve,
                                  _scalar_mul, toy_group)
 from hermes_seal.protocol import VerifierState
-from hermes_seal.qap import r1cs_to_qap
+from hermes_seal.qap import InvalidWitnessError, r1cs_to_qap
 from hermes_seal.r1cs import (CircuitBuilder, ConstraintSystem,
                               pad_to_power_of_two)
 from hermes_seal.rss_circuit import PUBLIC_ORDER, RssScenario, make_rss_inputs
@@ -146,9 +149,37 @@ def test_version_1_proving_key_refused(cubic):
         ProvingKey.from_bytes(bytes(raw))
 
 
-def test_prove_is_three_msms(cubic, monkeypatch):
-    # A, B1 and C; B in G2 is psi(B1), one scalar multiplication
-    cs, qap, pk, vk, x, y = cubic
+def _rss_witness(art, s_sec=1):
+    publics, witness, _ = make_rss_inputs(RssScenario(), nonce=bytes(16),
+                                          s_sec=s_sec, circuit=art.circuit)
+    return art.circuit.generate_witness(publics, witness)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The prover sees two usable CPUs, so an RSS prove forks; returns the
+    list that gets one entry per fork."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return forks
+
+
+def test_prove_is_three_msms(cubic, rss_artifacts, two_cpus, monkeypatch):
+    # A, B1 and C' = MSM([w_priv, h, -rs], [K, H, delta]); B in G2 is
+    # psi(B1).  An RSS prove forks one child for A and B1, so this process
+    # makes only C''s MSM.  Below FORK_MIN_WIRES, on one CPU or without
+    # os.fork, the prove makes all three MSMs itself and does not fork.
     calls = []
     real = BilinearGroup.multi_scalar_mul
 
@@ -156,10 +187,79 @@ def test_prove_is_three_msms(cubic, monkeypatch):
         calls.append(len(points))
         return real(self, scalars, points)
     monkeypatch.setattr(BilinearGroup, "multi_scalar_mul", spy)
+    cs, qap, pk, vk, x, y = cubic
     w = cs.generate_witness({x: 30, y: 3})
     proof = prove(pk, qap, w, seed=1)
-    assert len(calls) == 3
+    assert len(w.values) < groth16.FORK_MIN_WIRES
+    assert (len(calls), two_cpus) == (3, [])
     assert verify(vk, proof, cs.public_inputs(w))
+
+    art = rss_artifacts
+    full = _rss_witness(art)
+    calls.clear()
+    forked = prove(art.pk, art.qap, full, seed=1).to_bytes()
+    assert calls == [len(art.pk.k_g1) + len(art.pk.h_g1) + 1]
+    assert two_cpus == [os.getpid()]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls.clear()
+    assert prove(art.pk, art.qap, full, seed=1).to_bytes() == forked
+    assert len(calls) == 3 and len(two_cpus) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, "fork")
+    calls.clear()
+    assert prove(art.pk, art.qap, full, seed=1).to_bytes() == forked
+    assert len(calls) == 3
+
+
+def test_forked_and_in_process_proofs_match(rss_artifacts, two_cpus,
+                                            monkeypatch):
+    # A and B from a child or from this process: the same proof bytes
+    art = rss_artifacts
+    forked = []
+    for i in range(3):
+        full = _rss_witness(art, s_sec=i + 1)
+        forked.append(prove(art.pk, art.qap, full, seed=100 + i).to_bytes())
+        assert verify(art.vk, Proof.from_bytes(forked[-1]),
+                      art.cs.public_inputs(full))
+    assert len(two_cpus) == 3
+    monkeypatch.setattr(groth16, "FORK_MIN_WIRES", art.cs.n_wires + 1)
+    for i in range(3):
+        full = _rss_witness(art, s_sec=i + 1)
+        assert prove(art.pk, art.qap, full, seed=100 + i).to_bytes() == \
+            forked[i]
+    assert len(two_cpus) == 3
+    _no_child_left()
+
+
+def test_unsatisfying_witness_leaves_no_child(rss_artifacts, two_cpus):
+    # the quotient rejects the witness while the child runs; the child is
+    # killed and reaped
+    art = rss_artifacts
+    values = list(_rss_witness(art).values)
+    values[-1] = (values[-1] + 1) % P
+    with pytest.raises(InvalidWitnessError):
+        prove(art.pk, art.qap, values, seed=1)
+    assert len(two_cpus) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["raises", "killed", "short"])
+def test_failed_child_is_groth16_error(rss_artifacts, two_cpus, monkeypatch,
+                                       fault):
+    # a child that raises, dies, or writes too little: a typed error in
+    # this process, never a hang or a proof
+    def broken(pk, values, r, s):
+        if fault == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if fault == "raises":
+            raise RuntimeError("child fault")
+        return [pk.alpha_g1]
+    monkeypatch.setattr(groth16, "_witness_terms", broken)
+    art = rss_artifacts
+    with pytest.raises(Groth16Error, match="prover child wrote"):
+        prove(art.pk, art.qap, _rss_witness(art), seed=1)
+    assert len(two_cpus) == 1
+    _no_child_left()
 
 
 def test_truncated_keys_raise_groth16_error(cubic):
