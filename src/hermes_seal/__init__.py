@@ -21,7 +21,7 @@ from .field import (FieldElement, PrimeModulus, EncodingError, TEST_FIELD,
 from .pairing import BilinearGroup, G1Element, G2Element, GtElement, toy_group
 from .r1cs import (CircuitBuilder, ConstraintSystem, LinearCombination,
                    MissingInputError, R1csError, UnsatisfiableError, Wire,
-                   Witness, pad_to_power_of_two)
+                   Witness)
 from .qap import (EvaluationDomain, InvalidWitnessError, QapInstance,
                   compute_quotient, r1cs_to_qap)
 from .groth16 import (Groth16Error, Proof, ProvingKey, VerifyingKey, prove,

@@ -34,7 +34,7 @@ import secrets
 from .commitment import commit, open_commitment, sponge_gadget
 from .field import (AUDIT_COMMIT_DOMAIN, AUDIT_SIGN_DOMAIN, NONCE_BYTES,
                     PrimeModulus, TEST_FIELD, nonce_to_field)
-from .r1cs import CircuitBuilder, CircuitDescriptor, pad_to_power_of_two
+from .r1cs import CircuitBuilder, CircuitDescriptor
 
 __all__ = [
     "GroundTruth",
@@ -614,8 +614,8 @@ def build_audit_circuit(challenge: ChallengeSet,
     sponge_inputs.extend([wires["T"], wires["nu"], wires["s_sec"]])
     sponge_gadget(b, sponge_inputs, wires["c"], "bind_commitment")
 
-    cs = pad_to_power_of_two(b.finalize())
-    return AuditCircuit(cs, wires, det_wires, challenge, thresholds)
+    return AuditCircuit(b.finalize(), wires, det_wires, challenge,
+                        thresholds)
 
 
 # -- input preparation ---------------------------------------------------------

@@ -3,8 +3,7 @@
 Setup samples toxic waste (tau, alpha, beta, gamma, delta), evaluates the
 wire polynomials at tau via sparse accumulation (never materializing dense
 polynomials), and commits everything to the curve with fixed-base window
-tables plus Montgomery batch inversion.  Proofs are three group elements;
-their byte encoding is constant-length regardless of circuit size.
+tables plus Montgomery batch inversion.
 
 Everything is over the one pairing group (`pairing.toy_group()`), whose
 scalar field F_q every circuit is over: keys and proofs hold no group.
@@ -27,6 +26,13 @@ precomputed in the verifying key (a prepared verifying key).  B's subgroup
 check comes from the Miller loop over B, which ends at q*B.  IC(x) is
 summed from fixed-base tables of the IC points with IC_WINDOW-bit digits,
 one table entry per nonzero digit; the key builds them on first use.
+
+Keys and proofs share one byte layout, written by `_pack` and read by
+`_unpack`: magic, version, curve byte, circuit digest, u32 counts (a
+proving key's l, m + 1, |K| and |H|, a verifying key's |IC|, none in a
+proof, whose length is constant), then runs of points.  The reader checks
+the header, then the exact length the counts give, then each point; any
+fault is a Groth16Error.
 """
 
 from __future__ import annotations
@@ -74,51 +80,42 @@ class Groth16Error(Exception):
     pass
 
 
-def _check_header(data: bytes, magic: bytes, version: int, size: int,
-                  what: str):
-    """A key's or proof's fixed header: `size` bytes, its magic, version
-    and curve."""
-    if len(data) < size:
+def _pack(magic: bytes, version: int, digest: bytes, counts, points) -> bytes:
+    """A key's or proof's bytes: magic, version, curve, circuit digest, the
+    u32 counts, then the points (G1 and G2 points encode alike)."""
+    return b"".join([magic, bytes([version, TOY_CURVE_PROFILE]), digest,
+                     struct.pack(f"<{len(counts)}I", *counts),
+                     *map(_GROUP.g1_to_bytes, points)])
+
+
+def _unpack(data: bytes, magic: bytes, version: int, n_counts: int, what: str,
+            layout):
+    """(digest, counts, runs) from `_pack`'s bytes: `layout(*counts)`
+    gives the (decode, count) runs, and `runs` one point list per run."""
+    head = 38 + 4 * n_counts
+    if len(data) < head:
         raise Groth16Error(f"{what} is {len(data)} bytes, shorter than its "
-                           f"{size}-byte header")
+                           f"{head}-byte header")
     if data[:4] != magic:
         raise Groth16Error(f"bad {what} magic")
     if data[4] != version:
         raise Groth16Error(f"unsupported {what} version {data[4]}")
     if data[5] != TOY_CURVE_PROFILE:
         raise Groth16Error(f"unknown curve profile {data[5]:#x}")
-
-
-@contextlib.contextmanager
-def _decoding_points(what: str):
-    """A malformed point in `what` is a Groth16Error like any other fault
-    of its encoding."""
-    try:
-        yield
-    except EncodingError as exc:
-        raise Groth16Error(f"bad point in {what}: {exc}") from exc
-
-
-def _check_length(data: bytes, size: int, what: str):
-    """The exact length the header's point counts give, before any point
-    is decoded."""
+    counts = struct.unpack_from(f"<{n_counts}I", data, 38)
+    runs = layout(*counts)
+    pb = _GROUP.point_bytes
+    size = head + pb * sum(count for _, count in runs)
     if len(data) != size:
         raise Groth16Error(f"{what} is {len(data)} bytes; its header "
                            f"counts give {size}")
-
-
-def _point_reader(data: bytes, off: int):
-    """`read(decode, count)`: the next `count` points of `data` from byte
-    `off` on, each decoded by `decode`."""
-    pb = _GROUP.point_bytes
-
-    def read(decode, count):
-        nonlocal off
-        out = [decode(data[off + i * pb:off + (i + 1) * pb])
-               for i in range(count)]
-        off += count * pb
-        return out
-    return read
+    offsets = iter(range(head, size, pb))
+    try:
+        return data[6:38], counts, [
+            [decode(data[i:i + pb]) for i in itertools.islice(offsets, count)]
+            for decode, count in runs]
+    except EncodingError as exc:
+        raise Groth16Error(f"bad point in {what}: {exc}") from exc
 
 
 class ProvingKey:
@@ -138,32 +135,25 @@ class ProvingKey:
         self.h_g1 = h_g1    # [g1 * tau^k t(tau)/delta], k = 0..n-2
 
     def to_bytes(self) -> bytes:
-        out = [PK_MAGIC, bytes([PK_VERSION, TOY_CURVE_PROFILE]),
-               self.circuit_digest,
-               struct.pack("<IIII", self.n_public, len(self.a_g1),
-                           len(self.k_g1), len(self.h_g1))]
-        out += map(_GROUP.g1_to_bytes,
-                   [self.alpha_g1, self.beta_g1, self.delta_g1, *self.a_g1,
-                    *self.b_g1, *self.k_g1, *self.h_g1])
-        return b"".join(out)
+        return _pack(PK_MAGIC, PK_VERSION, self.circuit_digest,
+                     [self.n_public, len(self.a_g1), len(self.k_g1),
+                      len(self.h_g1)],
+                     [self.alpha_g1, self.beta_g1, self.delta_g1, *self.a_g1,
+                      *self.b_g1, *self.k_g1, *self.h_g1])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProvingKey":
-        _check_header(data, PK_MAGIC, PK_VERSION, 54, "proving key")
-        digest = data[6:38]
-        n_public, m1, nk, nh = struct.unpack_from("<IIII", data, 38)
-        _check_length(data, 54 + (3 + 2 * m1 + nk + nh) * _GROUP.point_bytes,
-                      "proving key")
-        g1 = _GROUP.g1_from_bytes
-        points = _point_reader(data, 54)
-        with _decoding_points("proving key"):
-            alpha_g1, beta_g1, delta_g1 = points(g1, 3)
-            a_g1 = points(g1, m1)
-            b_g1 = points(g1, m1)
-            k_g1 = points(g1, nk)
-            h_g1 = points(g1, nh)
-        return cls(digest, n_public, alpha_g1, beta_g1, delta_g1,
-                   a_g1, b_g1, k_g1, h_g1)
+        digest, (n_public, *_), [consts, *runs] = _unpack(
+            data, PK_MAGIC, PK_VERSION, 4, "proving key", _pk_layout)
+        return cls(digest, n_public, *consts, *runs)
+
+
+def _pk_layout(n_public, m1, nk, nh):
+    if nk != m1 - n_public - 1:  # one K point per private wire
+        raise Groth16Error(f"proving key has {nk} K points for {m1} wires "
+                           f"and {n_public} public inputs")
+    g1 = _GROUP.g1_from_bytes
+    return [(g1, 3), (g1, m1), (g1, m1), (g1, nk), (g1, nh)]
 
 
 class VerifyingKey:
@@ -197,27 +187,19 @@ class VerifyingKey:
         return len(self.ic) - 1
 
     def to_bytes(self) -> bytes:
-        out = [VK_MAGIC, bytes([KEY_VERSION, TOY_CURVE_PROFILE]),
-               self.circuit_digest, struct.pack("<I", len(self.ic))]
-        out += map(_GROUP.g1_to_bytes,  # G1 and G2 points encode alike
-                   [self.alpha_g1, self.beta_g2, self.gamma_g2, self.delta_g2,
-                    *self.ic])
-        return b"".join(out)
+        return _pack(VK_MAGIC, KEY_VERSION, self.circuit_digest,
+                     [len(self.ic)],
+                     [self.alpha_g1, self.beta_g2, self.gamma_g2,
+                      self.delta_g2, *self.ic])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VerifyingKey":
-        _check_header(data, VK_MAGIC, KEY_VERSION, 42, "verifying key")
-        digest = data[6:38]
-        (ic_len,) = struct.unpack_from("<I", data, 38)
-        _check_length(data, 42 + (4 + ic_len) * _GROUP.point_bytes,
-                      "verifying key")
-        g1, g2 = _GROUP.g1_from_bytes, _GROUP.g2_from_bytes
-        points = _point_reader(data, 42)
-        with _decoding_points("verifying key"):
-            [alpha_g1] = points(g1, 1)
-            beta_g2, gamma_g2, delta_g2 = points(g2, 3)
-            ic = points(g1, ic_len)
-        return cls(digest, alpha_g1, beta_g2, gamma_g2, delta_g2, ic)
+        digest, _, [[alpha_g1], g2_points, ic] = _unpack(
+            data, VK_MAGIC, KEY_VERSION, 1, "verifying key",
+            lambda ic_len: [(_GROUP.g1_from_bytes, 1),
+                            (_GROUP.g2_from_bytes, 3),
+                            (_GROUP.g1_from_bytes, ic_len)])
+        return cls(digest, alpha_g1, *g2_points, ic)
 
 
 class Proof:
@@ -231,9 +213,8 @@ class Proof:
         self.circuit_digest = circuit_digest
 
     def to_bytes(self) -> bytes:
-        return b"".join([PROOF_MAGIC, bytes([KEY_VERSION, TOY_CURVE_PROFILE]),
-                         self.circuit_digest,
-                         *map(_GROUP.g1_to_bytes, (self.a, self.b, self.c))])
+        return _pack(PROOF_MAGIC, KEY_VERSION, self.circuit_digest, [],
+                     [self.a, self.b, self.c])
 
     @classmethod
     def byte_length(cls) -> int:
@@ -241,13 +222,11 @@ class Proof:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Proof":
-        _check_header(data, PROOF_MAGIC, KEY_VERSION, 38, "proof")
-        _check_length(data, cls.byte_length(), "proof")
-        g1, g2 = _GROUP.g1_from_bytes, _GROUP.g2_from_bytes
-        points = _point_reader(data, 38)
-        with _decoding_points("proof"):
-            [a], [b], [c] = points(g1, 1), points(g2, 1), points(g1, 1)
-        return cls(a, b, c, data[6:38])
+        digest, _, [[a], [b], [c]] = _unpack(
+            data, PROOF_MAGIC, KEY_VERSION, 0, "proof",
+            lambda: [(_GROUP.g1_from_bytes, 1), (_GROUP.g2_from_bytes, 1),
+                     (_GROUP.g1_from_bytes, 1)])
+        return cls(a, b, c, digest)
 
 
 def setup(qap: QapInstance, seed=None):
@@ -327,6 +306,9 @@ def prove(pk: ProvingKey, qap: QapInstance, witness, seed=None) -> Proof:
             f"witness length {len(values)} != key wire count {len(pk.a_g1)}")
     if qap.cs.digest() != pk.circuit_digest:
         raise Groth16Error("proving key was generated for a different circuit")
+    if (pk.n_public, len(pk.h_g1)) != (qap.cs.n_public, len(qap.domain) - 1):
+        raise Groth16Error("proving key's public-input or H point count "
+                           "does not fit the circuit")
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
     r = rng.randrange(q)
     s = rng.randrange(q)

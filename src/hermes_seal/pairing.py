@@ -449,9 +449,6 @@ class _Point:
     def __hash__(self):
         return hash((self.tag, self.point))
 
-    def is_identity(self) -> bool:
-        return self.point is _INF
-
     def __repr__(self):
         return f"{self.tag}({self.point})"
 
@@ -488,9 +485,6 @@ class GtElement:
     def __hash__(self):
         return hash(("GT", self.value))
 
-    def is_identity(self) -> bool:
-        return self.value == (1, 0)
-
     def __repr__(self):
         return f"Gt({self.value})"
 
@@ -523,7 +517,7 @@ class BilinearGroup:
         if point == self.g2.point:
             point, k = self.g1.point, k * LAMBDA % self.q
         if point == self.g1.point:
-            return self.generator_table().exp_many([k])[0]
+            return _bucket_sums([self.generator_table().entries(k)])[0]
         return _scalar_mul(k, point)
 
     def scalar_mul_g1(self, s, P: _Point) -> _Point:
@@ -699,8 +693,6 @@ class BilinearGroup:
             return b"\x00" + b"\x00" * (2 * w)
         x, y = P.point
         return b"\x01" + x.to_bytes(w, "little") + y.to_bytes(w, "little")
-
-    g2_to_bytes = g1_to_bytes
 
     def _point_from_bytes(self, data: bytes):
         w = self.coord_bytes

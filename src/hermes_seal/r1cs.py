@@ -4,11 +4,11 @@ field: no builder, system or linear combination takes a field.
 
 A circuit is built against a `CircuitBuilder`: allocate input wires, call
 gadgets (which add constraints plus solver hooks for their internal wires),
-then `finalize()` into an immutable `ConstraintSystem`.  Every wire gets its
-final index when it is allocated: the constant-one wire is index 0, public
-wires take 1..l in allocation order (all of them before any private or
-internal wire), and the rest follow in allocation order, so Groth16's
-public-input slice is a witness prefix.
+then `finalize()` into an immutable `ConstraintSystem`, padded to a power
+of two.  Every wire gets its final index when it is allocated: the
+constant-one wire is index 0, public wires take 1..l in allocation order
+(all of them before any private or internal wire), and the rest follow in
+allocation order, so Groth16's public-input slice is a witness prefix.
 
 Hint wires (inverse trick, bit decompositions) are solver-provided and
 constraint-verified; the constraint system never trusts a solver.
@@ -33,7 +33,6 @@ __all__ = [
     "UnsatisfiableError",
     "MissingInputError",
     "R1CS_MAGIC",
-    "pad_to_power_of_two",
     "CircuitDescriptor",
 ]
 
@@ -220,22 +219,6 @@ class ConstraintSystem:
         if self._digest is None:
             self._digest = hashlib.sha256(self.to_bytes()).digest()
         return self._digest
-
-
-def pad_to_power_of_two(cs: ConstraintSystem) -> ConstraintSystem:
-    """Pad with trivial 0*0=0 rows up to the next power of two (NTT domains).
-
-    Padding rows are satisfied by every witness, so solvers, wire layout,
-    and the public-input slice are unchanged.
-    """
-    n = cs.n_constraints
-    size = 1 << max(1, (n - 1).bit_length())
-    if size == n:
-        return cs
-    rows = list(cs.rows) + [({}, {}, {})] * (size - n)
-    labels = list(cs.row_labels) + [None] * (size - n)
-    return ConstraintSystem(rows, cs.n_wires, cs.n_public, cs.labels,
-                            cs._solvers, cs._input_wires, labels)
 
 
 class CircuitBuilder:
@@ -425,14 +408,22 @@ class CircuitBuilder:
     # -- finalization -------------------------------------------------------
 
     def finalize(self) -> ConstraintSystem:
+        """The system, padded with 0 * 0 = 0 rows labelled None up to the
+        next power of two (at least 2), the size of its NTT domain.  Every
+        witness satisfies a padding row, so the solvers, the wire layout
+        and the public-input slice are those of the unpadded rows."""
         if self._finalized:
             raise R1csError("builder already finalized")
         if not self._rows:
             raise R1csError("cannot finalize an empty constraint system")
         self._finalized = True
-        return ConstraintSystem(self._rows, len(self._wires), self._n_public,
+        n = len(self._rows)
+        pad = (1 << max(1, (n - 1).bit_length())) - n
+        return ConstraintSystem(self._rows + [({}, {}, {})] * pad,
+                                len(self._wires), self._n_public,
                                 [w.label for w in self._wires], self._solvers,
-                                self._input_wires, self._row_labels)
+                                self._input_wires,
+                                self._row_labels + [None] * pad)
 
 
 @dataclasses.dataclass(frozen=True)

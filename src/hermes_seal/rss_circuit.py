@@ -38,7 +38,7 @@ import secrets
 from .commitment import commit, open_commitment, sponge_gadget
 from .field import (NONCE_BYTES, PrimeModulus, RSS_COMMIT_DOMAIN,
                     RSS_SIGN_DOMAIN, TEST_FIELD, nonce_to_field, scale)
-from .r1cs import CircuitBuilder, CircuitDescriptor, pad_to_power_of_two
+from .r1cs import CircuitBuilder, CircuitDescriptor
 
 __all__ = [
     "RssParams",
@@ -222,8 +222,7 @@ def build_rss_circuit(theta: float = 0.75, rho_prob: int = 100,
     for name in unbound:
         b.enforce(wires[name], b.lc(0), b.lc(0), f"bind_{name}")
 
-    cs = pad_to_power_of_two(b.finalize())
-    return RssCircuit(cs, wires, theta_scaled)
+    return RssCircuit(b.finalize(), wires, theta_scaled)
 
 
 @dataclasses.dataclass

@@ -5,6 +5,7 @@ import hashlib
 import os
 import random
 import signal
+import struct
 
 import pytest
 
@@ -16,8 +17,7 @@ from hermes_seal.pairing import (BilinearGroup, G2Element, _add, _on_curve,
                                  _scalar_mul, toy_group)
 from hermes_seal.protocol import VerifierState
 from hermes_seal.qap import InvalidWitnessError, r1cs_to_qap
-from hermes_seal.r1cs import (CircuitBuilder, ConstraintSystem,
-                              pad_to_power_of_two)
+from hermes_seal.r1cs import CircuitBuilder, ConstraintSystem
 from hermes_seal.rss_circuit import PUBLIC_ORDER, RssScenario, make_rss_inputs
 
 P = TEST_FIELD.p
@@ -40,7 +40,7 @@ def _cubic_circuit():
     sq = bld.gadget_mul(y, y, "sq")
     cube = bld.gadget_mul(sq, y, "cube")
     bld.enforce(bld.lc(cube) + bld.lc(y), bld.lc(1), bld.lc(x), "bind")
-    return pad_to_power_of_two(bld.finalize()), x, y
+    return bld.finalize(), x, y
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +147,41 @@ def test_version_1_proving_key_refused(cubic):
     raw[4] = 1
     with pytest.raises(Groth16Error, match="proving key version 1"):
         ProvingKey.from_bytes(bytes(raw))
+
+
+def _recount(raw, counts, points):
+    """A proving key's bytes with new header counts and point bytes."""
+    return raw[:38] + struct.pack("<IIII", *counts) + points
+
+
+def test_proving_key_counts_must_agree(cubic):
+    # a key's K run holds one point per private wire; a count that breaks
+    # this is refused when the key is decoded, not by the MSM at prove
+    cs, qap, pk, vk, x, y = cubic
+    raw = pk.to_bytes()
+    l, m1, nk, nh = struct.unpack_from("<IIII", raw, 38)
+    assert nk == m1 - l - 1
+    with pytest.raises(Groth16Error, match="K points"):
+        ProvingKey.from_bytes(_recount(raw, (l + 1, m1, nk, nh), raw[54:]))
+
+
+def test_prove_refuses_key_counts_unlike_circuit(cubic):
+    # counts that agree with each other but not with the circuit: one more
+    # public and one K point fewer would prove over misaligned bases, and
+    # one more H point would fail in the MSM; both are typed errors
+    cs, qap, pk, vk, x, y = cubic
+    raw = pk.to_bytes()
+    pb = toy_group().point_bytes
+    l, m1, nk, nh = struct.unpack_from("<IIII", raw, 38)
+    k_at = 54 + (3 + 2 * m1) * pb
+    shifted = _recount(raw, (l + 1, m1, nk - 1, nh),
+                       raw[54:k_at] + raw[k_at + pb:])
+    extra_h = _recount(raw, (l, m1, nk, nh + 1), raw[54:] + raw[-pb:])
+    w = cs.generate_witness({x: 30, y: 3})
+    for bad in (shifted, extra_h):
+        key = ProvingKey.from_bytes(bad)
+        with pytest.raises(Groth16Error, match="does not fit the circuit"):
+            prove(key, qap, w, seed=1)
 
 
 def _rss_witness(art, s_sec=1):
@@ -316,7 +351,7 @@ def test_circuit_digest_binding(cubic):
     b = bld.alloc_private("b")
     bld.gadget_mul(b, b, "bsq")
     bld.assert_equal(a, b, "a=b")
-    other_cs = pad_to_power_of_two(bld.finalize())
+    other_cs = bld.finalize()
     other_qap = r1cs_to_qap(other_cs)
     other_pk, _ = setup(other_qap, seed=9)
     w = cs.generate_witness({x: 30, y: 3})
@@ -473,7 +508,7 @@ def test_ic_tables_match_msm(small_rss_artifacts):
         scalars = [1] + inputs
         assert _table_sum(vk, scalars) == \
             group.multi_scalar_mul(scalars, vk.ic), inputs
-    assert _table_sum(vk, [0] * (n + 1)).is_identity()
+    assert _table_sum(vk, [0] * (n + 1)).point is None
 
 
 def test_ic_tables_with_identity_and_repeated_points():

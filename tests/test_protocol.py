@@ -557,7 +557,7 @@ def encodings(small_rss_artifacts, identity, package_bytes):
         "g1": (group.g1_from_bytes, EncodingError,
                group.g1_to_bytes(group.g1)),
         "g2": (group.g2_from_bytes, EncodingError,
-               group.g2_to_bytes(group.g2)),
+               group.g1_to_bytes(group.g2)),
         "proof": (Proof.from_bytes, Groth16Error,
                   ProofPackage.from_bytes(package_bytes).proof_bytes),
         "proving key": (ProvingKey.from_bytes, Groth16Error,

@@ -11,7 +11,7 @@ import schoolbook
 from hermes_seal.field import STANDARD_FIELD, TEST_FIELD
 from hermes_seal.qap import (EvaluationDomain, InvalidWitnessError,
                              _quotient, compute_quotient, r1cs_to_qap)
-from hermes_seal.r1cs import CircuitBuilder, pad_to_power_of_two
+from hermes_seal.r1cs import CircuitBuilder
 
 P = TEST_FIELD.p
 coeff_lists = st.lists(st.integers(min_value=0, max_value=P - 1),
@@ -177,11 +177,6 @@ def test_r1cs_to_qap_builds_its_domain():
     assert cs.field is TEST_FIELD
     with pytest.raises(ValueError, match="field"):
         r1cs_to_qap(cs, EvaluationDomain(cs.n_constraints, STANDARD_FIELD))
-    unpadded = CircuitBuilder()
-    for i in range(3):
-        unpadded.enforce(unpadded.lc(1), unpadded.lc(1), unpadded.lc(1), f"r{i}")
-    with pytest.raises(ValueError, match="domain size 4 != constraint count 3"):
-        r1cs_to_qap(unpadded.finalize())
 
 
 def test_qap_invalid_witness_names_row():
@@ -241,7 +236,7 @@ def _chain_circuit(rng, n):
                       rng.randrange(P))
         right = bld.lc((w, rng.randrange(P)), rng.randrange(P))
         wires.append(bld.gadget_mul(left, right, f"m{i}"))
-    cs = pad_to_power_of_two(bld.finalize())
+    cs = bld.finalize()
     assert cs.n_constraints == n
     w = cs.generate_witness({x: rng.randrange(P), y: rng.randrange(P)})
     return cs, w, wires[2:]

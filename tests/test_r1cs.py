@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermes_seal.field import TEST_FIELD
 from hermes_seal.r1cs import (CircuitBuilder, MissingInputError, R1csError,
-                              UnsatisfiableError, Witness,
-                              pad_to_power_of_two)
+                              UnsatisfiableError, Witness)
 
 P = TEST_FIELD.p
 
@@ -178,7 +177,8 @@ def test_witness_keeps_its_system_and_checked_evaluations():
     cs = bld.finalize()
     w = cs.generate_witness({x: 2, y: 3})
     assert w.cs is cs
-    assert w.evaluations == cs.evaluate(w) == ([2], [3], [6])
+    # row 1 is finalize's 0 * 0 = 0 padding
+    assert w.evaluations == cs.evaluate(w) == ([2, 0], [3, 0], [6, 0])
     # the values the evaluations belong to cannot change
     assert w.values == (1, 2, 3, 6)
     with pytest.raises(TypeError):
@@ -232,11 +232,17 @@ def test_r1cs_digests_pinned(rss_artifacts, small_rss_artifacts,
 
 
 def test_pad_to_power_of_two():
-    bld = CircuitBuilder()
-    x = bld.alloc_private("x")
-    for i in range(5):
-        bld.gadget_mul(x, x, f"m{i}")
-    cs = pad_to_power_of_two(bld.finalize())
-    assert cs.n_constraints == 8
-    w = cs.generate_witness({x: 3})
-    assert cs.first_violation(cs.evaluate(w)) is None
+    # finalize pads with unlabelled 0 * 0 = 0 rows to a power of two, and
+    # to 2 rows at least
+    for rows, size in ((1, 2), (2, 2), (4, 4), (5, 8)):
+        bld = CircuitBuilder()
+        x = bld.alloc_private("x")
+        for i in range(rows):
+            bld.gadget_mul(x, x, f"m{i}")
+        cs = bld.finalize()
+        assert cs.n_constraints == size
+        assert cs.row_labels == [f"m{i}" for i in range(rows)] + \
+            [None] * (size - rows)
+        assert cs.rows[rows:] == [({}, {}, {})] * (size - rows)
+        w = cs.generate_witness({x: 3})
+        assert cs.first_violation(cs.evaluate(w)) is None
