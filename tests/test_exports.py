@@ -86,26 +86,52 @@ def _public_names(tree) -> dict:
     return names
 
 
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def _uses(source: str) -> set:
+    """The names a caller's `source` uses: loads, as a name or an attribute,
+    and strings (perfbench's `spans.WRAPPED` patches methods by name).  A
+    definition does not use its own name, an assignment uses nothing, and a
+    module's `__all__` lists what it exports, not what it calls."""
+    used = set()
+    for top in ast.parse(source).body:
+        if _is_all(top):
+            continue
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.value if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) else None)
+            if name and name != own:
+                used.add(name)
+    return used
+
+
+def test_uses_skip_exports_and_definitions():
+    source = ('__all__ = ["helper", "Box"]\n'
+              'def helper():\n    return helper\n'
+              'class Box:\n    def size(self):\n        return 1\n'
+              '    length = size\n'
+              'WRAPPED = [(Box, "size")]\n')
+    assert _uses(source) == {"Box", "size"}
+    assert _public_names(ast.parse(source)) == {
+        "helper": "helper", "Box": "Box", "Box.size": "size",
+        "Box.length": "length"}
+
+
 def test_src_names_have_a_caller():
-    # a name counts as used where a caller loads it, as a name or an
-    # attribute, or spells it in a string (perfbench's `spans.WRAPPED`
-    # patches methods by name); assigning it is no use
     defined = {}
     for f in (ROOT / "src").rglob("*.py"):
         defined.update((f"{f.name}:{q}", n) for q, n in
                        _public_names(ast.parse(f.read_text())).items())
     used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     for f in CALLERS:
-        for top in ast.parse(f.read_text()).body:
-            own = getattr(top, "name", None)   # a definition is no caller
-            for node in ast.walk(top):
-                if isinstance(getattr(node, "ctx", None), ast.Store):
-                    continue
-                name = (node.id if isinstance(node, ast.Name) else
-                        node.attr if isinstance(node, ast.Attribute) else
-                        node.value if isinstance(node, ast.Constant)
-                        and isinstance(node.value, str) else None)
-                if name and name != own:
-                    used.add(name)
+        used |= _uses(f.read_text())
     orphans = sorted(q for q, n in defined.items() if n not in used)
     assert not orphans, f"only tests call {orphans}; move them to tests/"
