@@ -3,15 +3,17 @@ over F_q (`TEST_FIELD`, module constant `Q`), the one pairing group's scalar
 field: no builder, system or linear combination takes a field.
 
 A circuit is built against a `CircuitBuilder`: allocate input wires, call
-gadgets (which add constraints plus solver hooks for their internal wires),
-then `finalize()` into an immutable `ConstraintSystem`, padded to a power
-of two.  Every wire gets its final index when it is allocated: the
+gadgets (which add constraints, and solvers for their hint wires), then
+`finalize()` into an immutable `ConstraintSystem`, padded to a power of
+two.  Every wire gets its final index when it is allocated: the
 constant-one wire is index 0, public wires take 1..l in allocation order
 (all of them before any private or internal wire), and the rest follow in
 allocation order, so Groth16's public-input slice is a witness prefix.
 
-Hint wires (inverse trick, bit decompositions) are solver-provided and
-constraint-verified; the constraint system never trusts a solver.
+A product row <a,w> * <b,w> = out solves its own c wire, so solvers exist
+only for hint wires (inverse trick, bit decompositions, the audit match
+hints).  Hints are constraint-verified: every row is checked over the final
+values, and the constraint system never trusts a solver.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import struct
-import warnings
 
 from .field import TEST_FIELD
 
@@ -128,7 +129,7 @@ class ConstraintSystem:
         self.n_wires = n_wires      # m + 1 including the constant wire
         self.n_public = n_public    # l
         self.labels = labels        # wire index -> label
-        self._solvers = solvers     # [(target wire indices, fn)]
+        self._solvers = solvers     # in order: product row index | (targets, fn)
         self._input_wires = input_wires  # [Wire]
         self.row_labels = row_labels
         self._digest = None         # SHA-256 of to_bytes(), on first use
@@ -178,11 +179,22 @@ class ConstraintSystem:
             if wire.index not in assigned:
                 raise MissingInputError(f"missing assignment for input wire {wire.label!r}")
             values[wire.index] = assigned[wire.index]
-        for targets, fn in self._solvers:
-            fn(values)
-            for t in targets:
-                if values[t] is None:
-                    raise R1csError(f"solver failed to assign wire {t}")
+        try:
+            for step in self._solvers:
+                if step.__class__ is int:  # a product row: c = {out: 1}
+                    a, b, (out,) = self.rows[step]
+                    values[out] = (sum(values[j] * k for j, k in a.items())
+                                   * sum(values[j] * k for j, k in b.items())) % p
+                else:
+                    step[1](values)
+                    for t in step[0]:
+                        if values[t] is None:
+                            raise R1csError(f"solver failed to assign wire {t}")
+        except TypeError as exc:  # None * int: a product read an unsolved wire
+            if step.__class__ is not int:
+                raise
+            raise R1csError(f"product row {step} ({self.row_labels[step]}) "
+                            "reads a wire no earlier step assigns") from exc
         if None in values:
             raise R1csError(
                 f"wire {values.index(None)} left unassigned after solving")
@@ -234,7 +246,6 @@ class CircuitBuilder:
         self._row_labels = []
         self._solvers = []
         self._input_wires = []
-        self._labels_seen = set()
         self._finalized = False
 
     # -- allocation ---------------------------------------------------------
@@ -242,9 +253,6 @@ class CircuitBuilder:
     def _alloc(self, label: str, is_input: bool) -> Wire:
         if self._finalized:
             raise R1csError("cannot allocate wires after finalize()")
-        if label in self._labels_seen:
-            warnings.warn(f"duplicate wire label {label!r} (labels are debug-only)")
-        self._labels_seen.add(label)
         wire = Wire(len(self._wires), label)
         self._wires.append(wire)
         if is_input:
@@ -321,13 +329,7 @@ class CircuitBuilder:
         xl, yl = self._as_lc(x), self._as_lc(y)
         out = self.alloc_internal(label)
         self.enforce(xl, yl, out, label)
-        p = self.p
-        xt, yt, oi = dict(xl.terms), dict(yl.terms), out.index
-
-        def solve(v, xt=xt, yt=yt, oi=oi, p=p):
-            v[oi] = (sum(v[j] * k for j, k in xt.items())
-                     * sum(v[j] * k for j, k in yt.items())) % p
-        self.add_solver([out], solve)
+        self._solvers.append(len(self._rows) - 1)  # the row solves `out`
         return out
 
     def gadget_is_zero(self, x, label: str = "is_zero") -> Wire:
@@ -338,10 +340,8 @@ class CircuitBuilder:
         # x * inv = 1 - out ; x * out = 0
         self.enforce(xl, self.lc(inv), self.lc(1) - self.lc(out), f"{label}.inv_trick")
         self.enforce(xl, self.lc(out), self.lc(0), f"{label}.zero_out")
-        p = self.p
-        xt = dict(xl.terms)
 
-        def solve(v, xt=xt, oi=out.index, ii=inv.index, p=p):
+        def solve(v, xt=xl.terms, oi=out.index, ii=inv.index, p=self.p):
             xv = sum(v[j] * k for j, k in xt.items()) % p
             if xv == 0:
                 v[oi], v[ii] = 1, 0
@@ -367,11 +367,9 @@ class CircuitBuilder:
         recomposed = LinearCombination(
             {w.index: 1 << i for i, w in enumerate(bit_wires)})
         self.assert_equal(recomposed, xl, f"{label}.recompose")
-        p = self.p
-        xt = dict(xl.terms)
         idxs = [w.index for w in bit_wires]
 
-        def solve(v, xt=xt, idxs=idxs, p=p):
+        def solve(v, xt=xl.terms, idxs=idxs, p=self.p):
             xv = sum(v[j] * k for j, k in xt.items()) % p
             for i, wi in enumerate(idxs):
                 v[wi] = (xv >> i) & 1

@@ -81,6 +81,8 @@ def test_every_public_is_read_and_every_bit_checked(name, request):
     assert sum(1 for label in cs.labels if BIT_LABEL.search(label)) == n_bits
     assert unread_publics(cs, cs.rows) == []
     assert unchecked_bits(cs, cs.rows) == []
+    # labels are debug-only, but each names one wire
+    assert len(set(cs.labels)) == len(cs.labels)
 
 
 def _without(rows, r):

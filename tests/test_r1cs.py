@@ -1,8 +1,10 @@
 """Constraint system builder, gadget semantics, solver pipeline, the wire
 index space, and the R1CS encoding's digests."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hermes_seal.field import TEST_FIELD
 from hermes_seal.r1cs import (CircuitBuilder, MissingInputError, R1csError,
@@ -16,14 +18,20 @@ P = TEST_FIELD.p
 
 @given(st.integers(min_value=0, max_value=P - 1),
        st.integers(min_value=0, max_value=P - 1))
+@example(0, P - 1)
 @settings(max_examples=50, deadline=None)
 def test_gadget_mul(a, b):
     bld = CircuitBuilder()
     x, y = bld.alloc_private("x"), bld.alloc_private("y")
     out = bld.gadget_mul(x, y)
+    # a product whose operands are a hint's output and an LC with a
+    # constant term
+    z = bld.gadget_is_zero(x)
+    zy = bld.gadget_mul(z, bld.lc((y, 3), 7))
     cs = bld.finalize()
     w = cs.generate_witness({x: a, y: b})
     assert w[out.index] == a * b % P
+    assert w[zy.index] == (3 * b + 7) % P * (a == 0)
 
 
 @given(st.integers(min_value=0, max_value=P - 1))
@@ -118,6 +126,38 @@ def test_unsatisfiable_names_constraint_label():
     cs = bld.finalize()
     with pytest.raises(UnsatisfiableError, match="pin_x_to_five"):
         cs.generate_witness({x: 6})
+
+
+def test_product_reading_an_unsolved_wire_is_named():
+    # the hint wire h gets its solver only after the product that reads it
+    bld = CircuitBuilder()
+    x = bld.alloc_private("x")
+    h = bld.alloc_internal("h")
+    bld.gadget_mul(h, x, "early")
+    bld.add_solver([h], lambda v: v.__setitem__(h.index, 2))
+    cs = bld.finalize()
+    with pytest.raises(R1csError, match=r"product row 0 \(early\)"):
+        cs.generate_witness({x: 3})
+
+
+def test_final_check_reads_the_final_values():
+    # a hint that rewrites an operand of an already-solved product: the
+    # product's row, evaluated over the final values, no longer holds
+    bld = CircuitBuilder()
+    x = bld.alloc_private("x")
+    bld.assert_equal(x, x, "first")
+    bld.gadget_mul(x, x, "square")
+    h = bld.alloc_internal("h")
+
+    def rogue(v):
+        v[h.index] = 0
+        v[x.index] += 1
+    bld.add_solver([h], rogue)
+    bld.assert_equal(h, 0, "h_zero")
+    cs = bld.finalize()
+    with pytest.raises(UnsatisfiableError,
+                       match=r"violates constraint 1 \(square\)"):
+        cs.generate_witness({x: 3})
 
 
 def test_missing_input_named():
@@ -229,6 +269,25 @@ def test_r1cs_digests_pinned(rss_artifacts, small_rss_artifacts,
         cs = art.cs
         assert (cs.n_constraints, cs.n_wires, cs.digest().hex()) == \
             R1CS_DIGESTS[name], name
+
+
+def _solver_steps(cs):
+    """Solver steps by kind: "product" for a product row, else the hint
+    closure's name."""
+    return Counter("product" if isinstance(step, int)
+                   else step[1].__qualname__.split(".")[-3]
+                   for step in cs._solvers)
+
+
+def test_products_solve_from_their_rows(rss_artifacts,
+                                        audit_fixture_artifacts):
+    # every gadget_mul row is its own solver step; closures remain only
+    # for hints
+    assert _solver_steps(rss_artifacts.cs) == {
+        "product": 877, "gadget_bit_decompose": 5}
+    assert _solver_steps(audit_fixture_artifacts.cs) == {
+        "product": 9169, "gadget_bit_decompose": 825, "gadget_is_zero": 105,
+        "build_audit_circuit": 5}
 
 
 def test_pad_to_power_of_two():
