@@ -13,7 +13,14 @@ as psi(B1) = LAMBDA * B1, one scalar multiplication, so the proving key
 holds no G2 point; it has its own PK_VERSION.  A and B1 need only the
 witness and the blinding scalars, so on a machine with more than one CPU
 one forked child computes them, with psi(B1) and s*A + r*B1, while the
-prover runs the quotient and C'; the proof is the same either way.
+prover runs the quotient and C'.  The child also takes a prefix of C''s
+terms [K..., H...], sized so that its estimated cost is at most half the
+prove's (`_child_share`: one unit per bucket addition, a term costing its
+scalar's c-bit windows, the quotient QUOTIENT_TERMS * n full-width
+terms).  At audit size that prefix reaches into H, whose first terms the
+prover hands over through a shared map once the quotient is known.  The
+child adds its partial sum into s*A + r*B1, so it still returns three
+points, and the proof is the same either way.
 
 The verifier takes public inputs only in canonical form (each in [0, q)),
 runs subgroup checks on all three proof elements, and then checks the
@@ -37,16 +44,20 @@ fault is a Groth16Error.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import gc
 import itertools
+import mmap
 import os
 import random
 import signal
 import struct
+from array import array
 
 from .field import EncodingError
-from .pairing import G1Element, G2Element, Q, TOY_CURVE_PROFILE, toy_group
+from .pairing import (G1Element, G2Element, Q, TOY_CURVE_PROFILE, _msm_window,
+                      toy_group)
 from .qap import QapInstance, compute_quotient
 
 __all__ = [
@@ -72,6 +83,13 @@ IC_WINDOW = 4  # bits per digit of a public input in the IC tables
 # VM a fork and reap cost about 2 ms in a 20 MB process and 10 ms at
 # 150 MB, where a 253-wire circuit proves as fast either way
 FORK_MIN_WIRES = 256
+# the quotient's cost in full-width C' terms per domain point, which sizes
+# the forked child's share of C' (`_child_share`).  On a 2-vCPU Xeon VM,
+# in-process with the GC off, `compute_quotient` took as long as 0.55 n
+# such terms of the C' MSM at n = 1024 and 0.79 n at n = 32768; at 0.55
+# the audit fixture's child, whose MSMs run slower per term than
+# in-process ones, already finished 7 to 66 ms after this process's C'
+QUOTIENT_TERMS = 0.55
 
 _GROUP = toy_group()
 
@@ -297,8 +315,12 @@ def prove(pk: ProvingKey, qap: QapInstance, witness, seed=None) -> Proof:
     are one MSM each.  A and B depend only on the witness, r and s, so
     they are computed beside the quotient and C' (`_beside`): in a forked
     child when this process may run on more than one CPU and the circuit
-    has at least FORK_MIN_WIRES wires, else in-process.  The proof is the
-    same group elements, and so the same bytes, either way."""
+    has at least FORK_MIN_WIRES wires, else in-process.  A forked child
+    also takes a prefix of C''s terms [K..., H...] (`_child_share`) and
+    adds its partial sum into s*A + r*B1; this process sums the rest and
+    delta, and hands the child the h its share needs once the quotient
+    is known.  The proof is the same group elements, and so the same
+    bytes, either way."""
     q = Q
     values = witness.values if hasattr(witness, "values") else list(witness)
     if len(values) != len(pk.a_g1):
@@ -313,11 +335,13 @@ def prove(pk: ProvingKey, qap: QapInstance, witness, seed=None) -> Proof:
     r = rng.randrange(q)
     s = rng.randrange(q)
 
-    with _beside(pk, values, r, s) as witness_terms:
+    with _beside(pk, values, r, s, len(qap.domain)) as (share, hand_over,
+                                                         witness_terms):
         h = compute_quotient(qap, witness)  # rejects unsatisfying witnesses
+        hand_over(h)
         c = _GROUP.multi_scalar_mul(
-            [*values[pk.n_public + 1:], *h, -r * s % q],
-            [*pk.k_g1, *pk.h_g1, pk.delta_g1])
+            [*values[pk.n_public + 1:], *h, -r * s % q][share:],
+            [*pk.k_g1, *pk.h_g1, pk.delta_g1][share:])
         a, b, blind = witness_terms()
     return Proof(a, b, c + blind, pk.circuit_digest)
 
@@ -333,6 +357,29 @@ def _witness_terms(pk: ProvingKey, values, r, s) -> list:
             _GROUP.scalar_mul_g1(s, a) + _GROUP.scalar_mul_g1(r, b1)]
 
 
+def _child_share(values, n_public: int, n: int) -> int:
+    """How many terms of C''s list [K..., H...] a forked child takes: the
+    longest prefix that keeps the child's estimated cost, A and B1
+    included, at or under half of the whole prove's.
+
+    The unit is one bucket addition.  A term with nonzero scalar v costs
+    ceil(bits(v) / c), c being `_msm_window` of C''s size; a blinding
+    scalar, delta's and every H term cost the full width, since h is not
+    known before the quotient; the quotient costs QUOTIENT_TERMS * n
+    full-width terms.  A pure function of the witness and n, so a prove
+    of the same witness always splits alike."""
+    bits = Q.bit_length()
+    n_k = len(values) - n_public - 1
+    c = _msm_window(n_k + n, bits)
+    full = -(-bits // c)
+    costs = [-(-v.bit_length() // c) for v in values]
+    child = 2 * (1 + sum(costs) + full)  # A and B1: [1, *values, r or s]
+    prefix = list(itertools.accumulate(itertools.chain(
+        costs[n_public + 1:], itertools.repeat(full, n - 1))))
+    total = child + QUOTIENT_TERMS * n * full + prefix[-1] + full
+    return bisect.bisect_right(prefix, total / 2 - child)
+
+
 def _forks(n_wires: int) -> bool:
     """Whether `_beside` forks: the platform can, this process may run on
     more than one CPU, and the circuit is big enough to repay the fork."""
@@ -342,25 +389,44 @@ def _forks(n_wires: int) -> bool:
 
 
 @contextlib.contextmanager
-def _beside(pk: ProvingKey, values, r, s):
-    """Yields a function that returns `_witness_terms(pk, values, r, s)`.
+def _beside(pk: ProvingKey, values, r, s, n: int):
+    """Yields (share, hand_over, witness_terms): C''s terms from `share` on
+    are the caller's, `hand_over(h)` is called once the quotient h is
+    known, and `witness_terms()` returns `_witness_terms(pk, values, r, s)`
+    with the MSM of C''s first `share` terms added into s*A + r*B1.
 
-    In-process, the function computes them.  Forked, one child computes
-    them while the caller's block runs and writes their encodings to a
-    pipe, and the function reads them.  The child is killed, if it is
-    still running, and reaped when the block ends, whether it returns or
-    raises."""
+    In-process the share is 0, `hand_over` does nothing and
+    `witness_terms` computes the terms.  Forked, the share is
+    `_child_share`'s and one child computes the terms and its share of C'
+    while the caller's block runs, and writes their encodings to a pipe,
+    which `witness_terms` reads.  A share that reaches into H needs h's
+    first terms: this process writes them into an anonymous shared mmap
+    of 8 * (n - 1) bytes, made before the fork, and signals with one byte
+    on a second pipe, which the child reads after its own MSMs (a pipe
+    for h itself would block this process, h being larger than a pipe's
+    buffer).  If that pipe ends without the byte, the child exits with
+    status 1 and writes nothing.  This process runs without the cyclic
+    GC while the child lives and restores the caller's setting after; the
+    child is killed, if it is still running, and reaped when the block
+    ends, whether it returns or raises."""
     if not _forks(len(values)):
-        yield lambda: _witness_terms(pk, values, r, s)
+        yield 0, lambda h: None, lambda: _witness_terms(pk, values, r, s)
         return
+    share = _child_share(values, pk.n_public, n)
+    n_h = max(0, share - len(pk.k_g1))  # the H terms of the child's share
     pb = _GROUP.point_bytes
     size = 3 * pb
     rfd, wfd = os.pipe()
+    h_ready, h_set = os.pipe() if n_h else (None, None)
+    h_map = mmap.mmap(-1, 8 * (n - 1)) if n_h else None
     try:
         pid = os.fork()
     except OSError:
-        os.close(rfd)
-        os.close(wfd)
+        for fd in (rfd, wfd, h_ready, h_set):
+            if fd is not None:
+                os.close(fd)
+        if h_map:
+            h_map.close()
         raise
     if pid == 0:
         # the child runs without the cyclic GC, whose full collections
@@ -371,12 +437,28 @@ def _beside(pk: ProvingKey, values, r, s):
         try:
             gc.disable()
             os.close(rfd)
-            os.write(wfd, b"".join(map(_GROUP.g1_to_bytes,
-                                       _witness_terms(pk, values, r, s))))
+            if n_h:
+                os.close(h_set)
+            *terms, blind = _witness_terms(pk, values, r, s)
+            if n_h and not os.read(h_ready, 1):
+                os._exit(1)  # the prover ended before its quotient
+            h = array("Q", h_map[:8 * n_h]).tolist() if n_h else []
+            start = pk.n_public + 1
+            blind += _GROUP.multi_scalar_mul(
+                [*values[start:start + share], *h],
+                [*pk.k_g1[:share], *pk.h_g1[:n_h]])
+            os.write(wfd, b"".join(map(_GROUP.g1_to_bytes, [*terms, blind])))
             status = 0
         finally:
             os._exit(status)
     os.close(wfd)
+    if n_h:
+        os.close(h_ready)
+
+    def hand_over(h):
+        if n_h:
+            h_map[:8 * n_h] = array("Q", h[:n_h]).tobytes()
+            os.write(h_set, b"\x01")
 
     def read():
         chunks = []
@@ -390,12 +472,20 @@ def _beside(pk: ProvingKey, values, r, s):
                        for i in range(0, size, pb))
         return [G1Element(a), G2Element(b), G1Element(blind)]
 
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        yield read
+        yield share, hand_over, read
     finally:
+        if gc_was_enabled:
+            gc.enable()
         os.close(rfd)
+        if n_h:
+            os.close(h_set)
         os.kill(pid, signal.SIGKILL)  # no effect once the child has exited
         os.waitpid(pid, 0)
+        if n_h:
+            h_map.close()
 
 
 def verify(vk: VerifyingKey, proof: Proof, public_inputs) -> bool:

@@ -83,10 +83,16 @@ def no_child_left():
 
 
 def pytest_terminal_summary(terminalreporter):
-    """Echo the one-line-per-criterion acceptance report, if it was run."""
+    """Echo the one-line-per-criterion acceptance report, if some test of
+    tests/test_acceptance.py ran in this session (a deselected test has no
+    `when`), so an earlier session's report is never shown as this one's."""
+    ran = any(getattr(report, "when", None) == "call"
+              and report.nodeid.split("::")[0].endswith("test_acceptance.py")
+              for reports in terminalreporter.stats.values()
+              for report in reports)
     path = pathlib.Path(__file__).resolve().parent.parent / \
         "acceptance_report.txt"
-    if path.exists() and path.read_text().strip():
+    if ran and path.exists() and path.read_text().strip():
         terminalreporter.section("acceptance criteria")
         for line in path.read_text().splitlines():
             terminalreporter.write_line(line)

@@ -1,11 +1,15 @@
 """Trusted setup, proving, verification: completeness, soundness smoke
 checks, key/proof serialization, and ceremony determinism."""
 
+import gc
 import hashlib
+import math
 import os
+import pathlib
 import random
 import signal
 import struct
+import time
 
 import pytest
 
@@ -13,8 +17,9 @@ from hermes_seal import groth16
 from hermes_seal.field import EncodingError, TEST_FIELD
 from hermes_seal.groth16 import (Groth16Error, Proof, ProvingKey,
                                  VerifyingKey, prove, setup, verify)
-from hermes_seal.pairing import (BilinearGroup, G2Element, _add, _on_curve,
-                                 _scalar_mul, toy_group)
+from hermes_seal.pairing import (Q, BilinearGroup, G2Element, _add,
+                                 _msm_window, _on_curve, _scalar_mul,
+                                 toy_group)
 from hermes_seal.protocol import VerifierState
 from hermes_seal.qap import InvalidWitnessError, r1cs_to_qap
 from hermes_seal.r1cs import CircuitBuilder, ConstraintSystem
@@ -233,7 +238,10 @@ def test_prove_is_three_msms(cubic, rss_artifacts, two_cpus, monkeypatch):
     full = _rss_witness(art)
     calls.clear()
     forked = prove(art.pk, art.qap, full, seed=1).to_bytes()
-    assert calls == [len(art.pk.k_g1) + len(art.pk.h_g1) + 1]
+    # the child takes K[:481] of C'; this process sums K[481:], H and delta
+    assert groth16._child_share(full.values, art.pk.n_public, 1024) == 481
+    assert len(art.pk.k_g1) == 1017 and len(art.pk.h_g1) == 1023
+    assert calls == [1017 - 481 + 1023 + 1]
     assert two_cpus == [os.getpid()]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls.clear()
@@ -275,6 +283,135 @@ def test_unsatisfying_witness_leaves_no_child(rss_artifacts, two_cpus):
     with pytest.raises(InvalidWitnessError):
         prove(art.pk, art.qap, values, seed=1)
     assert len(two_cpus) == 1
+    _no_child_left()
+
+
+def _reference_share(values, n_public, n, quotient_terms):
+    """`_child_share` term by term: the longest prefix of [K..., H...]
+    whose cost, with A's and B1's, is at most half the prove's."""
+    bits = Q.bit_length()
+    c = _msm_window(len(values) - n_public - 1 + n, bits)
+
+    def cost(v):
+        return math.ceil(v.bit_length() / c)
+    full = math.ceil(bits / c)
+    terms = [cost(v) for v in values[n_public + 1:]] + [full] * (n - 1)
+    child = cost(1) * 2 + sum(cost(v) for v in values) * 2 + 2 * full
+    total = child + quotient_terms * n * full + sum(terms) + full
+    share = 0
+    while share < len(terms) and child + terms[share] <= total / 2:
+        child += terms[share]
+        share += 1
+    return share
+
+
+@pytest.mark.parametrize("quotient_terms", [0.0, 0.55, 2.0, 1e6])
+def test_child_share_rule(rss_artifacts, quotient_terms, monkeypatch):
+    # a pure function of the witness and n: the same split every time, the
+    # child's prefix and this process's suffix cover each C' term once, and
+    # the child takes at most the n - 1 H terms; that the two sides' MSMs
+    # sum to C' is the byte-identical proof tests' part
+    monkeypatch.setattr(groth16, "QUOTIENT_TERMS", quotient_terms)
+    art = rss_artifacts
+    n, n_k = len(art.qap.domain), len(art.pk.k_g1)
+    rng = random.Random(5)
+    for values in (list(_rss_witness(art).values),
+                   [rng.choice([0, 1, rng.randrange(P)])
+                    for _ in range(art.cs.n_wires)]):
+        share = groth16._child_share(values, art.pk.n_public, n)
+        assert share == groth16._child_share(list(values), art.pk.n_public, n)
+        assert share == _reference_share(values, art.pk.n_public, n,
+                                         quotient_terms)
+        terms = [("K", j) for j in range(n_k)] + [("H", k)
+                                                   for k in range(n - 1)]
+        assert sorted(terms[:share] + terms[share:]) == sorted(terms)
+        assert 0 <= share and max(0, share - n_k) <= n - 1
+    if quotient_terms == 1e6:
+        assert share == n_k + n - 1
+
+
+def _into_h(art, monkeypatch):
+    """QUOTIENT_TERMS at 2 n, so the RSS child's share ends inside H."""
+    monkeypatch.setattr(groth16, "QUOTIENT_TERMS", 2.0)
+    share = groth16._child_share(_rss_witness(art).values, art.pk.n_public,
+                                 len(art.qap.domain))
+    assert 0 < share - len(art.pk.k_g1) < len(art.pk.h_g1)
+
+
+def test_child_share_into_h_matches_in_process(rss_artifacts, two_cpus,
+                                                monkeypatch):
+    # the child reads h's first terms from the shared map: same bytes as
+    # an in-process prove
+    art = rss_artifacts
+    _into_h(art, monkeypatch)
+    full = _rss_witness(art, s_sec=2)
+    forked = prove(art.pk, art.qap, full, seed=7).to_bytes()
+    assert len(two_cpus) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert prove(art.pk, art.qap, full, seed=7).to_bytes() == forked
+    assert verify(art.vk, Proof.from_bytes(forked),
+                  art.cs.public_inputs(full))
+    _no_child_left()
+
+
+def test_unsatisfying_witness_while_child_waits_for_h(rss_artifacts, two_cpus,
+                                                       monkeypatch):
+    # the quotient raises only once the child is blocked reading the
+    # signal for h; the child is still reaped and no proof comes out
+    art = rss_artifacts
+    _into_h(art, monkeypatch)
+    children = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        children.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    real_quotient = groth16.compute_quotient
+
+    def late_quotient(qap, witness):
+        stat = pathlib.Path(f"/proc/{children[0]}/stat")
+        deadline = time.monotonic() + 60
+        while stat.read_text().rsplit(")", 1)[1].split()[0] != "S":
+            assert time.monotonic() < deadline, "child never blocked"
+            time.sleep(0.01)
+        return real_quotient(qap, witness)
+    monkeypatch.setattr(groth16, "compute_quotient", late_quotient)
+    values = list(_rss_witness(art).values)
+    values[-1] = (values[-1] + 1) % P
+    with pytest.raises(InvalidWitnessError):
+        prove(art.pk, art.qap, values, seed=1)
+    assert len(two_cpus) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_forked_prove_pauses_gc(rss_artifacts, two_cpus, monkeypatch,
+                                enabled):
+    # this process's side of a forked prove runs without the cyclic GC,
+    # and the caller's setting is back after a proof and after a raise
+    art = rss_artifacts
+    seen = []
+    real_quotient = groth16.compute_quotient
+
+    def quotient(qap, witness):
+        seen.append(gc.isenabled())
+        return real_quotient(qap, witness)
+    monkeypatch.setattr(groth16, "compute_quotient", quotient)
+    bad = list(_rss_witness(art).values)
+    bad[-1] = (bad[-1] + 1) % P
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        prove(art.pk, art.qap, _rss_witness(art), seed=1)
+        assert gc.isenabled() is enabled
+        with pytest.raises(InvalidWitnessError):
+            prove(art.pk, art.qap, bad, seed=1)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == [False, False] and len(two_cpus) == 2
     _no_child_left()
 
 
