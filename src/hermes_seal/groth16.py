@@ -14,13 +14,14 @@ holds no G2 point; it has its own PK_VERSION.  A and B1 need only the
 witness and the blinding scalars, so on a machine with more than one CPU
 one forked child computes them, with psi(B1) and s*A + r*B1, while the
 prover runs the quotient and C'.  The child also takes a prefix of C''s
-terms [K..., H...], sized so that its estimated cost is at most half the
-prove's (`_child_share`: one unit per bucket addition, a term costing its
-scalar's c-bit windows, the quotient QUOTIENT_TERMS * n full-width
-terms).  At audit size that prefix reaches into H, whose first terms the
-prover hands over through a shared map once the quotient is known.  The
-child adds its partial sum into s*A + r*B1, so it still returns three
-points, and the proof is the same either way.
+terms [K..., H...]: it sums its K terms right after A and B1, while the
+quotient still runs, and its H terms, if any, once the prover hands over
+h's first terms through a shared map.  The prefix is the one that makes
+the later of the two processes' estimated ends earliest (`_child_share`:
+one unit per bucket addition, a term costing its scalar's c-bit windows,
+the quotient QUOTIENT_TERMS * n log2(n) full-width terms); at audit size
+it reaches into H.  The child adds its partial sums into s*A + r*B1, so
+it still returns three points, and the proof is the same either way.
 
 The verifier takes public inputs only in canonical form (each in [0, q)),
 runs subgroup checks on all three proof elements, and then checks the
@@ -83,13 +84,12 @@ IC_WINDOW = 4  # bits per digit of a public input in the IC tables
 # VM a fork and reap cost about 2 ms in a 20 MB process and 10 ms at
 # 150 MB, where a 253-wire circuit proves as fast either way
 FORK_MIN_WIRES = 256
-# the quotient's cost in full-width C' terms per domain point, which sizes
-# the forked child's share of C' (`_child_share`).  On a 2-vCPU Xeon VM,
-# in-process with the GC off, `compute_quotient` took as long as 0.55 n
-# such terms of the C' MSM at n = 1024 and 0.79 n at n = 32768; at 0.55
-# the audit fixture's child, whose MSMs run slower per term than
-# in-process ones, already finished 7 to 66 ms after this process's C'
-QUOTIENT_TERMS = 0.55
+# the quotient's cost in full-width C' terms per n * log2(n), n the domain
+# size, which sizes the forked child's share of C' (`_child_share`).  On a
+# 2-vCPU Xeon VM, in-process with the GC off, `compute_quotient` took as
+# long as 0.55 n such terms at n = 1024 and 0.79 n at n = 32768; the
+# constant keeps 0.55 n at n = 1024, and so gives 0.825 n at n = 32768
+QUOTIENT_TERMS = 0.055
 
 _GROUP = toy_group()
 
@@ -359,25 +359,44 @@ def _witness_terms(pk: ProvingKey, values, r, s) -> list:
 
 def _child_share(values, n_public: int, n: int) -> int:
     """How many terms of C''s list [K..., H...] a forked child takes: the
-    longest prefix that keeps the child's estimated cost, A and B1
-    included, at or under half of the whole prove's.
+    shortest prefix that makes the later of the two processes' estimated
+    ends earliest.
 
     The unit is one bucket addition.  A term with nonzero scalar v costs
     ceil(bits(v) / c), c being `_msm_window` of C''s size; a blinding
     scalar, delta's and every H term cost the full width, since h is not
-    known before the quotient; the quotient costs QUOTIENT_TERMS * n
-    full-width terms.  A pure function of the witness and n, so a prove
-    of the same witness always splits alike."""
+    known before the quotient; the quotient, two iNTTs and an NTT-based
+    product, costs QUOTIENT_TERMS * n * log2(n) full-width terms.  The
+    child sums A, B1 and its K terms, then its H terms, which cannot
+    start before the quotient ends: it ends at max(A + B1 + its K,
+    quotient) + its H terms, and this process at quotient + the other
+    terms + delta.  A pure function of the witness and n, so a prove of
+    the same witness always splits alike."""
     bits = Q.bit_length()
     n_k = len(values) - n_public - 1
     c = _msm_window(n_k + n, bits)
     full = -(-bits // c)
     costs = [-(-v.bit_length() // c) for v in values]
-    child = 2 * (1 + sum(costs) + full)  # A and B1: [1, *values, r or s]
     prefix = list(itertools.accumulate(itertools.chain(
-        costs[n_public + 1:], itertools.repeat(full, n - 1))))
-    total = child + QUOTIENT_TERMS * n * full + prefix[-1] + full
-    return bisect.bisect_right(prefix, total / 2 - child)
+        costs[n_public + 1:], itertools.repeat(full, n - 1)), initial=0))
+    ab = 2 * (1 + sum(costs) + full)  # A and B1: [1, *values, r or s]
+    quotient = QUOTIENT_TERMS * n * (n.bit_length() - 1) * full
+    wait = max(0, quotient - ab - prefix[n_k])  # the child's, before H
+    rest = quotient + full + prefix[-1]  # this process's end less the share
+
+    def later(k):  # the later end when the child takes k terms
+        return max(ab + prefix[k] + (wait if k > n_k else 0),
+                   rest - prefix[k])
+    # the child's end rises with k and this process's falls: the earliest
+    # later end is at the first k where the child's end reaches this
+    # process's, or at the shortest prefix that costs what k - 1 terms do
+    k = bisect.bisect_left(prefix, (rest - ab) / 2, 0, n_k + 1)
+    if k > n_k:
+        k = bisect.bisect_left(prefix, (rest - ab - wait) / 2, n_k + 1)
+    candidates = [bisect.bisect_left(prefix, prefix[k - 1])] if k else []
+    if k < len(prefix):
+        candidates.append(k)
+    return min(candidates, key=later)
 
 
 def _forks(n_wires: int) -> bool:
@@ -402,13 +421,13 @@ def _beside(pk: ProvingKey, values, r, s, n: int):
     which `witness_terms` reads.  A share that reaches into H needs h's
     first terms: this process writes them into an anonymous shared mmap
     of 8 * (n - 1) bytes, made before the fork, and signals with one byte
-    on a second pipe, which the child reads after its own MSMs (a pipe
-    for h itself would block this process, h being larger than a pipe's
-    buffer).  If that pipe ends without the byte, the child exits with
-    status 1 and writes nothing.  This process runs without the cyclic
-    GC while the child lives and restores the caller's setting after; the
-    child is killed, if it is still running, and reaped when the block
-    ends, whether it returns or raises."""
+    on a second pipe, which the child reads after its MSMs over A, B1 and
+    its K terms (a pipe for h itself would block this process, h being
+    larger than a pipe's buffer).  If that pipe ends without the byte,
+    the child exits with status 1 and writes nothing.  This process runs
+    without the cyclic GC while the child lives and restores the caller's
+    setting after; the child is killed, if it is still running, and
+    reaped when the block ends, whether it returns or raises."""
     if not _forks(len(values)):
         yield 0, lambda h: None, lambda: _witness_terms(pk, values, r, s)
         return
@@ -440,13 +459,14 @@ def _beside(pk: ProvingKey, values, r, s, n: int):
             if n_h:
                 os.close(h_set)
             *terms, blind = _witness_terms(pk, values, r, s)
-            if n_h and not os.read(h_ready, 1):
-                os._exit(1)  # the prover ended before its quotient
-            h = array("Q", h_map[:8 * n_h]).tolist() if n_h else []
             start = pk.n_public + 1
-            blind += _GROUP.multi_scalar_mul(
-                [*values[start:start + share], *h],
-                [*pk.k_g1[:share], *pk.h_g1[:n_h]])
+            blind += _GROUP.multi_scalar_mul(values[start:start + share],
+                                             pk.k_g1[:share])
+            if n_h:
+                if not os.read(h_ready, 1):
+                    os._exit(1)  # the prover ended before its quotient
+                blind += _GROUP.multi_scalar_mul(
+                    array("Q", h_map[:8 * n_h]).tolist(), pk.h_g1[:n_h])
             os.write(wfd, b"".join(map(_GROUP.g1_to_bytes, [*terms, blind])))
             status = 0
         finally:

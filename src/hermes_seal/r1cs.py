@@ -14,13 +14,25 @@ A product row <a,w> * <b,w> = out solves its own c wire, so solvers exist
 only for hint wires (inverse trick, bit decompositions, the audit match
 hints).  Hints are constraint-verified: every row is checked over the final
 values, and the constraint system never trusts a solver.
+
+A system compiles its rows when it is made: each distinct side (one dict
+object, however many rows hold it) once, as flat wire-index and
+coefficient arrays with per-side bounds, plus each row's a, b and c side
+numbers.  `evaluate` sums every distinct side once with C-level
+map/accumulate and gathers the sums per row; a product step sums its a
+and b sides from the same arrays when it runs, a square's once.  `rows`
+stays the system's statement: the encoding, the digest and the QAP read
+it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
+import operator
 import struct
+from array import array
 
 from .field import TEST_FIELD
 
@@ -133,6 +145,39 @@ class ConstraintSystem:
         self._input_wires = input_wires  # [Wire]
         self.row_labels = row_labels
         self._digest = None         # SHA-256 of to_bytes(), on first use
+        self._compile()
+
+    def _compile(self):
+        """The rows as flat arrays, each distinct side (one dict object,
+        however many rows hold it) once, and every empty side as side 0:
+        side k's wire indices and coefficients are `_wires` and `_coeffs`
+        at `_bounds[k]:_bounds[k + 1]`, `_sides` holds each row's a, b
+        and c side numbers, and `_products`, for each product step in
+        order, the bounds of its a and b sides and its output wire.  Two
+        sides share their end bound only if they are one side."""
+        number = {}  # id(side) -> side number; the rows keep each side alive
+        distinct = [{}]
+        sides = array("I")
+        for row in self.rows:
+            for side in row:
+                k = number.get(id(side)) if side else 0
+                if k is None:
+                    k = number[id(side)] = len(distinct)
+                    distinct.append(side)
+                sides.append(k)
+        self._sides = sides[0::3], sides[1::3], sides[2::3]
+        self._wires = [*itertools.chain.from_iterable(distinct)]
+        self._coeffs = [*itertools.chain.from_iterable(
+            map(dict.values, distinct))]
+        bounds = self._bounds = array("I", itertools.accumulate(
+            map(len, distinct), initial=0))
+        self._products = array("q")
+        for row in self._solvers:
+            if row.__class__ is int:
+                a, b = sides[3 * row], sides[3 * row + 1]
+                (out,) = self.rows[row][2]
+                self._products.extend((bounds[a], bounds[a + 1], bounds[b],
+                                       bounds[b + 1], out))
 
     @property
     def n_constraints(self) -> int:
@@ -140,25 +185,28 @@ class ConstraintSystem:
 
     def evaluate(self, witness):
         """(aw, bw, cw): per row, the sparse inner products <a,w>, <b,w>,
-        <c,w> mod p."""
+        <c,w> mod p.  Each distinct side is summed once, as a difference
+        of the running sum of all sides' terms."""
         values = witness.values if isinstance(witness, Witness) else witness
         if len(values) != self.n_wires:
             raise R1csError(f"witness length {len(values)} != wire count {self.n_wires}")
-        p = self.field.p
-        aw, bw, cw = [], [], []
-        for a, b, c in self.rows:
-            aw.append(sum(values[j] * k for j, k in a.items()) % p)
-            bw.append(sum(values[j] * k for j, k in b.items()) % p)
-            cw.append(sum(values[j] * k for j, k in c.items()) % p)
-        return aw, bw, cw
+        running = list(itertools.accumulate(
+            map(operator.mul, map(values.__getitem__, self._wires),
+                self._coeffs), initial=0))
+        at = list(map(running.__getitem__, self._bounds))
+        sums = list(map(operator.mod, map(operator.sub, at[1:], at),
+                        itertools.repeat(self.field.p)))
+        return tuple(list(map(sums.__getitem__, rows)) for rows in self._sides)
 
     def first_violation(self, evaluations):
         """The first row of `evaluate`'s output with aw * bw != cw, or None."""
-        p = self.field.p
-        for i, (a, b, c) in enumerate(zip(*evaluations)):
-            if a * b % p != c:
-                return i
-        return None
+        aw, bw, cw = evaluations
+        products = list(map(operator.mod, map(operator.mul, aw, bw),
+                            itertools.repeat(self.field.p)))
+        if products == cw:  # one C-level comparison for a satisfied system
+            return None
+        return next(itertools.compress(itertools.count(),
+                                       map(operator.ne, products, cw)), None)
 
     def generate_witness(self, assignments: dict) -> Witness:
         """Solve all wires from the input assignment; error if unsolvable.
@@ -179,12 +227,16 @@ class ConstraintSystem:
             if wire.index not in assigned:
                 raise MissingInputError(f"missing assignment for input wire {wire.label!r}")
             values[wire.index] = assigned[wire.index]
+        wires, coeffs = self._wires, self._coeffs
+        mul, get = operator.mul, values.__getitem__
+        products = zip(*[iter(self._products)] * 5)
         try:
             for step in self._solvers:
                 if step.__class__ is int:  # a product row: c = {out: 1}
-                    a, b, (out,) = self.rows[step]
-                    values[out] = (sum(values[j] * k for j, k in a.items())
-                                   * sum(values[j] * k for j, k in b.items())) % p
+                    a0, a1, b0, b1, out = next(products)
+                    x = sum(map(mul, map(get, wires[a0:a1]), coeffs[a0:a1]))
+                    values[out] = x * (x if b1 == a1 else sum(
+                        map(mul, map(get, wires[b0:b1]), coeffs[b0:b1]))) % p
                 else:
                     step[1](values)
                     for t in step[0]:

@@ -2,7 +2,6 @@
 session and reused read-only."""
 
 import os
-import pathlib
 import random
 
 import pytest
@@ -82,19 +81,23 @@ def no_child_left():
                 f"gave ({pid}, {status:#x})")
 
 
+_ACCEPTANCE_LINES = pytest.StashKey[list]()
+
+
+@pytest.fixture(scope="session")
+def acceptance_lines(request):
+    """The acceptance criteria's report lines of this session; the
+    terminal summary echoes them."""
+    return request.config.stash.setdefault(_ACCEPTANCE_LINES, [])
+
+
 def pytest_terminal_summary(terminalreporter):
-    """Echo the one-line-per-criterion acceptance report, if some test of
-    tests/test_acceptance.py ran in this session (a deselected test has no
-    `when`), so an earlier session's report is never shown as this one's."""
-    ran = any(getattr(report, "when", None) == "call"
-              and report.nodeid.split("::")[0].endswith("test_acceptance.py")
-              for reports in terminalreporter.stats.values()
-              for report in reports)
-    path = pathlib.Path(__file__).resolve().parent.parent / \
-        "acceptance_report.txt"
-    if ran and path.exists() and path.read_text().strip():
+    """Echo this session's one-line-per-criterion acceptance report, so a
+    report that an earlier session wrote is never shown as this one's."""
+    lines = terminalreporter.config.stash.get(_ACCEPTANCE_LINES, [])
+    if lines:
         terminalreporter.section("acceptance criteria")
-        for line in path.read_text().splitlines():
+        for line in lines:
             terminalreporter.write_line(line)
 
 

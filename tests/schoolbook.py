@@ -7,6 +7,11 @@ exact long division.  Nothing here uses the subgroup structure of a radix-2
 domain or an NTT, so `hermes_seal.qap` is checked against the textbook
 construction on the same points.
 
+For the constraint system: `evaluate`, `first_violation` and
+`generate_witness` walk each row's dicts term by term, as
+`hermes_seal.r1cs` did before it compiled the rows into flat arrays, the
+oracle for the compiled evaluation and product solve.
+
 For the pairing: `affine_lines`, the Miller loop over Q in affine
 coordinates with one modular inversion per line, the oracle for
 `BilinearGroup.lines`; and `find_generator`, the search that chose the
@@ -14,6 +19,8 @@ generator constants `pairing.G1_GENERATOR` and `pairing.G2_GENERATOR`.
 """
 
 from hermes_seal.pairing import COFACTOR, P, _add, _scalar_mul
+from hermes_seal.r1cs import (MissingInputError, R1csError,
+                              UnsatisfiableError, Wire, Witness)
 
 
 class Poly:
@@ -147,6 +154,69 @@ def quotient(cs, domain: Domain, witness) -> Poly:
     h, rem = (A * B - C).divmod(domain.vanishing())
     assert rem.is_zero()
     return h
+
+
+def evaluate(cs, values):
+    """(aw, bw, cw): <a,w>, <b,w> and <c,w> mod p of every row, each a
+    walk over the row's dict."""
+    p = cs.field.p
+    aw, bw, cw = [], [], []
+    for a, b, c in cs.rows:
+        aw.append(sum(values[j] * k for j, k in a.items()) % p)
+        bw.append(sum(values[j] * k for j, k in b.items()) % p)
+        cw.append(sum(values[j] * k for j, k in c.items()) % p)
+    return aw, bw, cw
+
+
+def first_violation(cs, evaluations):
+    """The first row with aw * bw != cw, or None."""
+    p = cs.field.p
+    for i, (a, b, c) in enumerate(zip(*evaluations)):
+        if a * b % p != c:
+            return i
+    return None
+
+
+def generate_witness(cs, assignments):
+    """`ConstraintSystem.generate_witness` with every product step summing
+    its row's a and b dicts when it runs."""
+    p = cs.field.p
+    values = [None] * cs.n_wires
+    values[0] = 1
+    assigned = {}
+    for wire, value in assignments.items():
+        if not isinstance(wire, Wire):
+            raise MissingInputError(f"assignment key {wire!r} is not a Wire")
+        assigned[wire.index] = int(value) % p
+    for wire in cs._input_wires:
+        if wire.index not in assigned:
+            raise MissingInputError(
+                f"missing assignment for input wire {wire.label!r}")
+        values[wire.index] = assigned[wire.index]
+    for step in cs._solvers:
+        if step.__class__ is int:
+            a, b, (out,) = cs.rows[step]
+            try:
+                values[out] = (sum(values[j] * k for j, k in a.items())
+                               * sum(values[j] * k for j, k in b.items())) % p
+            except TypeError as exc:
+                raise R1csError(f"product row {step} ({cs.row_labels[step]}) "
+                                "reads a wire no earlier step assigns") from exc
+        else:
+            step[1](values)
+            for t in step[0]:
+                if values[t] is None:
+                    raise R1csError(f"solver failed to assign wire {t}")
+    if None in values:
+        raise R1csError(
+            f"wire {values.index(None)} left unassigned after solving")
+    evaluations = evaluate(cs, values)
+    row = first_violation(cs, evaluations)
+    if row is not None:
+        label = cs.row_labels[row] or f"row {row}"
+        raise UnsatisfiableError(
+            f"generated witness violates constraint {row} ({label})")
+    return Witness(values, cs, evaluations)
 
 
 def affine_lines(group, Q):

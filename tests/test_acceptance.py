@@ -1,6 +1,6 @@
 """Acceptance suite: one test per release criterion, each emitting a single
-PASS/FAIL summary line (collected into acceptance_report.txt and echoed in
-the terminal summary).
+PASS/FAIL summary line, echoed in the terminal summary and written to
+acceptance_report.txt by a session that runs every criterion.
 
 Stated runtime targets are *reported* in the summary lines, not asserted:
 they describe reference hardware, and this suite must stay meaningful on
@@ -38,11 +38,21 @@ REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "acceptance_report.txt"
 
 
+_LINES = []  # this session's criterion lines, in the order reported
+
+
 @pytest.fixture(scope="session")
-def _fresh_report():
-    """Empty the report once, when the first criterion test runs; merely
-    collecting this module leaves the file alone."""
-    REPORT_PATH.write_text("")
+def _fresh_report(acceptance_lines):
+    """When the session ends, hand this session's lines to the terminal
+    summary, and rewrite the report only if every criterion of this
+    module reported: a partial run leaves the committed report as it
+    is."""
+    yield
+    acceptance_lines.extend(_LINES)
+    criteria = [name for name in globals()
+                if name.startswith("test_criterion_")]
+    if len({line.split()[1] for line in _LINES}) == len(criteria):
+        REPORT_PATH.write_text("".join(f"{line}\n" for line in _LINES))
 
 
 pytestmark = pytest.mark.usefixtures("_fresh_report")
@@ -51,8 +61,7 @@ pytestmark = pytest.mark.usefixtures("_fresh_report")
 def _report(number, name, ok, detail):
     line = f"criterion {number:02d} {name}: " \
            f"{'PASS' if ok else 'FAIL'} ({detail})"
-    with open(REPORT_PATH, "a") as fh:
-        fh.write(line + "\n")
+    _LINES.append(line)
     print(line)
     assert ok, line
 

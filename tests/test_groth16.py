@@ -14,6 +14,7 @@ import time
 import pytest
 
 from hermes_seal import groth16
+from hermes_seal.audit_circuit import make_audit_inputs
 from hermes_seal.field import EncodingError, TEST_FIELD
 from hermes_seal.groth16 import (Groth16Error, Proof, ProvingKey,
                                  VerifyingKey, prove, setup, verify)
@@ -287,25 +288,35 @@ def test_unsatisfying_witness_leaves_no_child(rss_artifacts, two_cpus):
 
 
 def _reference_share(values, n_public, n, quotient_terms):
-    """`_child_share` term by term: the longest prefix of [K..., H...]
-    whose cost, with A's and B1's, is at most half the prove's."""
+    """`_child_share` term by term: the shortest prefix of [K..., H...]
+    that makes the later of the two processes' ends earliest.  The child
+    sums A, B1 and its K terms, and starts its H terms no earlier than
+    the quotient's end; this process ends at the quotient, the other
+    terms and delta."""
     bits = Q.bit_length()
-    c = _msm_window(len(values) - n_public - 1 + n, bits)
+    n_k = len(values) - n_public - 1
+    c = _msm_window(n_k + n, bits)
 
     def cost(v):
         return math.ceil(v.bit_length() / c)
     full = math.ceil(bits / c)
     terms = [cost(v) for v in values[n_public + 1:]] + [full] * (n - 1)
+    quotient = quotient_terms * n * math.log2(n) * full
     child = cost(1) * 2 + sum(cost(v) for v in values) * 2 + 2 * full
-    total = child + quotient_terms * n * full + sum(terms) + full
-    share = 0
-    while share < len(terms) and child + terms[share] <= total / 2:
-        child += terms[share]
-        share += 1
+    parent = quotient + sum(terms) + full
+    best, share = max(child, parent), 0
+    for k, term in enumerate(terms, 1):
+        if k == n_k + 1:  # the first H term waits for h
+            child = max(child, quotient)
+        child += term
+        parent -= term
+        if max(child, parent) < best:
+            best, share = max(child, parent), k
     return share
 
 
-@pytest.mark.parametrize("quotient_terms", [0.0, 0.55, 2.0, 1e6])
+@pytest.mark.parametrize("quotient_terms", [0.0, groth16.QUOTIENT_TERMS,
+                                            0.55, 2.0, 1e6])
 def test_child_share_rule(rss_artifacts, quotient_terms, monkeypatch):
     # a pure function of the witness and n: the same split every time, the
     # child's prefix and this process's suffix cover each C' term once, and
@@ -327,11 +338,43 @@ def test_child_share_rule(rss_artifacts, quotient_terms, monkeypatch):
         assert sorted(terms[:share] + terms[share:]) == sorted(terms)
         assert 0 <= share and max(0, share - n_k) <= n - 1
     if quotient_terms == 1e6:
-        assert share == n_k + n - 1
+        # both processes start H after the quotient: they split it evenly
+        assert share == n_k + n // 2
+
+
+def test_child_share_waits_for_the_quotient(rss_artifacts, monkeypatch):
+    # the rule never starts the child's H terms before the quotient's
+    # estimated end: once the quotient outlasts the child's A, B1 and K,
+    # both processes start their H terms at its end, so the child takes
+    # half of them, where starting them at once would give it more
+    art = rss_artifacts
+    values = _rss_witness(art).values
+    n, n_k = len(art.qap.domain), len(art.pk.k_g1)
+    for quotient_terms in (1.0, 5.0, 1e6):
+        monkeypatch.setattr(groth16, "QUOTIENT_TERMS", quotient_terms)
+        n_h = groth16._child_share(values, art.pk.n_public, n) - n_k
+        assert n_h == n // 2  # n - 1 H terms, and delta on this side
+
+
+def test_child_share_at_audit_size(audit_fixture_artifacts):
+    # at audit size and the module's QUOTIENT_TERMS the share reaches into
+    # H, and the child, whose H terms start no earlier than this process's,
+    # takes at most half of them
+    art = audit_fixture_artifacts
+    publics, witness = make_audit_inputs(
+        art.challenge, art.thresholds, art.detections, nonce=bytes(16),
+        s_sec=1)[:2]
+    values = art.circuit.generate_witness(publics, witness).values
+    n, n_k = len(art.qap.domain), len(art.pk.k_g1)
+    share = groth16._child_share(values, art.pk.n_public, n)
+    assert share == _reference_share(values, art.pk.n_public, n,
+                                     groth16.QUOTIENT_TERMS)
+    assert 0 < share - n_k <= n // 2
 
 
 def _into_h(art, monkeypatch):
-    """QUOTIENT_TERMS at 2 n, so the RSS child's share ends inside H."""
+    """QUOTIENT_TERMS at 2 n log2(n), so the RSS child's share ends inside
+    H."""
     monkeypatch.setattr(groth16, "QUOTIENT_TERMS", 2.0)
     share = groth16._child_share(_rss_witness(art).values, art.pk.n_public,
                                  len(art.qap.domain))
@@ -382,6 +425,52 @@ def test_unsatisfying_witness_while_child_waits_for_h(rss_artifacts, two_cpus,
     values[-1] = (values[-1] + 1) % P
     with pytest.raises(InvalidWitnessError):
         prove(art.pk, art.qap, values, seed=1)
+    assert len(two_cpus) == 1
+    _no_child_left()
+
+
+def test_child_sums_its_k_terms_before_h(rss_artifacts, two_cpus,
+                                         monkeypatch, tmp_path):
+    # the child's MSM over its K terms needs no h, so it ends while the
+    # quotient is still waiting for it here; its MSM over H terms starts
+    # only after the quotient has ended
+    art = rss_artifacts
+    _into_h(art, monkeypatch)
+    log = tmp_path / "child_msms"
+    parent = os.getpid()
+    real_msm = BilinearGroup.multi_scalar_mul
+
+    def logged_msm(self, scalars, points):
+        start = time.monotonic()
+        result = real_msm(self, scalars, points)
+        if os.getpid() != parent:
+            with open(log, "a") as fh:
+                fh.write(f"{len(points)} {start} {time.monotonic()}\n")
+        return result
+    monkeypatch.setattr(BilinearGroup, "multi_scalar_mul", logged_msm)
+    real_quotient = groth16.compute_quotient
+    quotient_ends = []
+
+    def quotient_after_k(qap, witness):
+        deadline = time.monotonic() + 60
+        while not log.exists() or len(log.read_text().splitlines()) < 3:
+            assert time.monotonic() < deadline, "child's K MSM never ended"
+            time.sleep(0.01)
+        h = real_quotient(qap, witness)
+        quotient_ends.append(time.monotonic())
+        return h
+    monkeypatch.setattr(groth16, "compute_quotient", quotient_after_k)
+    full = _rss_witness(art, s_sec=3)
+    n, n_k = len(art.qap.domain), len(art.pk.k_g1)
+    n_h = groth16._child_share(full.values, art.pk.n_public, n) - n_k
+    forked = prove(art.pk, art.qap, full, seed=11).to_bytes()
+    msms = [line.split() for line in log.read_text().splitlines()]
+    m1 = art.cs.n_wires
+    assert [int(size) for size, _, _ in msms] == [m1 + 2, m1 + 2, n_k, n_h]
+    assert float(msms[3][1]) >= quotient_ends[0]
+    monkeypatch.setattr(groth16, "compute_quotient", real_quotient)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert prove(art.pk, art.qap, full, seed=11).to_bytes() == forked
     assert len(two_cpus) == 1
     _no_child_left()
 

@@ -1,14 +1,19 @@
 """Constraint system builder, gadget semantics, solver pipeline, the wire
 index space, and the R1CS encoding's digests."""
 
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import schoolbook
+from hermes_seal.audit_circuit import make_audit_inputs
 from hermes_seal.field import TEST_FIELD
-from hermes_seal.r1cs import (CircuitBuilder, MissingInputError, R1csError,
-                              UnsatisfiableError, Witness)
+from hermes_seal.r1cs import (CircuitBuilder, ConstraintSystem,
+                              MissingInputError, R1csError,
+                              UnsatisfiableError, Wire, Witness)
+from hermes_seal.rss_circuit import RssScenario, make_rss_inputs
 
 P = TEST_FIELD.p
 
@@ -245,6 +250,150 @@ def test_evaluate_feeds_check():
     assert cs.first_violation(cs.evaluate(bad)) == 1
     with pytest.raises(R1csError, match=r"witness length 3 != wire count 5"):
         cs.evaluate(bad[:3])
+
+
+# -- compiled rows against the dict walk --------------------------------------
+
+_COEFFS = st.sampled_from([1, 2, P - 1]) | st.integers(0, P - 1)
+_VALUES = st.integers(0, 2 * P)
+
+
+@st.composite
+def _systems(draw):
+    """A small system and its input wires.  After the inputs, each step
+    adds a product row or a hint (w_new = w_src + k) that solves one new
+    wire, or a check row over any wires, one that every witness
+    satisfies or a random one; padding rows end it.  A side is a new dict of up
+    to three terms (empty and one-term ones included) or a dict an
+    earlier side holds (a row's a may be its b), and it may read a wire
+    no earlier step solves.  A hint may also rewrite an earlier wire."""
+    n_inputs = draw(st.integers(1, 4))
+    n_public = draw(st.integers(0, n_inputs))
+    inputs = [Wire(i, f"in{i}") for i in range(1, n_inputs + 1)]
+    kinds = draw(st.lists(st.sampled_from(["product", "hint", "check"]),
+                          max_size=8))
+    n_wires = 1 + n_inputs + sum(kind != "check" for kind in kinds)
+    rows, row_labels, solvers, sides = [], [], [], []
+
+    def side(limit):
+        if draw(st.integers(0, 9)) == 0:
+            limit = n_wires  # may read an unsolved wire
+        shared = [d for d in sides if all(j < limit for j in d)]
+        if shared and draw(st.booleans()):
+            return draw(st.sampled_from(shared))
+        terms = draw(st.dictionaries(st.integers(0, limit - 1), _COEFFS,
+                                     max_size=3))
+        sides.append(terms)
+        return terms
+    new = 1 + n_inputs
+    for kind in kinds:
+        if kind == "product":
+            a = side(new)
+            b = a if draw(st.booleans()) else side(new)
+            solvers.append(len(rows))
+            rows.append((a, b, {new: 1}))
+        elif kind == "hint":
+            src, k = draw(st.integers(0, new - 1)), draw(_COEFFS)
+            rogue = draw(st.booleans())
+
+            def solve(v, t=new, src=src, k=k, rogue=rogue):
+                v[t] = (v[src] + k) % P
+                if rogue:
+                    v[src] = (v[src] + 1) % P
+            solvers.append(([new], solve))
+            sum_k = {0: k}
+            sum_k[src] = sum_k.get(src, 0) + 1
+            rows.append((sum_k, {0: 1}, {new: 1}))
+        elif draw(st.booleans()):  # holds for every witness
+            x = side(n_wires)
+            rows.append((x, {0: 1}, x) if draw(st.booleans())
+                        else ({}, x, {}))
+        else:
+            rows.append((side(n_wires), side(n_wires), side(n_wires)))
+        row_labels.append(f"{kind}{len(rows) - 1}")
+        new += kind != "check"
+    pad = draw(st.integers(0, 3))
+    rows += [({}, {}, {})] * pad
+    row_labels += [None] * pad
+    if not rows:
+        rows, row_labels = [({}, {}, {})], [None]
+    cs = ConstraintSystem(rows, n_wires, n_public,
+                          [f"w{j}" for j in range(n_wires)], solvers, inputs,
+                          row_labels)
+    return cs, inputs
+
+
+def _outcome(solve, assignments):
+    """A solve's witness values and evaluations, or its error."""
+    try:
+        w = solve(assignments)
+    except R1csError as exc:
+        return type(exc), str(exc)
+    return w.values, w.evaluations
+
+
+def _same_as_dict_walk(cs, values):
+    evaluations = cs.evaluate(values)
+    assert evaluations == schoolbook.evaluate(cs, values)
+    assert cs.first_violation(evaluations) == \
+        schoolbook.first_violation(cs, evaluations)
+
+
+@given(_systems(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_compiled_rows_match_dict_walk(system, data):
+    # the same witness or error from generate_witness, and the same
+    # evaluations and first violated row, before and after tampering
+    cs, inputs = system
+    missing = data.draw(st.sampled_from([None] * 7 + inputs[:1]))
+    assignments = {w: data.draw(_VALUES) for w in inputs if w is not missing}
+    outcome = _outcome(cs.generate_witness, assignments)
+    assert outcome == _outcome(
+        lambda a: schoolbook.generate_witness(cs, a), assignments)
+    if isinstance(outcome[0], tuple):
+        values = list(outcome[0])
+    else:
+        values = [data.draw(_VALUES) for _ in range(cs.n_wires)]
+    _same_as_dict_walk(cs, values)
+    for _ in range(data.draw(st.integers(1, 3))):
+        values[data.draw(st.integers(0, cs.n_wires - 1))] = data.draw(_VALUES)
+        _same_as_dict_walk(cs, values)
+
+
+def _assignments(circuit, publics, witness, monkeypatch):
+    """The input assignment a circuit hands its system."""
+    with monkeypatch.context() as m:
+        m.setattr(circuit.cs, "generate_witness", lambda assigned: assigned)
+        return circuit.generate_witness(publics, witness)
+
+
+def test_compiled_rows_match_dict_walk_on_production_circuits(
+        rss_artifacts, audit_fixture_artifacts, monkeypatch):
+    rng = random.Random(11)
+    rss, audit = rss_artifacts, audit_fixture_artifacts
+    cases = []
+    for seed in range(3):
+        scenario = RssScenario(speed_mps=rng.uniform(5, 30),
+                               distance_m=rng.uniform(5, 90),
+                               probability=rng.uniform(0.5, 1.0))
+        publics, witness, _ = make_rss_inputs(
+            scenario, nonce=rng.randbytes(16), s_sec=rng.randrange(P),
+            circuit=rss.circuit)
+        cases.append((rss.circuit, publics, witness))
+        publics, witness = make_audit_inputs(
+            audit.challenge, audit.thresholds, audit.detections,
+            nonce=rng.randbytes(16), s_sec=rng.randrange(P))[:2]
+        cases.append((audit.circuit, publics, witness))
+    for circuit, publics, witness in cases:
+        cs = circuit.cs
+        assignments = _assignments(circuit, publics, witness, monkeypatch)
+        w = cs.generate_witness(assignments)
+        expected = schoolbook.generate_witness(cs, assignments)
+        assert (w.values, w.evaluations) == \
+            (expected.values, expected.evaluations)
+        values = list(w.values)
+        values[rng.randrange(1, cs.n_wires)] = rng.randrange(P)
+        _same_as_dict_walk(cs, values)
 
 
 # -- the encoding's digests ----------------------------------------------------
