@@ -6,8 +6,10 @@ vanishing polynomial is t(x) = x^n - 1, interpolation on H is an inverse
 NTT, and the Lagrange values at a point x off H have the closed form
 L_i(x) = t(x) w^i / (n (x - w^i)).  The wire polynomials A_j, B_j, C_j are
 never formed: the setup needs them only at one point tau, which
-`QapInstance.wire_evals_at` sums over the sparse rows, and the prover only
-their witness-weighted sums on H, which are the rows' inner products.
+`QapInstance.wire_evals_at` sums over the system's compiled rows, each
+distinct side once per position with the summed Lagrange values of the
+rows that hold it there, and the prover only their witness-weighted sums
+on H, which are the rows' inner products.
 
 The prover's quotient H(x) = (A(x)B(x) - C(x)) / t(x) is the top half of
 one product.  `compute_quotient` first checks A(w^i)B(w^i) = C(w^i) on
@@ -155,21 +157,26 @@ class QapInstance:
         self.field = cs.field
 
     def wire_evals_at(self, x: int):
-        """([A_j(x)], [B_j(x)], [C_j(x)]) for all wires, via sparse accumulation."""
+        """([A_j(x)], [B_j(x)], [C_j(x)]) for all wires, from the system's
+        compiled rows: per position, each distinct side's Lagrange weight
+        is the sum of L_i(x) over the rows that hold it there, and each of
+        the side's terms adds weight * coefficient to its wire."""
         p = self.field.p
         lagrange = self.domain.lagrange_at(x)
-        m1 = self.cs.n_wires
-        a_vals = [0] * m1
-        b_vals = [0] * m1
-        c_vals = [0] * m1
-        for li, (a, b, c) in zip(lagrange, self.cs.rows):
-            for j, coeff in a.items():
-                a_vals[j] = (a_vals[j] + li * coeff) % p
-            for j, coeff in b.items():
-                b_vals[j] = (b_vals[j] + li * coeff) % p
-            for j, coeff in c.items():
-                c_vals[j] = (c_vals[j] + li * coeff) % p
-        return a_vals, b_vals, c_vals
+        cs = self.cs
+        wires, coeffs, bounds = cs._wires, cs._coeffs, cs._bounds
+        out = []
+        for sides in cs._sides:
+            weight = dict.fromkeys(sides, 0)
+            for k, li in zip(sides, lagrange):
+                weight[k] += li
+            vals = [0] * cs.n_wires
+            for k, w in weight.items():
+                w %= p
+                for i in range(bounds[k], bounds[k + 1]):
+                    vals[wires[i]] += w * coeffs[i]
+            out.append([v % p for v in vals])
+        return tuple(out)
 
 
 def r1cs_to_qap(cs, domain: EvaluationDomain = None) -> QapInstance:

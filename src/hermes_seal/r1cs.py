@@ -18,11 +18,13 @@ values, and the constraint system never trusts a solver.
 A system compiles its rows when it is made: each distinct side (one dict
 object, however many rows hold it) once, as flat wire-index and
 coefficient arrays with per-side bounds, plus each row's a, b and c side
-numbers.  `evaluate` sums every distinct side once with C-level
+numbers.  The compiled form is the system's only row representation; it
+keeps no dicts.  `evaluate` sums every distinct side once with C-level
 map/accumulate and gathers the sums per row; a product step sums its a
-and b sides from the same arrays when it runs, a square's once.  `rows`
-stays the system's statement: the encoding, the digest and the QAP read
-it.
+and b sides from the same arrays when it runs, a square's once;
+`to_bytes` packs each distinct side once and joins the packings per row;
+and `qap.QapInstance.wire_evals_at` weighs each distinct side once per
+position.
 """
 
 from __future__ import annotations
@@ -137,7 +139,6 @@ class ConstraintSystem:
 
     def __init__(self, rows, n_wires, n_public, labels, solvers, input_wires,
                  row_labels):
-        self.rows = rows            # list of (a, b, c) dicts: wire index -> coeff
         self.n_wires = n_wires      # m + 1 including the constant wire
         self.n_public = n_public    # l
         self.labels = labels        # wire index -> label
@@ -145,9 +146,9 @@ class ConstraintSystem:
         self._input_wires = input_wires  # [Wire]
         self.row_labels = row_labels
         self._digest = None         # SHA-256 of to_bytes(), on first use
-        self._compile()
+        self._compile(rows)  # (a, b, c) dicts: wire index -> coeff
 
-    def _compile(self):
+    def _compile(self, rows):
         """The rows as flat arrays, each distinct side (one dict object,
         however many rows hold it) once, and every empty side as side 0:
         side k's wire indices and coefficients are `_wires` and `_coeffs`
@@ -155,10 +156,10 @@ class ConstraintSystem:
         and c side numbers, and `_products`, for each product step in
         order, the bounds of its a and b sides and its output wire.  Two
         sides share their end bound only if they are one side."""
-        number = {}  # id(side) -> side number; the rows keep each side alive
+        number = {}  # id(side) -> number; `distinct` keeps each side alive
         distinct = [{}]
         sides = array("I")
-        for row in self.rows:
+        for row in rows:
             for side in row:
                 k = number.get(id(side)) if side else 0
                 if k is None:
@@ -175,13 +176,13 @@ class ConstraintSystem:
         for row in self._solvers:
             if row.__class__ is int:
                 a, b = sides[3 * row], sides[3 * row + 1]
-                (out,) = self.rows[row][2]
+                (out,) = rows[row][2]
                 self._products.extend((bounds[a], bounds[a + 1], bounds[b],
                                        bounds[b + 1], out))
 
     @property
     def n_constraints(self) -> int:
-        return len(self.rows)
+        return len(self._sides[0])
 
     def evaluate(self, witness):
         """(aw, bw, cw): per row, the sparse inner products <a,w>, <b,w>,
@@ -265,18 +266,22 @@ class ConstraintSystem:
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Canonical binary encoding; its SHA-256 is the circuit hash."""
-        out = [R1CS_MAGIC, bytes([R1CS_VERSION]),
-               struct.pack("<III", self.n_constraints, self.n_wires, self.n_public)]
-        width = self.field.byte_width
-        for a, b, c in self.rows:
-            for row in (a, b, c):
-                items = sorted(row.items())
-                out.append(struct.pack("<I", len(items)))
-                for j, coeff in items:
-                    out.append(struct.pack("<I", j))
-                    out.append(coeff.to_bytes(width, "little"))
-        return b"".join(out)
+        """Canonical binary encoding; its SHA-256 is the circuit hash.  After
+        the header, each row's a, b and c side: its term count, then its
+        terms sorted by wire index, each a u32 index and a u64 coefficient
+        (q < 2^64), little-endian.  Each distinct side is packed once."""
+        wires, coeffs, bounds = self._wires, self._coeffs, self._bounds
+        encoded = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            terms = sorted(zip(wires[lo:hi], coeffs[lo:hi]))
+            encoded.append(struct.pack("<I" + "IQ" * (hi - lo), hi - lo,
+                                       *itertools.chain.from_iterable(terms)))
+        return b"".join([
+            R1CS_MAGIC, bytes([R1CS_VERSION]),
+            struct.pack("<III", self.n_constraints, self.n_wires,
+                        self.n_public),
+            *map(encoded.__getitem__,
+                 itertools.chain.from_iterable(zip(*self._sides)))])
 
     def digest(self) -> bytes:
         """SHA-256 of `to_bytes()`, hashed once: the system is immutable."""

@@ -7,10 +7,12 @@ exact long division.  Nothing here uses the subgroup structure of a radix-2
 domain or an NTT, so `hermes_seal.qap` is checked against the textbook
 construction on the same points.
 
-For the constraint system: `evaluate`, `first_violation` and
-`generate_witness` walk each row's dicts term by term, as
-`hermes_seal.r1cs` did before it compiled the rows into flat arrays, the
-oracle for the compiled evaluation and product solve.
+For the constraint system: `rows_of` rebuilds a system's row dicts from
+its compiled arrays, and `evaluate`, `first_violation`,
+`generate_witness`, `encode_rows` and `wire_evals` walk those dicts term
+by term, as `hermes_seal.r1cs` and `hermes_seal.qap` did before they read
+the compiled rows: the oracles for the compiled evaluation, product
+solve, encoding and QAP wire values.
 
 For the pairing: `affine_lines`, the Miller loop over Q in affine
 coordinates with one modular inversion per line, the oracle for
@@ -18,9 +20,12 @@ coordinates with one modular inversion per line, the oracle for
 generator constants `pairing.G1_GENERATOR` and `pairing.G2_GENERATOR`.
 """
 
+import struct
+
+from hermes_seal.field import TEST_FIELD
 from hermes_seal.pairing import COFACTOR, P, _add, _scalar_mul
-from hermes_seal.r1cs import (MissingInputError, R1csError,
-                              UnsatisfiableError, Wire, Witness)
+from hermes_seal.r1cs import (R1CS_MAGIC, R1CS_VERSION, MissingInputError,
+                              R1csError, UnsatisfiableError, Wire, Witness)
 
 
 class Poly:
@@ -133,7 +138,7 @@ def wire_polys(cs, domain: Domain):
     cols = []
     for which in range(3):
         col = [Poly([], p) for _ in range(cs.n_wires)]
-        for li, triple in zip(basis, cs.rows):
+        for li, triple in zip(basis, rows_of(cs)):
             for j, coeff in triple[which].items():
                 col[j] = col[j] + Poly([coeff * c for c in li.coeffs], p)
         cols.append(col)
@@ -156,12 +161,50 @@ def quotient(cs, domain: Domain, witness) -> Poly:
     return h
 
 
+def rows_of(cs):
+    """The system's rows as (a, b, c) dicts, wire index -> coefficient,
+    rebuilt from its compiled arrays: one dict per distinct side, held by
+    every row and position that holds the side, its terms in the order
+    they were inserted."""
+    sides = [dict(zip(cs._wires[lo:hi], cs._coeffs[lo:hi]))
+             for lo, hi in zip(cs._bounds, cs._bounds[1:])]
+    return [tuple(map(sides.__getitem__, row)) for row in zip(*cs._sides)]
+
+
+def encode_rows(rows, n_wires, n_public):
+    """`ConstraintSystem.to_bytes` of these rows: the header, then each
+    row's a, b and c dict with its count, and its terms sorted by wire
+    index, one small `bytes` per count, index and coefficient."""
+    out = [R1CS_MAGIC, bytes([R1CS_VERSION]),
+           struct.pack("<III", len(rows), n_wires, n_public)]
+    width = TEST_FIELD.byte_width
+    for a, b, c in rows:
+        for row in (a, b, c):
+            items = sorted(row.items())
+            out.append(struct.pack("<I", len(items)))
+            for j, coeff in items:
+                out.append(struct.pack("<I", j))
+                out.append(coeff.to_bytes(width, "little"))
+    return b"".join(out)
+
+
+def wire_evals(rows, n_wires, lagrange, p):
+    """([A_j(x)], [B_j(x)], [C_j(x)]) from the Lagrange values L_i(x) of
+    the rows' points, every term of every row added in turn."""
+    a_vals, b_vals, c_vals = [0] * n_wires, [0] * n_wires, [0] * n_wires
+    for li, (a, b, c) in zip(lagrange, rows):
+        for vals, side in ((a_vals, a), (b_vals, b), (c_vals, c)):
+            for j, coeff in side.items():
+                vals[j] = (vals[j] + li * coeff) % p
+    return a_vals, b_vals, c_vals
+
+
 def evaluate(cs, values):
     """(aw, bw, cw): <a,w>, <b,w> and <c,w> mod p of every row, each a
     walk over the row's dict."""
     p = cs.field.p
     aw, bw, cw = [], [], []
-    for a, b, c in cs.rows:
+    for a, b, c in rows_of(cs):
         aw.append(sum(values[j] * k for j, k in a.items()) % p)
         bw.append(sum(values[j] * k for j, k in b.items()) % p)
         cw.append(sum(values[j] * k for j, k in c.items()) % p)
@@ -193,9 +236,10 @@ def generate_witness(cs, assignments):
             raise MissingInputError(
                 f"missing assignment for input wire {wire.label!r}")
         values[wire.index] = assigned[wire.index]
+    rows = rows_of(cs)
     for step in cs._solvers:
         if step.__class__ is int:
-            a, b, (out,) = cs.rows[step]
+            a, b, (out,) = rows[step]
             try:
                 values[out] = (sum(values[j] * k for j, k in a.items())
                                * sum(values[j] * k for j, k in b.items())) % p

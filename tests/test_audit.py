@@ -4,7 +4,7 @@ thresholds, the challenge text formats, and circuit/native agreement."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hermes_seal.audit_circuit import (AuditThresholds, ChallengeSet,
                                        Detection, GroundTruth,
@@ -101,10 +101,10 @@ def _brute_force_greedy(dets, gts, thresholds, rho_prob):
     return tp, tp_crit
 
 
-@given(st.data())
+@given(st.integers(0, 10**6))
+@example(701805)  # a box shifted below y = 0 at both corners
 @settings(max_examples=60, deadline=None)
-def test_greedy_match_vs_oracle(data):
-    rng_seed = data.draw(st.integers(0, 10**6))
+def test_greedy_match_vs_oracle(rng_seed):
     rng = random.Random(rng_seed)
     gts = []
     for k in range(rng.randrange(1, 5)):
@@ -117,7 +117,7 @@ def test_greedy_match_vs_oracle(data):
         g = rng.choice(gts)
         dx, dy = rng.randrange(-15, 16), rng.randrange(-15, 16)
         box = (max(0, g.box[0] + dx), max(0, g.box[1] + dy),
-               g.box[2] + dx, g.box[3] + dy)
+               max(0, g.box[2] + dx), max(0, g.box[3] + dy))
         dets.append(Detection(box, rng.randrange(1, 3), rng.randrange(1, 101)))
     thresholds = AuditThresholds()
     dets_sorted, _ = off_circuit_sort(dets)

@@ -37,6 +37,7 @@ import pytest
 from hermes_seal.audit_circuit import make_audit_inputs
 from hermes_seal.pairing import Q
 from hermes_seal.rss_circuit import RssScenario, make_rss_inputs
+from schoolbook import rows_of
 
 BIT_LABEL = re.compile(r"\.b\d+$")
 
@@ -79,8 +80,9 @@ def test_every_public_is_read_and_every_bit_checked(name, request):
     # fails here
     assert cs.n_public == n_public
     assert sum(1 for label in cs.labels if BIT_LABEL.search(label)) == n_bits
-    assert unread_publics(cs, cs.rows) == []
-    assert unchecked_bits(cs, cs.rows) == []
+    rows = rows_of(cs)
+    assert unread_publics(cs, rows) == []
+    assert unchecked_bits(cs, rows) == []
     # labels are debug-only, but each names one wire
     assert len(set(cs.labels)) == len(cs.labels)
 
@@ -90,30 +92,32 @@ def _without(rows, r):
 
 
 def test_deleting_a_booleanity_row_is_caught(cs):
-    bool_rows = [r for r, row in enumerate(cs.rows)
+    rows = rows_of(cs)
+    bool_rows = [r for r, row in enumerate(rows)
                  if _booleanity_wire(row) is not None]
     # every row at RSS size; an even sample of the audit circuit's 17020
     step = max(1, len(bool_rows) // 200)
     for r in bool_rows[::step]:
-        label = cs.labels[_booleanity_wire(cs.rows[r])]
-        assert unchecked_bits(cs, _without(cs.rows, r)) == [label], \
+        label = cs.labels[_booleanity_wire(rows[r])]
+        assert unchecked_bits(cs, _without(rows, r)) == [label], \
             cs.row_labels[r]
 
 
 def test_deleting_the_only_reader_of_a_public_is_caught(cs):
+    rows = rows_of(cs)
     readers = {w: [] for w in range(1, 1 + cs.n_public)}
-    for r, row in enumerate(cs.rows):
+    for r, row in enumerate(rows):
         for w in {w for lc in row for w in lc}:
             if w in readers:
                 readers[w].append(r)
-    sole = {w: rows[0] for w, rows in readers.items() if len(rows) == 1}
+    sole = {w: found[0] for w, found in readers.items() if len(found) == 1}
     bind_rows = {cs.row_labels[r] for r in sole.values()
                  if cs.row_labels[r].startswith("bind_")}
     # the circuit's own bind_<public> rows, the safety or pass output and
     # the commitment's digest row are all sole readers
     assert len(bind_rows) >= 10, bind_rows
     for w, r in sole.items():
-        assert unread_publics(cs, _without(cs.rows, r)) == [cs.labels[w]], \
+        assert unread_publics(cs, _without(rows, r)) == [cs.labels[w]], \
             cs.row_labels[r]
 
 
@@ -134,7 +138,7 @@ def jacobian(cs, witness, unknown):
     """Per row, the sparse Jacobian over `unknown` at the witness:
     a_j * <b,w> + b_j * <a,w> - c_j mod Q, zero entries left out."""
     out = []
-    for (a, b, c), aw, bw in zip(cs.rows, *witness.evaluations[:2]):
+    for (a, b, c), aw, bw in zip(rows_of(cs), *witness.evaluations[:2]):
         row = {}
         for lc, k in ((a, bw), (b, aw), (c, Q - 1)):
             for j, v in lc.items():
@@ -204,8 +208,9 @@ def test_audit_free_wires_are_zero_operand_inverse_hints(
     hints = [j for j, label in enumerate(cs.labels)
              if label.endswith(".inv") and w[j] == 0]
     assert free == hints and len(free) == 24
+    rows = rows_of(cs)
     for j in free:
-        readers = [r for r, row in enumerate(cs.rows)
+        readers = [r for r, row in enumerate(rows)
                    if any(j in lc for lc in row)]
         assert [cs.row_labels[r] for r in readers] == \
             [cs.labels[j][:-len("inv")] + "inv_trick"]
@@ -217,12 +222,13 @@ def test_every_16th_rss_row_deleted_is_caught(rss_artifacts):
     cs = rss_artifacts.circuit.cs
     w = rss_witness(rss_artifacts, 0)
     rows = jacobian(cs, w, unknown_wires(cs))
+    system_rows = rows_of(cs)
     missed = []
-    for r in range(0, len(cs.rows), 16):
+    for r in range(0, len(system_rows), 16):
         if free_wires(cs, w, _without(rows, r)):
             continue
         missed.append(cs.row_labels[r])
-        kept = _without(cs.rows, r)
+        kept = _without(system_rows, r)
         assert unchecked_bits(cs, kept) or unread_publics(cs, kept), \
             cs.row_labels[r]
     # 9 of the 64: `assert_stop_sign`, the only reader of ID, and 8

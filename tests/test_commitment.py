@@ -15,6 +15,7 @@ from hermes_seal.r1cs import CircuitBuilder, UnsatisfiableError
 
 from commitment_games import (gadget_constraints_per_permutation,
                               game_binding, game_collision, game_hiding)
+from schoolbook import rows_of
 
 P = TEST_FIELD.p
 elems = st.integers(min_value=0, max_value=P - 1)
@@ -103,7 +104,7 @@ def _sponge_circuit(inputs):
 
 def _gadget_rows(cs) -> int:
     """The gadget's rows: all but finalize's 0 * 0 = 0 padding rows."""
-    return sum(row != ({}, {}, {}) for row in cs.rows)
+    return sum(row != ({}, {}, {}) for row in rows_of(cs))
 
 
 @pytest.mark.parametrize("n_inputs", range(15))

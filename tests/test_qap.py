@@ -163,6 +163,18 @@ def test_wire_evals_at_matches_schoolbook():
         [poly.eval(tau) for poly in col] for col in dense)
 
 
+def test_wire_evals_at_matches_dict_walk(rss_artifacts):
+    # the compiled rows' per-side weights give the per-row walk's values,
+    # off the domain and on it
+    qap = rss_artifacts.qap
+    cs = qap.cs
+    rows = schoolbook.rows_of(cs)
+    rng = random.Random(3)
+    for x in [rng.randrange(P) for _ in range(3)] + [qap.domain.points[5]]:
+        assert qap.wire_evals_at(x) == schoolbook.wire_evals(
+            rows, cs.n_wires, qap.domain.lagrange_at(x), P)
+
+
 def test_r1cs_to_qap_builds_its_domain():
     cs, _, _ = _toy_circuit()
     qap = r1cs_to_qap(cs)

@@ -2,6 +2,7 @@
 index space, and the R1CS encoding's digests."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import schoolbook
 from hermes_seal.audit_circuit import make_audit_inputs
 from hermes_seal.field import TEST_FIELD
+from hermes_seal.qap import r1cs_to_qap
 from hermes_seal.r1cs import (CircuitBuilder, ConstraintSystem,
                               MissingInputError, R1csError,
                               UnsatisfiableError, Wire, Witness)
@@ -396,6 +398,110 @@ def test_compiled_rows_match_dict_walk_on_production_circuits(
         _same_as_dict_walk(cs, values)
 
 
+# -- the encoding and the QAP values from the compiled rows --------------------
+
+_WIRE_COUNTS = st.integers(1, 40) | st.integers((1 << 16) - 2, (1 << 17) + 2)
+
+
+@st.composite
+def _row_systems(draw):
+    """A system with no solvers, and the rows it was made from.  A side is
+    empty, a dict an earlier side holds (in any row and position), or a new
+    dict of up to five terms whose wires are inserted in drawn, ascending
+    or descending order, over up to 2^17 + 2 wires; padding rows, one
+    shared tuple, fill the rows up to a power of two."""
+    n_wires = draw(_WIRE_COUNTS)
+    n_public = draw(st.integers(0, n_wires - 1))
+    sides = []
+
+    def side():
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            return {}
+        if kind == 1 and sides:
+            return draw(st.sampled_from(sides))
+        wires = draw(st.lists(st.integers(0, n_wires - 1), unique=True,
+                              max_size=5))
+        order = draw(st.sampled_from([None, False, True]))
+        if order is not None:
+            wires.sort(reverse=order)
+        terms = {j: draw(_COEFFS) for j in wires}
+        sides.append(terms)
+        return terms
+    rows = [(side(), side(), side()) for _ in range(draw(st.integers(1, 12)))]
+    rows += [({}, {}, {})] * draw(st.integers(0, 3))
+    size = 1 << max(1, (len(rows) - 1).bit_length())
+    rows += [({}, {}, {})] * (size - len(rows))
+    cs = ConstraintSystem(rows, n_wires, n_public, [], [], [], [None] * size)
+    return cs, rows
+
+
+def _term_lists(rows):
+    return [[list(side.items()) for side in row] for row in rows]
+
+
+def test_encoding_of_shared_sides():
+    # one dict as a in one row, c in another and b in a third, wires
+    # inserted in descending order, past 2^16, coefficient q - 1, and padding
+    shared = {(1 << 17) + 1: P - 1, 70000: 5, 3: 1}
+    other = {2: P - 1, 0: 7}
+    rows = [(shared, other, {}), (other, {1: 1}, shared), ({}, shared, shared),
+            ({}, {}, {})]
+    cs = ConstraintSystem(rows, (1 << 17) + 2, 2, [], [], [], [None] * 4)
+    assert cs.to_bytes() == schoolbook.encode_rows(rows, cs.n_wires, 2)
+    assert _term_lists(schoolbook.rows_of(cs)) == _term_lists(rows)
+    assert len(cs._bounds) - 1 == 4  # the empty side and three distinct ones
+
+
+@given(_row_systems())
+@settings(max_examples=200, deadline=None)
+def test_encoding_matches_dict_walk(system):
+    # the same bytes as the per-row writer; the compiled arrays give back
+    # every row's dicts, terms in insertion order
+    cs, rows = system
+    assert cs.n_constraints == len(rows)
+    assert cs.to_bytes() == schoolbook.encode_rows(rows, cs.n_wires,
+                                                   cs.n_public)
+    assert _term_lists(schoolbook.rows_of(cs)) == _term_lists(rows)
+
+
+@given(_row_systems(), st.lists(st.integers(0, P - 1), min_size=1,
+                                max_size=3), st.integers(0, 15))
+@settings(max_examples=100, deadline=None)
+def test_wire_evals_at_matches_dict_walk(system, xs, point):
+    cs, rows = system
+    qap = r1cs_to_qap(cs)
+    for x in xs + [qap.domain.points[point % len(qap.domain)]]:
+        assert qap.wire_evals_at(x) == schoolbook.wire_evals(
+            rows, cs.n_wires, qap.domain.lagrange_at(x), P)
+
+
+def test_encoding_matches_dict_walk_on_production_circuits(
+        rss_artifacts, small_rss_artifacts, audit_fixture_artifacts):
+    for art in (rss_artifacts, small_rss_artifacts, audit_fixture_artifacts):
+        cs = art.cs
+        assert cs.to_bytes() == schoolbook.encode_rows(
+            schoolbook.rows_of(cs), cs.n_wires, cs.n_public)
+
+
+def test_encoding_peak_memory(rss_artifacts):
+    # each distinct side is packed once, so the writer's peak stays near
+    # the encoding's size; a writer that makes one bytes object per count,
+    # index and coefficient peaks at about 23 times it
+    cs = rss_artifacts.cs
+    tracemalloc.start()
+    try:
+        encoding = cs.to_bytes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * len(encoding), peak / len(encoding)
+
+
+def test_system_keeps_no_row_dicts(rss_artifacts):
+    assert not hasattr(rss_artifacts.cs, "rows")
+
+
 # -- the encoding's digests ----------------------------------------------------
 
 # SHA-256 of `to_bytes()`: (rows, wires, digest).  The wire index space and
@@ -451,6 +557,6 @@ def test_pad_to_power_of_two():
         assert cs.n_constraints == size
         assert cs.row_labels == [f"m{i}" for i in range(rows)] + \
             [None] * (size - rows)
-        assert cs.rows[rows:] == [({}, {}, {})] * (size - rows)
+        assert schoolbook.rows_of(cs)[rows:] == [({}, {}, {})] * (size - rows)
         w = cs.generate_witness({x: 3})
         assert cs.first_violation(cs.evaluate(w)) is None
